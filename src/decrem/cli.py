@@ -94,7 +94,6 @@ _DEFAULTS = {
         "resolvent_tol": None,
         "resolvent_max_iter": 200,
         "linear_solver_tol": 1e-10,
-        "linear_solver_max_iter": 500,
         "eps_neg": None,
         "verify_tol": 5e-3,
     },
@@ -206,7 +205,6 @@ def _build_solver(cfg):
             n_steps=int(t["n_steps"]),
             scheme=t.get("scheme", "implicit-euler"),
             linear_solver_tol=float(tol["linear_solver_tol"]),
-            linear_solver_max_iter=int(tol["linear_solver_max_iter"]),
         )
         T = float(t["T"])
     except (KeyError, ValueError, TypeError) as exc:

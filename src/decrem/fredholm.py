@@ -15,16 +15,14 @@ GMRES on I - Q using the same matrix-free application.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import identity as sparse_identity
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CapExceeded, NoConvergence
 from .grid import DensityField
-from .kolmogorov import _march, generator_matrix
+from .kolmogorov import _march, _Stepper
 from .model import check_ellipticity
 
 
@@ -129,55 +127,24 @@ def propagator_action(model, grid, config, T, s=0.0):
 def assemble_Q(model, grid, config, T, s=0.0, cap=4096):
     """Dense diagnostic assembly of Q, one column per unit-mass cell density.
 
-    Steps all N columns together: each time step factorizes the sparse step
-    matrix once and back-substitutes the whole block, which is the same
-    per-column arithmetic as :func:`apply_Q` up to solver round-off.
+    Drives the stepping core of :func:`apply_Q` on the identity block scaled
+    to unit mass: every step back-substitutes all N columns through the same
+    factored step matrix, with the same residual check and clamp, so column
+    j is :func:`apply_Q` of the unit mass in cell j up to round-off.  Each
+    step replaces the block, so at most two N x N blocks are alive at once.
     """
     n = grid.n
     if n > cap:
         raise CapExceeded(f"grid has {n} nodes, dense assembly capped at {cap}")
     if model.delta is None:
         check_ellipticity(model, grid, times=(s, T))
-    K = config.n_steps
-    dt = (T - s) / K
-    implicit = config.scheme == "implicit-euler"
-    eye = sparse_identity(n, format="csc")
+    step = _Stepper(model, grid, config, s, T, nonnegative=True)
     X = np.eye(n) / grid.cell_volume
-    lu = None
-    explicit_half = None
-    clamp = implicit
-    for k in range(K):
-        if lu is None or model.time_dependent:
-            if implicit:
-                t_eval = s + (k + 1) * dt
-                A = generator_matrix(model, grid, t_eval)
-                lu = splu((eye - dt * A).tocsc())
-            else:
-                t_eval = s + (k + 0.5) * dt
-                A = generator_matrix(model, grid, t_eval)
-                lu = splu((eye - 0.5 * dt * A).tocsc())
-                explicit_half = eye + 0.5 * dt * A
-            if implicit and _has_mixed_offdiag(A, grid):
-                clamp = False
-        rhs = X if implicit else explicit_half @ X
-        X = lu.solve(rhs)
-        if clamp:
-            # Columns are nonnegative for the monotone scheme; negatives are
-            # factorization round-off.
-            np.maximum(X, 0.0, out=X)
+    for k in range(config.n_steps):
+        X = step(k, X)
     return OperatorMatrix(
-        matrix=X, grid=grid, scheme=config.scheme, T=float(T), n_steps=K
+        matrix=X, grid=grid, scheme=config.scheme, T=float(T), n_steps=config.n_steps
     )
-
-
-def _has_mixed_offdiag(A, grid):
-    """Detect diagonal-neighbor couplings, which void the M-matrix argument."""
-    if grid.dim == 1:
-        return False
-    coo = A.tocoo()
-    d = np.abs(coo.row - coo.col)
-    ny = grid.n_cells[1]
-    return bool(np.any((d == ny - 1) | (d == ny + 1)))
 
 
 def spectral_radius(op, n=None, tol=1e-6, max_iter=200, seed=0):

@@ -10,9 +10,15 @@ diagonally dominant, nonpositive off-diagonal), so the exact step preserves
 nonnegativity and strictly loses mass; mixed-derivative terms in 2-d break
 that structure and are flagged.
 
-Inner linear systems are solved matrix-free with BiCGStab at a relative
-residual tolerance, Jacobi preconditioned.  Spurious negative round-off
-from the iterative solve is projected out only when the step input is
+Every time step solves (I - dt_eff*A_h) p_new = rhs by back-substitution
+through a sparse LU factorization of the step matrix: implicit Euler takes
+dt_eff = dt and rhs = p, Crank-Nicolson dt_eff = dt/2 and
+rhs = p + dt/2 * A_h p.  The sparse generator is probed from the stencil and
+factored once per march for time-homogeneous models, once per step for
+tabulated series.  Each solve is checked a posteriori: a singular factor, a
+non-finite solution or a column whose relative residual exceeds
+``linear_solver_tol`` raises :class:`LinearSolveFailure`.  Negative
+round-off from the solve is projected out only when the step input is
 nonnegative and the scheme is monotone, where the exact solution is
 provably nonnegative.
 """
@@ -20,13 +26,14 @@ provably nonnegative.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import LinearOperator, bicgstab, gmres
+from scipy.sparse import coo_matrix, identity
+from scipy.sparse.linalg import splu
 
 from .errors import LinearSolveFailure
 from .grid import DensityField, mass
@@ -42,7 +49,6 @@ class SolverConfig:
     n_steps: int
     scheme: str = "implicit-euler"
     linear_solver_tol: float = 1e-10
-    linear_solver_max_iter: int = 500
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -74,15 +80,11 @@ class _Stencil:
         a = eval_a(model, pts, t)
         f = model.drift_at(pts, t)
         shape = grid.shape
-        h = grid.h
         if grid.dim == 1:
             self.a = a[:, 0, 0].reshape(shape)
             fx = f[:, 0].reshape(shape)
             self.fxp = np.maximum(fx, 0.0)
             self.fxm = np.maximum(-fx, 0.0)
-            diag = -2.0 * self.a / h[0] ** 2 - np.abs(fx) / h[0]
-            diag[0] -= self.a[0] / h[0] ** 2
-            diag[-1] -= self.a[-1] / h[0] ** 2
             self.has_mixed = False
         else:
             self.a11 = a[:, 0, 0].reshape(shape)
@@ -94,19 +96,8 @@ class _Stencil:
             self.fxm = np.maximum(-fx, 0.0)
             self.fyp = np.maximum(fy, 0.0)
             self.fym = np.maximum(-fy, 0.0)
-            diag = (
-                -2.0 * self.a11 / h[0] ** 2
-                - 2.0 * self.a22 / h[1] ** 2
-                - np.abs(fx) / h[0]
-                - np.abs(fy) / h[1]
-            )
-            diag[0, :] -= self.a11[0, :] / h[0] ** 2
-            diag[-1, :] -= self.a11[-1, :] / h[0] ** 2
-            diag[:, 0] -= self.a22[:, 0] / h[1] ** 2
-            diag[:, -1] -= self.a22[:, -1] / h[1] ** 2
             self.has_mixed = bool(np.any(self.a12 != 0.0))
-        self.diag = diag.reshape(-1)
-        self.h = h
+        self.h = grid.h
 
     def apply(self, values):
         """A_h applied to a flat field vector."""
@@ -165,6 +156,36 @@ class _Stencil:
         out[:, :-1] += gm[:, 1:] / h[1]
         return out.reshape(-1)
 
+    def matrix(self):
+        """Sparse matrix of :meth:`apply`, probed with one field per color.
+
+        Nodes are colored by their index modulo 3 per axis, so within any
+        3x3 neighborhood the colors are distinct and every entry can be read
+        off from one of the (at most 9) probe applications.
+        """
+        shape = self.grid.shape
+        idx = np.indices(shape).reshape(self.dim, -1)
+        color = np.ravel_multi_index(idx % 3, (3,) * self.dim)
+        probes = np.array(
+            [self.apply((color == c).astype(float)) for c in range(3**self.dim)]
+        )
+        rows, cols, vals = [], [], []
+        for off in itertools.product((-1, 0, 1), repeat=self.dim):
+            nbr = idx + np.array(off)[:, None]
+            ok = np.all((nbr >= 0) & (nbr < np.array(shape)[:, None]), axis=0)
+            i = np.flatnonzero(ok)
+            j = np.ravel_multi_index(nbr[:, ok], shape)
+            rows.append(i)
+            cols.append(j)
+            vals.append(probes[color[j], i])
+        n = self.grid.n
+        mat = coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        ).tocsr()
+        mat.eliminate_zeros()
+        return mat
+
 
 def build_stencil(model, grid, t):
     if model.dim != grid.dim:
@@ -178,88 +199,84 @@ def apply_A(model, grid, field, t):
     return DensityField(grid, st.apply(field.values))
 
 
-def _solve_step(st, dt_eff, rhs, x0, tol, max_iter, step):
-    """Solve (I - dt_eff * A_h) x = rhs matrix-free."""
-    n = rhs.size
-    op = LinearOperator((n, n), matvec=lambda v: v - dt_eff * st.apply(v), dtype=float)
-    d = 1.0 - dt_eff * st.diag
-    precon = LinearOperator((n, n), matvec=lambda v: v / d, dtype=float)
-    rhs_norm = float(np.linalg.norm(rhs))
+class _Stepper:
+    """The stepping core: ``step(k, p)`` advances a flat field vector, or an
+    n-by-m block of them, from ``times[k]`` to ``times[k + 1]``.
 
-    def good(x):
-        return float(np.linalg.norm(rhs - op @ x)) <= tol * rhs_norm
+    ``nonnegative`` states that the initial data are; with the monotone
+    scheme it arms the positivity clamp.
+    """
 
-    x, info = bicgstab(
-        op, rhs, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, M=precon
-    )
-    if info == 0:
+    def __init__(self, model, grid, config, s, T, nonnegative):
+        if not T > s:
+            raise ValueError(f"need s < T, got s={s}, T={T}")
+        self.model = model
+        self.grid = grid
+        self.dt = (T - s) / config.n_steps
+        self.times = s + self.dt * np.arange(config.n_steps + 1)
+        self.implicit = config.scheme == "implicit-euler"
+        self.tol = config.linear_solver_tol
+        self.clamp = self.implicit and nonnegative
+        self.lu = None
+
+    def _factor(self, k):
+        t = self.times[k + 1] if self.implicit else self.times[k] + 0.5 * self.dt
+        st = build_stencil(self.model, self.grid, t)
+        if st.has_mixed:
+            self.clamp = False
+        self.A = st.matrix()
+        dt_eff = self.dt if self.implicit else 0.5 * self.dt
+        self.M = identity(self.grid.n, format="csr") - dt_eff * self.A
+        try:
+            self.lu = splu(self.M.tocsc())
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise LinearSolveFailure(
+                f"step matrix at t={t:g} could not be factored: {exc}"
+            ) from exc
+
+    def __call__(self, k, p):
+        if self.lu is None or self.model.time_dependent:
+            self._factor(k)
+        rhs = p if self.implicit else p + 0.5 * self.dt * (self.A @ p)
+        x = self.lu.solve(rhs)
+        self._check(rhs, x, k)
+        if self.clamp:
+            # The exact M-matrix step maps nonnegative to nonnegative, so
+            # any negative entry is round-off of the solve.
+            np.maximum(x, 0.0, out=x)
         return x
-    # BiCGStab can break down (info < 0) when a shadow-residual inner
-    # product degenerates, often after the iterate is already accurate:
-    # accept any iterate whose true residual meets the tolerance, else
-    # retry with GMRES before giving up.
-    if good(x):
-        return x
-    x, info = gmres(
-        op,
-        rhs,
-        rtol=tol,
-        atol=0.0,
-        restart=min(30, n),
-        maxiter=max(1, max_iter // min(30, n)),
-        M=precon,
-    )
-    if info == 0 or good(x):
-        return x
-    raise LinearSolveFailure(
-        f"inner solve at step {step} did not reach rtol={tol:g} "
-        f"within {max_iter} iterations (info={info})"
-    )
+
+    def _check(self, rhs, x, k):
+        """Relative 2-norm residual of the solve, column by column; a block
+        goes 64 columns at a time so it never gets a full-size temporary."""
+        tol2 = self.tol**2
+        if x.ndim == 1:
+            d = rhs - self.M @ x
+            ok = d @ d <= tol2 * (rhs @ rhs)
+        else:
+            ok = True
+            for j in range(0, x.shape[1], 64):
+                r = rhs[:, j : j + 64]
+                d = r - self.M @ x[:, j : j + 64]
+                sq = np.einsum("ij,ij->j", d, d)
+                ok &= bool(np.all(sq <= tol2 * np.einsum("ij,ij->j", r, r)))
+        # the comparisons are written so that a NaN residual fails too
+        if not ok:
+            raise LinearSolveFailure(
+                f"solve at step {k} missed relative residual {self.tol:g}"
+            )
 
 
 def _march(model, grid, config, values, s, T, record):
-    """Advance a flat field vector from s to T; the shared stepping core."""
-    if not T > s:
-        raise ValueError(f"need s < T, got s={s}, T={T}")
-    K = config.n_steps
-    dt = (T - s) / K
-    times = s + dt * np.arange(K + 1)
-    implicit = config.scheme == "implicit-euler"
-    cached = None if model.time_dependent else build_stencil(model, grid, s)
-    clamp = (
-        implicit
-        and (cached is None or not cached.has_mixed)
-        and bool(np.all(values >= 0.0))
-    )
+    """Advance a flat field vector from s to T through the stepping core."""
+    step = _Stepper(model, grid, config, s, T, nonnegative=bool(np.all(values >= 0.0)))
     p = np.array(values, dtype=float)
-    fields = [p.copy()] if record else None
-    for k in range(K):
-        if implicit:
-            st = cached or build_stencil(model, grid, times[k + 1])
-            rhs = p
-            dt_eff = dt
-        else:
-            st = cached or build_stencil(model, grid, times[k] + 0.5 * dt)
-            rhs = p + 0.5 * dt * st.apply(p)
-            dt_eff = 0.5 * dt
-        if clamp and st.has_mixed:
-            clamp = False
-        p = _solve_step(
-            st,
-            dt_eff,
-            rhs,
-            p,
-            config.linear_solver_tol,
-            config.linear_solver_max_iter,
-            k,
-        )
-        if clamp:
-            # The exact M-matrix step maps nonnegative to nonnegative, so
-            # any negative entry is iterative-solver round-off (<= rtol).
-            np.maximum(p, 0.0, out=p)
+    fields = [p] if record else None
+    for k in range(config.n_steps):
+        p = step(k, p)
         if record:
-            fields.append(p.copy())
-    return times, fields if record else p
+            fields.append(p)
+    return step.times, fields if record else p
 
 
 def evolve(model, grid, config, rho, s, T):
@@ -301,57 +318,9 @@ def stable_time_step(model, grid, t=0.0):
 
 
 def generator_matrix(model, grid, t):
-    """Sparse matrix of the discrete generator, probed from the stencil.
-
-    Nodes are colored modulo 3 per axis, so within any 3x3 neighborhood the
-    colors are distinct and every matrix entry can be read off from one of
-    the (at most 9) probe applications.  The result is exactly the matrix of
-    :func:`apply_A` at time ``t``, boundary folding included.
-    """
-    st = build_stencil(model, grid, t)
-    shape = grid.shape
-    n = grid.n
-    if grid.dim == 1:
-        ix = np.arange(shape[0])
-        colors = ix % 3
-        offsets = [(-1,), (0,), (1,)]
-        n_colors = 3
-        color_of = lambda idx: idx[0] % 3
-        flat_of = lambda idx: idx[0]
-        coords = (ix,)
-    else:
-        ix, iy = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
-        colors = (ix % 3) * 3 + iy % 3
-        offsets = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-        n_colors = 9
-        color_of = lambda idx: (idx[0] % 3) * 3 + idx[1] % 3
-        flat_of = lambda idx: idx[0] * shape[1] + idx[1]
-        coords = (ix, iy)
-    probes = np.empty((n_colors, n))
-    flat_colors = colors.reshape(-1)
-    for c in range(n_colors):
-        probes[c] = st.apply((flat_colors == c).astype(float))
-    rows = []
-    cols = []
-    vals = []
-    i_flat = flat_of(coords).reshape(-1)
-    for off in offsets:
-        nbr = tuple(coords[k] + off[k] for k in range(grid.dim))
-        valid = np.ones(shape, dtype=bool)
-        for k in range(grid.dim):
-            valid &= (nbr[k] >= 0) & (nbr[k] < shape[k])
-        valid = valid.reshape(-1)
-        j_flat = flat_of(nbr).reshape(-1)
-        j_color = color_of(nbr).reshape(-1)
-        rows.append(i_flat[valid])
-        cols.append(j_flat[valid])
-        vals.append(probes[j_color[valid], i_flat[valid]])
-    mat = coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    mat.eliminate_zeros()
-    return mat
+    """Sparse matrix of the discrete generator at time ``t``: exactly the
+    matrix of :func:`apply_A`, boundary folding included."""
+    return build_stencil(model, grid, t).matrix()
 
 
 def save_trajectory(traj, directory):

@@ -124,6 +124,22 @@ def test_cmd_seed_exit_codes(tmp_path):
         == 5
     )
     assert main(["seed", str(tmp_path / "missing.json")]) == 2
+    # a key the solver no longer has is an unknown key
+    stale = "tolerances.linear_solver_max_iter=500"
+    assert main(["seed", str(path), "--set", stale]) == 2
+
+
+def test_cmd_seed_unsolvable_step_exits_6(tmp_path):
+    # beta = 1e200 overflows the diffusion coefficient; the step solve fails
+    path = tmp_path / "run.json"
+    write_config(
+        path,
+        domain={"dim": 1, "lo": [0.0], "hi": [1.0], "n_cells": [32]},
+        model={"family": "constant", "drift": [0.0], "beta": [[1e200]]},
+        time={"T": 0.5, "n_steps": 8},
+    )
+    with np.errstate(all="ignore"):
+        assert main(["seed", str(path)]) == 6
 
 
 def test_cmd_evolve(tmp_path):

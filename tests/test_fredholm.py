@@ -58,6 +58,21 @@ def test_assembled_matches_matrix_free(qhat128, heat, grid128):
         assert np.allclose(act @ v, direct.values, rtol=0.0, atol=1e-8)
 
 
+def test_Q_of_sampled_sine_closed_form(qhat128, heat, grid128):
+    # v = sin(pi x) on the cell centres is an exact eigenvector of A_h with
+    # lambda_h = -(4a/h^2) sin^2(pi h/2), a = 1/2, so K implicit-euler steps
+    # scale it by (1 - dt lambda_h)^(-K); an oracle independent of the solver
+    h = grid128.h[0]
+    lam = -(2.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2
+    v = sampled_sine(grid128).values
+    expected = (1.0 - (0.5 / 128) * lam) ** (-128) * v
+    config = SolverConfig(n_steps=128)
+    direct = apply_Q(heat, grid128, config, sampled_sine(grid128), 0.5)
+    assembled = qhat128.coefficient_action() @ v
+    for got in (direct.values, assembled):
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_assembled_columns_are_kernel_slices(qhat128, heat, grid128):
     # column j is the response to a unit of mass concentrated in cell j
     config = SolverConfig(n_steps=128)

@@ -170,10 +170,13 @@ def test_semigroup_property(grid64, heat):
     assert np.allclose(whole.values, again.values, rtol=0.0, atol=1e-10)
 
 
-def test_linear_solver_budget_exhausted(grid256, heat):
-    config = SolverConfig(n_steps=4, linear_solver_tol=1e-14, linear_solver_max_iter=1)
-    with pytest.raises(LinearSolveFailure):
-        evolve(heat, grid256, config, sampled_sine(grid256), 0.0, 1.0)
+def test_unsolvable_step_raises():
+    # a = beta^2/2 overflows to inf, the generator probes to NaN and the
+    # step matrix can not be solved: that is a LinearSolveFailure, not a crash
+    grid = make_grid(1, [0.0], [1.0], [32])
+    model = constant_model([0.0], [[1e200]])
+    with np.errstate(all="ignore"), pytest.raises(LinearSolveFailure):
+        evolve(model, grid, SolverConfig(n_steps=8), sampled_sine(grid), 0.0, 0.5)
 
 
 def test_evolve_rejects_bad_input(grid64, heat):
@@ -221,13 +224,21 @@ def test_generator_matrix_2d_mixed():
 
 
 def test_column_sums_certify_mass_loss(grid64, heat):
-    # columns of A sum to <= 0, strictly < 0 next to the boundary; this is
-    # what makes I - dt*A columnwise diagonally dominant
+    # columns of A sum to <= 0, strictly < 0 next to the boundary, and its
+    # off-diagonals are >= 0; this is what makes I - dt*A an M-matrix
     A = generator_matrix(heat, grid64, 0.0)
     sums = np.asarray(A.sum(axis=0)).ravel()
     assert np.all(sums <= 1e-9)
     assert sums[0] < -1.0 and sums[-1] < -1.0
     assert np.allclose(sums[1:-1], 0.0, atol=1e-9)
+    # the drifted, axis-aligned 2-d model of the seed-2d benchmark
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 10])
+    drifted = constant_model([0.2, -0.1], [[1.0, 0.0], [0.0, 0.7]])
+    for model, g in ((heat, grid64), (drifted, grid)):
+        A = generator_matrix(model, g, 0.0).tocoo()
+        assert np.all(A.data[A.row != A.col] >= 0.0)
+        sums = np.asarray(A.sum(axis=0)).ravel()
+        assert np.all(sums <= 1e-9 * abs(A).max())
 
 
 def test_mixed_term_voids_certificate():
