@@ -7,9 +7,11 @@ cell densities, i.e. a discretization of the absorbed-process kernel
 G(x, y, T, 0).  Column masses are then survival probabilities and must lie
 strictly inside (0, 1).
 
-The resolvent solve iterates zeta <- gamma + Q zeta, which contracts because
-the operator loses mass; when contraction stalls it falls back to restarted
-GMRES on I - Q using the same matrix-free application.
+The resolvent solve is restarted GMRES (Saad & Schultz 1986) on I - Q with
+the matrix-free application.  The eigenvalues of Q are about e^{-lambda_k T}
+and cluster at 0, so a few Krylov steps reach the tolerance at any horizon,
+where the Neumann series would contract only at e^{-lambda_1 T}.  All
+applications of one solve share one step factorization.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ class ResolventReport:
     iterations: int
     residual_norm: float
     method: str
+    q_zeta: DensityField  # Q zeta, from the application that checked the residual
 
 
 @dataclass
@@ -118,10 +121,16 @@ def apply_Q(model, grid, config, xi, T, s=0.0):
 
 
 def propagator_action(model, grid, config, T, s=0.0):
-    """Q as a callable on flat vectors, for power iteration and Krylov use."""
+    """Q as a callable on flat vectors, for power iteration and Krylov use.
+
+    Every call marches through one stepper, so a time-homogeneous model is
+    factored once for all of them; each call still arms the positivity
+    clamp from the sign of its own input, as :func:`apply_Q` does.
+    """
     if model.delta is None:
         check_ellipticity(model, grid, times=(s, T))
-    return lambda v: _march(model, grid, config, v, s, T, record=False)[1]
+    step = _Stepper(model, grid, config, s, T)
+    return lambda v: _march(model, grid, config, v, s, T, record=False, step=step)[1]
 
 
 def assemble_Q(model, grid, config, T, s=0.0, cap=4096):
@@ -138,7 +147,8 @@ def assemble_Q(model, grid, config, T, s=0.0, cap=4096):
         raise CapExceeded(f"grid has {n} nodes, dense assembly capped at {cap}")
     if model.delta is None:
         check_ellipticity(model, grid, times=(s, T))
-    step = _Stepper(model, grid, config, s, T, nonnegative=True)
+    step = _Stepper(model, grid, config, s, T)
+    step.start(nonnegative=True)
     X = np.eye(n) / grid.cell_volume
     for k in range(config.n_steps):
         X = step(k, X)
@@ -196,70 +206,48 @@ def singular_values(opmat):
 
 
 def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200):
-    """Solve (I - Q) zeta = gamma by mass-loss contraction with a Krylov net.
+    """Solve (I - Q) zeta = gamma by restarted GMRES on I - Q.
 
-    Iterates zeta <- gamma + Q zeta until the relative L2 residual drops
-    below ``tol``.  If the residual ratio stays >= 0.999 for five straight
-    iterations the remaining budget goes to restarted GMRES on I - Q.
-    ``iterations`` counts applications of Q; the reported residual is
-    recomputed from the returned iterate with one extra application.
+    ``iterations`` counts every application of Q, the one that checks the
+    final relative L2 residual included, and never exceeds ``max_iter``:
+    a GMRES cycle of restart length m applies Q m + 1 times, so m is capped
+    to fit the budget.  A final residual above ``tol`` raises NoConvergence.
     """
+    if max_iter < 2:
+        raise ValueError("max_iter must be at least 2: one Krylov step and its check")
     act = propagator_action(model, grid, config, T)
     g = np.array(gamma.values, dtype=float)
-    gnorm = float(np.linalg.norm(g))
-    scale = max(gnorm, 1e-300)
-    zeta = g.copy()
-    applies = 0
-    stall = 0
-    prev_res = None
-    method = "neumann"
-    while applies < max_iter:
-        qz = act(zeta)
+    n = g.size
+    applies, last = 0, None  # last: (v, Q v) of the latest application
+
+    def apply(v):
+        nonlocal applies, last
         applies += 1
-        new = g + qz
-        res = float(np.linalg.norm(new - zeta)) / scale
-        zeta = new
-        if res <= tol:
-            break
-        if prev_res is not None and res >= 0.999 * prev_res:
-            stall += 1
-        else:
-            stall = 0
-        prev_res = res
-        if stall >= 5:
-            method = "krylov"
-            break
-    if method == "krylov" and applies < max_iter:
-        n = g.size
-        counter = {"applies": 0}
+        last = (v.copy(), act(v))
+        return last[1]
 
-        def matvec(v):
-            counter["applies"] += 1
-            return v - act(v)
-
-        op = LinearOperator((n, n), matvec=matvec, dtype=float)
-        restart = min(30, n)
-        budget = max_iter - applies
-        x, _ = gmres(
-            op,
-            g,
-            x0=zeta,
-            rtol=tol * 0.5,
-            atol=0.0,
-            restart=restart,
-            maxiter=max(1, budget // restart),
-        )
-        zeta = x
-        applies += counter["applies"]
-    final_res = float(np.linalg.norm(zeta - act(zeta) - g)) / scale
+    restart = min(30, n, max_iter - 1)
+    zeta, _ = gmres(
+        LinearOperator((n, n), matvec=lambda v: v - apply(v), dtype=float),
+        g,
+        rtol=tol,
+        atol=0.0,
+        restart=restart,
+        maxiter=max_iter // (restart + 1),
+    )
+    # every GMRES cycle ends by applying I - Q to its iterate: that last
+    # application is the residual check; gamma = 0 returns before any
+    qz = last[1] if last is not None and np.array_equal(last[0], zeta) else apply(zeta)
+    final_res = float(np.linalg.norm(zeta - qz - g)) / max(float(np.linalg.norm(g)), 1e-300)
     if final_res > tol:
         raise NoConvergence(
             f"resolvent solve stopped at residual {final_res:.3e} > tol {tol:g} "
-            f"after {applies} operator applications ({method})"
+            f"after {applies} operator applications"
         )
     return ResolventReport(
         zeta=DensityField(grid, zeta),
         iterations=applies,
         residual_norm=final_res,
-        method=method,
+        method="krylov",
+        q_zeta=DensityField(grid, qz),
     )

@@ -14,13 +14,13 @@ Every time step solves (I - dt_eff*A_h) p_new = rhs by back-substitution
 through a sparse LU factorization of the step matrix: implicit Euler takes
 dt_eff = dt and rhs = p, Crank-Nicolson dt_eff = dt/2 and
 rhs = p + dt/2 * A_h p.  The sparse generator is probed from the stencil and
-factored once per march for time-homogeneous models, once per step for
-tabulated series.  Each solve is checked a posteriori: a singular factor, a
-non-finite solution or a column whose relative residual exceeds
-``linear_solver_tol`` raises :class:`LinearSolveFailure`.  Negative
-round-off from the solve is projected out only when the step input is
-nonnegative and the scheme is monotone, where the exact solution is
-provably nonnegative.
+factored once per operator for time-homogeneous models, however many marches
+go through it, and once per step for tabulated series.  Each solve is
+checked a posteriori: a singular factor, a non-finite solution or a column
+whose relative residual exceeds ``linear_solver_tol`` raises
+:class:`LinearSolveFailure`.  Negative round-off from the solve is projected
+out only when the march input is nonnegative and the scheme is monotone,
+where the exact solution is provably nonnegative.
 """
 
 from __future__ import annotations
@@ -203,11 +203,13 @@ class _Stepper:
     """The stepping core: ``step(k, p)`` advances a flat field vector, or an
     n-by-m block of them, from ``times[k]`` to ``times[k + 1]``.
 
-    ``nonnegative`` states that the initial data are; with the monotone
-    scheme it arms the positivity clamp.
+    One stepper serves any number of marches over its times and keeps its
+    factor between them for time-homogeneous models.  :meth:`start` begins
+    a march: with the monotone scheme, nonnegative data arm the positivity
+    clamp, which stays off while a factored step has had an a12 term.
     """
 
-    def __init__(self, model, grid, config, s, T, nonnegative):
+    def __init__(self, model, grid, config, s, T):
         if not T > s:
             raise ValueError(f"need s < T, got s={s}, T={T}")
         self.model = model
@@ -216,14 +218,19 @@ class _Stepper:
         self.times = s + self.dt * np.arange(config.n_steps + 1)
         self.implicit = config.scheme == "implicit-euler"
         self.tol = config.linear_solver_tol
-        self.clamp = self.implicit and nonnegative
+        self.clamp = False
+        self.mixed = False
         self.lu = None
+
+    def start(self, nonnegative):
+        self.clamp = self.implicit and nonnegative
+        if self.model.time_dependent:
+            self.mixed = False  # every step of the march is factored anew
 
     def _factor(self, k):
         t = self.times[k + 1] if self.implicit else self.times[k] + 0.5 * self.dt
         st = build_stencil(self.model, self.grid, t)
-        if st.has_mixed:
-            self.clamp = False
+        self.mixed |= st.has_mixed
         self.A = st.matrix()
         dt_eff = self.dt if self.implicit else 0.5 * self.dt
         self.M = identity(self.grid.n, format="csr") - dt_eff * self.A
@@ -240,7 +247,7 @@ class _Stepper:
         rhs = p if self.implicit else p + 0.5 * self.dt * (self.A @ p)
         x = self.lu.solve(rhs)
         self._check(rhs, x, k)
-        if self.clamp:
+        if self.clamp and not self.mixed:
             # The exact M-matrix step maps nonnegative to nonnegative, so
             # any negative entry is round-off of the solve.
             np.maximum(x, 0.0, out=x)
@@ -267,9 +274,12 @@ class _Stepper:
             )
 
 
-def _march(model, grid, config, values, s, T, record):
-    """Advance a flat field vector from s to T through the stepping core."""
-    step = _Stepper(model, grid, config, s, T, nonnegative=bool(np.all(values >= 0.0)))
+def _march(model, grid, config, values, s, T, record, step=None):
+    """Advance a flat field vector from s to T through the stepping core;
+    ``step`` passes a stepper, and so its factor, on from an earlier march."""
+    if step is None:
+        step = _Stepper(model, grid, config, s, T)
+    step.start(bool(np.all(values >= 0.0)))
     p = np.array(values, dtype=float)
     fields = [p] if record else None
     for k in range(config.n_steps):
@@ -280,24 +290,25 @@ def _march(model, grid, config, values, s, T, record):
 
 
 def evolve(model, grid, config, rho, s, T):
-    """Evolve the density ``rho`` from time s to T, keeping every snapshot."""
+    """Evolve the density ``rho`` from time s to T, keeping every snapshot.
+
+    Positivity is certified when the scheme is implicit-euler and no
+    factored step had an a12 term."""
     if rho.grid is not grid and rho.grid != grid:
         raise ValueError("field does not live on the given grid")
     if not np.all(np.isfinite(rho.values)):
         raise ValueError("initial field has non-finite values")
     if model.delta is None:
         check_ellipticity(model, grid, times=(s, T))
-    times, raw = _march(model, grid, config, rho.values, s, T, record=True)
-    sample_times = (s, T) if model.time_dependent else (s,)
-    mixed = any(build_stencil(model, grid, t).has_mixed for t in sample_times)
-    certified = config.scheme == "implicit-euler" and not mixed
+    step = _Stepper(model, grid, config, s, T)
+    times, raw = _march(model, grid, config, rho.values, s, T, record=True, step=step)
     fields = [DensityField(grid, v) for v in raw]
     return Trajectory(
         grid=grid,
         times=times,
         fields=fields,
         scheme=config.scheme,
-        positivity_certified=certified,
+        positivity_certified=step.implicit and not step.mixed,
     )
 
 

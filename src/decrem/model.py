@@ -253,7 +253,7 @@ def check_ellipticity(model, grid, times=(0.0,)):
 
     Returns the smallest eigenvalue of beta beta^T over all sampled
     (node, time) pairs and records it as ``model.delta``.  Raises
-    EllipticityViolation when the minimum is not strictly positive.
+    EllipticityViolation when the minimum is not finite and strictly positive.
     """
     pts = grid.nodes()
     worst = np.inf
@@ -267,13 +267,15 @@ def check_ellipticity(model, grid, times=(0.0,)):
         else:
             eigs = np.linalg.eigvalsh(bbT)[:, 0]
         k = int(np.argmin(eigs))
-        if eigs[k] < worst:
+        if worst_t is None or eigs[k] < worst:
             worst = float(eigs[k])
             worst_x = pts[k]
             worst_t = float(t)
-    if not worst > 0.0:
+    # an overflowing beta gives inf (or NaN), which is no certificate either
+    if not 0.0 < worst < np.inf:
         raise EllipticityViolation(
-            f"beta beta^T has eigenvalue {worst:.3e} <= 0 at x={worst_x}, t={worst_t}",
+            f"beta beta^T has smallest eigenvalue {worst:.3e}, not finite and "
+            f"positive, at x={worst_x}, t={worst_t}",
             x=worst_x,
             t=worst_t,
             eigenvalue=worst,

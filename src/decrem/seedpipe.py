@@ -24,7 +24,7 @@ from .errors import (
     NegativityViolation,
     ResidualTooLarge,
 )
-from .fredholm import ResolventReport, apply_Q, solve_resolvent
+from .fredholm import ResolventReport, solve_resolvent
 from .grid import DensityField, mass, norm_sup
 from .kolmogorov import evolve, mass_curve
 
@@ -173,7 +173,6 @@ def run_seed(
     )
     zeta = report.zeta
     u0 = zeta.values.copy()
-    uT = apply_Q(model, grid, config, zeta, T)
     if eps_neg is None:
         eps_neg = 1e-10 * max(float(u0.max()), 0.0)
     worst = float(min(u0.min(), 0.0))
@@ -203,7 +202,7 @@ def run_seed(
         gamma=gamma,
         zeta=zeta,
         u0=u0_field,
-        uT=uT,
+        uT=report.q_zeta,
         rho=rho,
         alpha=alpha,
         residual=residual,

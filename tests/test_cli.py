@@ -130,7 +130,19 @@ def test_cmd_seed_exit_codes(tmp_path):
 
 
 def test_cmd_seed_unsolvable_step_exits_6(tmp_path):
-    # beta = 1e200 overflows the diffusion coefficient; the step solve fails
+    # no step solve meets a relative residual of 1e-20
+    path = tmp_path / "run.json"
+    write_config(
+        path,
+        domain={"dim": 1, "lo": [0.0], "hi": [1.0], "n_cells": [32]},
+        time={"T": 0.5, "n_steps": 8},
+        tolerances={"linear_solver_tol": 1e-20},
+    )
+    assert main(["seed", str(path)]) == 6
+
+
+def test_cmd_seed_overflowing_beta_exits_3(tmp_path):
+    # beta beta^T = 1e400 overflows to inf: no ellipticity certificate
     path = tmp_path / "run.json"
     write_config(
         path,
@@ -138,8 +150,8 @@ def test_cmd_seed_unsolvable_step_exits_6(tmp_path):
         model={"family": "constant", "drift": [0.0], "beta": [[1e200]]},
         time={"T": 0.5, "n_steps": 8},
     )
-    with np.errstate(all="ignore"):
-        assert main(["seed", str(path)]) == 6
+    with np.errstate(over="ignore"):
+        assert main(["seed", str(path)]) == 3
 
 
 def test_cmd_evolve(tmp_path):

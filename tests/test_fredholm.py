@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from decrem import (
     CapExceeded,
@@ -16,10 +19,13 @@ from decrem import (
     propagator_action,
     realize_gamma,
     resolvent_dense,
+    run_seed,
     singular_values,
     solve_resolvent,
     spectral_radius,
+    tabulated_model,
 )
+from decrem import fredholm
 from conftest import sampled_sine
 
 DECAY_1 = np.exp(-np.pi**2 / 2)
@@ -159,14 +165,15 @@ def test_resolvent_zero_gamma(grid64, heat):
 
 
 def test_resolvent_eigenmode_closed_form(heat, grid128):
-    # zeta = gamma / (1 - lambda_1), and Neumann contracts at rate ~0.0072
+    # zeta = gamma / (1 - lambda_1); gamma is an eigenvector of Q, so one
+    # Krylov step holds the solution
     config = SolverConfig(n_steps=256)
     gamma = sampled_sine(grid128)
     report = solve_resolvent(heat, grid128, config, gamma, 1.0, tol=1e-10)
     expected = gamma.values / (1.0 - DECAY_1)
     err = norm_l2(gamma.with_values(report.zeta.values - expected))
     assert err <= 1e-2 * norm_l2(gamma.with_values(expected))
-    assert report.method == "neumann"
+    assert report.method == "krylov"
     assert report.iterations <= 5
 
 
@@ -186,12 +193,122 @@ def test_resolvent_agrees_with_dense_lu(qhat128, heat, grid128):
     assert err <= 1e-7 * norm_l2(dense)
 
 
-def test_resolvent_respects_budget(heat, grid64):
-    gamma = sampled_sine(grid64)
-    with pytest.raises(NoConvergence):
+def _count_Q(monkeypatch):
+    """Record every march made through fredholm: one per application of Q."""
+    calls = []
+    march = fredholm._march
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(fredholm, "_march", counted)
+    return calls
+
+
+def test_resolvent_respects_budget(heat, grid64, monkeypatch):
+    # a bump is no eigenvector of Q, so one Krylov step can not reach 1e-14
+    gamma = realize_gamma(grid64, {"kind": "bump", "lo": [0.4], "hi": [0.6]})
+    applied = _count_Q(monkeypatch)
+    with pytest.raises(NoConvergence, match="after 2 operator applications"):
         solve_resolvent(
-            heat, grid64, SolverConfig(n_steps=8), gamma, 0.5, tol=1e-14, max_iter=2
+            heat, grid64, SolverConfig(n_steps=8), gamma.field, 0.5, tol=1e-14, max_iter=2
         )
+    assert len(applied) <= 2
+    with pytest.raises(ValueError):
+        solve_resolvent(heat, grid64, SolverConfig(n_steps=8), gamma.field, 0.5, max_iter=1)
+
+
+@pytest.mark.parametrize("max_iter", [3, 5, 13, 24])
+def test_resolvent_budget_below_grid_size(heat, grid64, monkeypatch, max_iter):
+    # n = 64 and a restart length of 30 would overrun each of these budgets;
+    # at T = 0.001 the solve needs 20 applications of Q
+    gamma = realize_gamma(grid64, {"kind": "bump", "lo": [0.4], "hi": [0.6]})
+    config = SolverConfig(n_steps=8)
+    applied = _count_Q(monkeypatch)
+    if max_iter < 20:
+        with pytest.raises(NoConvergence):
+            solve_resolvent(heat, grid64, config, gamma.field, 0.001, max_iter=max_iter)
+    else:
+        report = solve_resolvent(heat, grid64, config, gamma.field, 0.001, max_iter=max_iter)
+        assert report.iterations == len(applied)
+        assert report.iterations <= max_iter
+        assert report.residual_norm <= 1e-10
+    assert len(applied) <= max_iter
+
+
+@pytest.mark.parametrize("T", [0.02, 0.01, 0.001])
+def test_short_horizon_seed_converges(heat, T):
+    # Q contracts only at e^{-pi^2 T / 2} here; GMRES still converges
+    grid = make_grid(1, [0.0], [1.0], [32])
+    config = SolverConfig(n_steps=32)
+    gamma = realize_gamma(grid, {"kind": "bump", "lo": [0.4], "hi": [0.6]})
+    sol = run_seed(heat, grid, config, gamma, T)
+    assert sol.resolvent.method == "krylov"
+    assert sol.resolvent.residual_norm <= 1e-9
+    assert sol.residual <= 1e-6
+    zeta = resolvent_dense(assemble_Q(heat, grid, config, T), sol.gamma.field)
+    assert sol.alpha == pytest.approx(1.0 / mass(zeta), rel=1e-6)
+
+
+def _property_cases():
+    """(model, grid, config, T): monotone 1-D with and without drift, a
+    time-dependent table, Crank-Nicolson, and a 2-D mixed term."""
+    g1 = make_grid(1, [0.0], [1.0], [12])
+    g2 = make_grid(2, [0.0, 0.0], [1.0, 1.0], [5, 4])
+    ramp = tabulated_model(
+        g1, None, None, times=[0.0, 0.2],
+        series=[
+            (np.zeros((12, 1)), np.ones((12, 1, 1))),
+            (np.full((12, 1), 1.5), np.full((12, 1, 1), 0.5)),
+        ],
+    )
+    return [
+        (constant_model([0.0], [[1.0]]), g1, SolverConfig(n_steps=6), 0.05),
+        (constant_model([2.0], [[0.5]]), g1, SolverConfig(n_steps=5), 0.3),
+        (ramp, g1, SolverConfig(n_steps=4), 0.2),
+        (constant_model([0.0], [[1.0]]), g1, SolverConfig(n_steps=4, scheme="crank-nicolson"), 0.1),
+        (constant_model([0.3, -0.2], [[1.0, 0.4], [0.0, 0.8]]), g2, SolverConfig(n_steps=3), 0.1),
+    ]
+
+
+PROPERTY_CASES = _property_cases()
+
+
+def _fields(n, lo=-1.0):
+    return arrays(np.float64, n, elements=st.floats(lo, 1.0, allow_subnormal=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(range(len(PROPERTY_CASES))), data=st.data())
+def test_propagator_action_is_apply_Q_and_linear(case, data):
+    model, grid, config, T = PROPERTY_CASES[case]
+    u = data.draw(_fields(grid.n), label="u")
+    v = data.draw(_fields(grid.n, lo=0.0), label="v")
+    a, b = data.draw(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), label="a, b")
+    act = propagator_action(model, grid, config, T)
+    once = lambda w: apply_Q(model, grid, config, DensityField(grid, w), T).values
+    # the shared factor and the per-application clamp give the bits of a
+    # fresh march, whatever the order and sign of the inputs
+    for w in (v, u, v, u):
+        assert np.array_equal(act(w), once(w))
+    combo = act(a * u + b * v)
+    scale = abs(a) * np.linalg.norm(act(u)) + abs(b) * np.linalg.norm(act(v))
+    assert np.linalg.norm(combo - a * act(u) - b * act(v)) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(range(3)), data=st.data())
+def test_Q_keeps_sign_and_loses_mass(case, data):
+    # monotone cases only: implicit Euler without an a12 term
+    model, grid, config, T = PROPERTY_CASES[case]
+    v = data.draw(_fields(grid.n, lo=0.0), label="v")
+    out = propagator_action(model, grid, config, T)(v)
+    assert np.all(out >= 0.0)
+    field = DensityField(grid, v)
+    assert mass(DensityField(grid, out)) <= mass(field)
+    if np.any(v > 0.0):
+        assert mass(DensityField(grid, out)) < mass(field)
 
 
 def test_singular_values_decay(qhat128):

@@ -170,13 +170,13 @@ def test_semigroup_property(grid64, heat):
     assert np.allclose(whole.values, again.values, rtol=0.0, atol=1e-10)
 
 
-def test_unsolvable_step_raises():
-    # a = beta^2/2 overflows to inf, the generator probes to NaN and the
-    # step matrix can not be solved: that is a LinearSolveFailure, not a crash
+def test_unsolvable_step_raises(heat):
+    # no factored solve meets a relative residual of 1e-20: that is a
+    # LinearSolveFailure at the first step, not a crash or a quiet result
     grid = make_grid(1, [0.0], [1.0], [32])
-    model = constant_model([0.0], [[1e200]])
-    with np.errstate(all="ignore"), pytest.raises(LinearSolveFailure):
-        evolve(model, grid, SolverConfig(n_steps=8), sampled_sine(grid), 0.0, 0.5)
+    config = SolverConfig(n_steps=8, linear_solver_tol=1e-20)
+    with pytest.raises(LinearSolveFailure, match="step 0"):
+        evolve(heat, grid, config, sampled_sine(grid), 0.0, 0.5)
 
 
 def test_evolve_rejects_bad_input(grid64, heat):

@@ -42,6 +42,17 @@ def test_singular_beta_rejected():
     assert model.delta is None
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_overflowing_beta_rejected(dim):
+    # beta beta^T overflows to inf (1-D) or eigvalsh gives NaN (2-D)
+    grid = make_grid(dim, [0.0] * dim, [1.0] * dim, [8] * dim)
+    model = constant_model([0.0] * dim, 1e200 * np.eye(dim))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EllipticityViolation) as err:
+        check_ellipticity(model, grid)
+    assert not np.isfinite(err.value.eigenvalue)
+    assert model.delta is None
+
+
 def test_eval_a_scalar_beta():
     model = constant_model([0.0], 1.0)
     a = eval_a(model, np.array([[0.5]]), 0.0)
