@@ -364,11 +364,26 @@ def _coarsen(values, grid, bins):
     return np.add.reduceat(out, ey[:-1], axis=1).reshape(-1)
 
 
+def _mc_count(mc, key):
+    """``mc[key]`` as an int >= 1; a whole float such as 1e5 is accepted."""
+    value = mc[key]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not float(value).is_integer()
+        or value < 1
+    ):
+        raise ConfigError(f"mc.{key} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def cmd_mc(cfg, base_dir, rho_path):
     grid = _build_grid(cfg)
     model = _build_model(cfg, grid, base_dir)
     config, T = _build_solver(cfg)
     mc = cfg["mc"]
+    n = _mc_count(mc, "n_particles")
+    bins = min(_mc_count(mc, "bins"), min(grid.n_cells))
     if model.delta is None:
         check_ellipticity(model, grid, times=(0.0, T))
     seed = mc["seed"]
@@ -376,7 +391,6 @@ def cmd_mc(cfg, base_dir, rho_path):
         seed = secrets.randbits(63)
     cfg["mc"]["seed"] = int(seed)
     rho = DensityField.from_csv(grid, rho_path)
-    n = int(mc["n_particles"])
     dt = mc["dt"]
     dt = float(dt) if dt is not None else default_dt(model, grid, T)
     ensemble = sample_initial(rho, n, int(seed))
@@ -384,8 +398,6 @@ def cmd_mc(cfg, base_dir, rho_path):
     estimate = estimate_density(ensemble, grid)
     traj = evolve(model, grid, config, rho, 0.0, T)
     pde_final = traj.fields[-1]
-    bins = int(mc["bins"])
-    bins = min(bins, min(grid.n_cells))
     q = _coarsen(pde_final.values, grid, bins)
     counts = _coarsen(estimate.histogram.values, grid, bins) * n
     qc = np.clip(q, 1e-12, 1.0)

@@ -5,13 +5,17 @@ seed: step k draws its normal increments from the counter block k << 128,
 inside which particle i reads slots [i*dim, (i+1)*dim).  Every variate is
 therefore a pure function of (seed, step, particle), so results do not
 depend on execution order or thread count, and two runs to different
-horizons agree on their common steps.  Normals are produced by applying
-the inverse normal CDF (scipy.special.ndtri) to Philox uniforms; that
-choice is part of the reproducibility contract of this release.
+horizons agree on their common steps: the step count is fixed up front,
+so extending a run past T continues exactly where a direct run would be,
+for any dt.  Normals are produced by applying the inverse normal CDF
+(scipy.special.ndtri) to Philox uniforms; that choice is part of the
+reproducibility contract of this release.
 
 Absorption uses end-of-step exit detection: a particle found outside the
-open box after a step is frozen there and never moves again.  This carries
-the usual O(sqrt(dt)) survival bias of discrete exit checks, which the
+open box after a step is frozen there and never moves again.  Absorbed
+particles keep their counter slots, but draw no normals, evaluate no
+coefficients and are not stepped; each step works on the survivors only.
+Discrete exit checks carry the usual O(sqrt(dt)) survival bias, which the
 package absorbs into its statistical tolerances.
 """
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -34,15 +39,17 @@ _STEP_STRIDE = 1 << 128  # counter block per time step
 _INIT_BLOCK = 1 << 200  # far above any reachable step block
 
 
-def _uniforms(seed, block, shape):
-    bg = Philox(key=int(seed) & ((1 << 128) - 1), counter=block)
-    u = Generator(bg).random(shape)
+def _normals(seed, step, n, dim, rows=slice(None)):
+    """Normal increments of particles ``rows`` (all by default) at ``step``.
+
+    The whole (n, dim) block of uniforms is drawn so that particle i always
+    reads slots [i*dim, (i+1)*dim) of counter block ``step << 128``; only the
+    requested rows go through ndtri.
+    """
+    bg = Philox(key=int(seed) & ((1 << 128) - 1), counter=step * _STEP_STRIDE)
+    u = Generator(bg).random((n, dim))[rows]
     # random() can return exactly 0, which ndtri maps to -inf
-    return np.clip(u, 5e-324, None)
-
-
-def _normals(seed, step, n, dim):
-    return ndtri(_uniforms(seed, step * _STEP_STRIDE, (n, dim)))
+    return ndtri(np.maximum(u, 5e-324))
 
 
 @dataclass
@@ -116,7 +123,11 @@ def _strictly_inside(positions, grid):
 
 
 def simulate(model, grid, ensemble, T, dt=None):
-    """Advance the ensemble to exactly time T (last step shortened)."""
+    """Advance the ensemble to exactly time T (last step shortened).
+
+    The step count is fixed up front as ceil((T - t) / dt), with a remainder
+    below 1e-9 of the horizon T - t taken as round-off, not as one more step.
+    """
     if dt is None:
         dt = default_dt(model, grid, T)
     if not dt > 0.0:
@@ -125,32 +136,38 @@ def simulate(model, grid, ensemble, T, dt=None):
         raise ValueError(f"T={T} is not ahead of ensemble time {ensemble.t}")
     if dt > T - ensemble.t:
         raise ValueError(f"dt={dt} exceeds the remaining horizon {T - ensemble.t}")
+    n_steps = math.ceil((T - ensemble.t) / dt * (1.0 - 1e-9))
     pos = ensemble.positions.copy()
-    alive = ensemble.alive.copy()
     n, dim = pos.shape
+    live = np.flatnonzero(ensemble.alive)  # rows still inside the box
+    x = pos[live]
     t = ensemble.t
-    k = ensemble.step_offset
-    while t < T - 1e-14 * max(1.0, abs(T)):
+    k0 = ensemble.step_offset
+    for k in range(k0, k0 + n_steps):
+        if live.size == 0:
+            break
         step = min(dt, T - t)
-        z = _normals(ensemble.seed, k, n, dim)
-        f = model.drift_at(pos, t)
-        b = model.beta_at(pos, t)
-        if dim == 1:
-            move = f[:, 0] * step + b[:, 0, 0] * np.sqrt(step) * z[:, 0]
-            new = pos[:, 0] + move
-            pos[alive, 0] = new[alive]
+        z = _normals(ensemble.seed, k, n, dim, live)
+        f = model.drift_at(x, t)
+        b = model.beta_at(x, t)
+        if dim == 1:  # (b * sqrt(step)) * z rounds unlike einsum's sqrt(step) * (b z)
+            x = x + (f * step + b[:, :, 0] * np.sqrt(step) * z)
         else:
-            move = f * step + np.sqrt(step) * np.einsum("nij,nj->ni", b, z)
-            pos[alive] = (pos + move)[alive]
-        alive &= _strictly_inside(pos, grid)
+            x = x + (f * step + np.sqrt(step) * np.einsum("nij,nj->ni", b, z))
+        inside = _strictly_inside(x, grid)
+        pos[live[~inside]] = x[~inside]  # absorbed: frozen where they exited
+        live = live[inside]
+        x = x[inside]
         t += step
-        k += 1
+    pos[live] = x
+    alive = np.zeros(n, dtype=bool)
+    alive[live] = True
     return ParticleEnsemble(
         positions=pos,
         alive=alive,
         seed=ensemble.seed,
         t=float(T),
-        step_offset=k,
+        step_offset=k0 + n_steps,
         dt=float(dt),
     )
 

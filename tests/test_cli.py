@@ -272,6 +272,29 @@ def test_cmd_mc_generates_and_echoes_seed(tmp_path, capsys):
     assert f"master seed {echoed}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("mc.n_particles=0", "mc.n_particles"),
+        ("mc.n_particles=-5", "mc.n_particles"),
+        ("mc.n_particles=2.5", "mc.n_particles"),
+        ("mc.bins=0", "mc.bins"),
+    ],
+)
+def test_cmd_mc_rejects_empty_runs(tmp_path, capsys, override, key):
+    from decrem import DensityField, make_grid
+
+    path = tmp_path / "run.json"
+    write_config(path)
+    grid = make_grid(1, [0.0], [1.0], [64])
+    rho = tmp_path / "rho.csv"
+    DensityField(grid, np.ones(64)).to_csv(rho)
+    args = ["mc", str(path), "--rho", str(rho), "--set", override]
+    assert main(args + ["--set", "mc.seed=1"]) == 2
+    assert f"ConfigError: {key} must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_verify_detects_tampered_alpha(tmp_path):
     path = tmp_path / "run.json"
     write_config(path)

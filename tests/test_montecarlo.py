@@ -9,16 +9,48 @@ from decrem import (
     estimate_density,
     make_grid,
     mass,
+    ou_model,
     sample_initial,
     simulate,
+    tabulated_model,
 )
-from decrem.montecarlo import ParticleEnsemble, _normals
+from decrem.montecarlo import ParticleEnsemble, _normals, _strictly_inside
 from conftest import sampled_sine
 
 
 def normalized_sine(grid):
     f = sampled_sine(grid)
     return f.with_values(f.values / mass(f))
+
+
+def uniform_density(grid):
+    return DensityField(grid, np.full(grid.n, 1.0 / (grid.n * grid.cell_volume)))
+
+
+def simulate_all_particles(model, grid, ensemble, T, dt):
+    """Reference stepper: every particle draws, evaluates and moves at every
+    step, and only the alive mask decides who keeps the move."""
+    pos = ensemble.positions.copy()
+    alive = ensemble.alive.copy()
+    n, dim = pos.shape
+    t = ensemble.t
+    k = ensemble.step_offset
+    while t < T - 1e-14 * max(1.0, abs(T)):
+        step = min(dt, T - t)
+        z = _normals(ensemble.seed, k, n, dim)
+        f = model.drift_at(pos, t)
+        b = model.beta_at(pos, t)
+        if dim == 1:
+            move = f[:, 0] * step + b[:, 0, 0] * np.sqrt(step) * z[:, 0]
+            new = pos[:, 0] + move
+            pos[alive, 0] = new[alive]
+        else:
+            move = f * step + np.sqrt(step) * np.einsum("nij,nj->ni", b, z)
+            pos[alive] = (pos + move)[alive]
+        alive &= _strictly_inside(pos, grid)
+        t += step
+        k += 1
+    return pos, alive, k
 
 
 def test_sample_initial_single_cell(grid64):
@@ -78,6 +110,83 @@ def test_normals_are_pure_function_of_seed_and_step():
     # particle streams are prefixes: more particles extend, not reshuffle
     wide = _normals(123, step=5, n=200, dim=2)
     assert np.array_equal(wide[:100], a)
+    # a subset of rows reads the same normals as the full draw
+    rows = np.array([0, 3, 4, 57, 99])
+    assert np.array_equal(_normals(123, step=5, n=100, dim=2, rows=rows), a[rows])
+
+
+def _time_dependent_table():
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
+    rng = np.random.default_rng(4)
+    mixed = np.array([[0.9, 0.3], [-0.2, 0.6]])
+    series = [
+        (
+            rng.uniform(-1.0, 1.0, (grid.n, 2)),
+            mixed * rng.uniform(0.5, 1.5, (grid.n, 1, 1)),
+        )
+        for _ in range(3)
+    ]
+    return tabulated_model(grid, None, None, times=[0.0, 0.05, 0.12], series=series), grid
+
+
+def _surviving_steps_cases():
+    grid1 = make_grid(1, [0.0], [1.0], [64])
+    grid2 = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
+    heat = constant_model([0.0], [[1.0]])
+    ou = ou_model([1.5, 0.7], [0.4, 0.6], [[0.9, 0.3], [-0.2, 0.6]])
+    table, grid_t = _time_dependent_table()
+    # (model, grid, particles, T, dt, expected steps); 0.37 / 7e-3 leaves
+    # a shortened last step
+    return {
+        "heat-1d": (heat, grid1, 3000, 0.3, 1e-3, 300),
+        "heat-1d-short-last-step": (heat, grid1, 3000, 0.37, 7e-3, 53),
+        "ou-2d-offdiag-beta": (ou, grid2, 3000, 0.2, 1e-3, 200),
+        "tabulated-series-2d": (table, grid_t, 3000, 0.2, 2e-3, 100),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_surviving_steps_cases()))
+def test_simulate_matches_all_particle_stepper(case):
+    model, grid, n, T, dt, steps = _surviving_steps_cases()[case]
+    ens = sample_initial(uniform_density(grid), n, seed=17)
+    out = simulate(model, grid, ens, T, dt=dt)
+    pos, alive, k = simulate_all_particles(model, grid, ens, T, dt)
+    assert out.step_offset == k == steps
+    assert np.array_equal(out.positions, pos)
+    assert np.array_equal(out.alive, alive)
+    assert 0 < alive.sum() < n
+    # entering with absorbed particles: they neither draw nor move
+    later = simulate(model, grid, out, 2 * T, dt=dt)
+    pos, alive, k = simulate_all_particles(model, grid, out, 2 * T, dt)
+    assert later.step_offset == k == 2 * steps
+    assert np.array_equal(later.positions, pos)
+    assert np.array_equal(later.alive, alive)
+
+
+def test_simulate_fully_absorbed_ensemble(grid64, heat):
+    pos = np.linspace(-0.5, 1.5, 40).reshape(-1, 1)
+    ens = ParticleEnsemble(
+        positions=pos, alive=np.zeros(40, dtype=bool), seed=3, t=0.0
+    )
+    out = simulate(heat, grid64, ens, 0.1, dt=1e-3)
+    assert out.step_offset == 100
+    assert np.array_equal(out.positions, pos)
+    assert not out.alive.any()
+
+
+def test_step_count_free_of_round_off(grid64, heat):
+    # 0.5 / 1e-4 steps accumulate t short of T by ~1e-13, which must not
+    # cost a 5001st sliver step
+    rho = normalized_sine(grid64)
+    ens = sample_initial(rho, 1000, seed=5)
+    direct = simulate(heat, grid64, ens, 0.5, dt=1e-4)
+    assert direct.step_offset == 5000
+    part = simulate(heat, grid64, ens, 0.3, dt=1e-4)
+    assert part.step_offset == 3000
+    cont = simulate(heat, grid64, part, 0.5, dt=1e-4)
+    assert cont.step_offset == 5000
+    assert np.array_equal(cont.alive, direct.alive)
+    assert np.allclose(cont.positions, direct.positions, atol=1e-12)
 
 
 def test_simulate_deterministic_and_extendable(grid64, heat):
