@@ -40,16 +40,14 @@ from .fredholm import (
     solve_resolvent,
     spectral_radius,
 )
-from .grid import DensityField, DomainGrid, make_grid, mass, norm_l1, norm_l2, norm_sup
+from .grid import DensityField, DomainGrid, make_grid, mass, norm_sup
 from .kolmogorov import (
     SolverConfig,
     Trajectory,
-    apply_A,
     evolve,
     generator_matrix,
     mass_curve,
     save_trajectory,
-    stable_time_step,
 )
 from .model import (
     DiffusionModel,
@@ -110,7 +108,6 @@ __all__ = [
     "Trajectory",
     "VerificationFailed",
     "VerificationReport",
-    "apply_A",
     "apply_Q",
     "assemble_Q",
     "check_ellipticity",
@@ -126,8 +123,6 @@ __all__ = [
     "make_grid",
     "mass",
     "mass_curve",
-    "norm_l1",
-    "norm_l2",
     "norm_sup",
     "ou_model",
     "propagator_action",
@@ -141,7 +136,6 @@ __all__ = [
     "singular_values",
     "solve_resolvent",
     "spectral_radius",
-    "stable_time_step",
     "tabulated_model",
     "verify_seed",
     "write_coefficient_csv",

@@ -253,24 +253,44 @@ def _write_manifest(out_dir, names):
         fh.write("\n")
 
 
+def _tolerances(cfg):
+    """The tolerance block with ``residual_tol``, ``verify_tol`` and a set
+    ``resolvent_tol`` finite and > 0, and a set ``eps_neg`` finite and >= 0."""
+    tol = dict(cfg["tolerances"])
+    for key in ("residual_tol", "verify_tol", "resolvent_tol", "eps_neg"):
+        value = tol[key]
+        if value is None and key in ("resolvent_tol", "eps_neg"):
+            continue
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not abs(value) < float("inf")  # NaN fails too
+            or (value < 0 if key == "eps_neg" else value <= 0)
+        ):
+            bound = ">= 0" if key == "eps_neg" else "> 0"
+            raise ConfigError(f"tolerances.{key} must be finite {bound}: {value!r}")
+        tol[key] = float(value)
+    return tol
+
+
 def cmd_seed(cfg, base_dir):
     grid = _build_grid(cfg)
     model = _build_model(cfg, grid, base_dir)
     config, T = _build_solver(cfg)
     gamma = _build_gamma(cfg, grid, base_dir)
-    tol = cfg["tolerances"]
+    tol = _tolerances(cfg)
     solution = run_seed(
         model,
         grid,
         config,
         gamma,
         T,
-        tol=float(tol["residual_tol"]),
+        tol=tol["residual_tol"],
         resolvent_tol=tol["resolvent_tol"],
         resolvent_max_iter=int(tol["resolvent_max_iter"]),
         eps_neg=tol["eps_neg"],
     )
-    verification = verify_seed(model, grid, config, solution, tol=float(tol["verify_tol"]))
+    verification = verify_seed(model, grid, config, solution, tol=tol["verify_tol"])
     out_dir = cfg["output_dir"]
     os.makedirs(os.path.join(out_dir, "solution"), exist_ok=True)
     names = [os.path.join("solution", n) for n in solution.save(os.path.join(out_dir, "solution"))]
@@ -427,7 +447,7 @@ def cmd_verify(cfg, base_dir, solution_dir):
     model = _build_model(cfg, grid, base_dir)
     config, T = _build_solver(cfg)
     gamma = _build_gamma(cfg, grid, base_dir)
-    tol = cfg["tolerances"]
+    tol = _tolerances(cfg)
     rho, u0, uT, decrement, report = load_solution(grid, solution_dir)
     sup = float(np.max(gamma.field.values))
     gamma = TargetProfile(gamma.kind, gamma.field.with_values(gamma.field.values / sup))
@@ -436,11 +456,12 @@ def cmd_verify(cfg, base_dir, solution_dir):
         stored_residual = float(report["residual"])
     except (KeyError, TypeError, ValueError) as exc:
         raise VerificationFailed(f"report.json is malformed: {exc}") from exc
-    if abs(alpha * mass(u0) - 1.0) > 1e-6:
+    # both checks are written so that a NaN or an infinity fails them
+    if not abs(alpha * mass(u0) - 1.0) <= 1e-6:
         raise VerificationFailed(
             f"stored alpha {alpha!r} is inconsistent with integral of u0"
         )
-    if np.any(rho.values < 0.0) or abs(mass(rho) - 1.0) > 1e-9:
+    if not (np.all(rho.values >= 0.0) and abs(mass(rho) - 1.0) <= 1e-9):
         raise VerificationFailed("stored rho is not a probability density")
     solution = SeedSolution(
         gamma=gamma,
@@ -456,7 +477,7 @@ def cmd_verify(cfg, base_dir, solution_dir):
         decrement=decrement,
         T=T,
     )
-    verification = verify_seed(model, grid, config, solution, tol=float(tol["verify_tol"]))
+    verification = verify_seed(model, grid, config, solution, tol=tol["verify_tol"])
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     names = [_write_json(out_dir, "verification.json", verification.to_json_dict())]

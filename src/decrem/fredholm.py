@@ -74,23 +74,6 @@ class OperatorMatrix:
             fh.write("\n")
         return [path_base + ".bin", path_base + ".json"]
 
-    @classmethod
-    def load(cls, path_base, grid):
-        with open(path_base + ".json") as fh:
-            sidecar = json.load(fh)
-        n = sidecar["n"]
-        if n != grid.n:
-            raise ValueError(f"operator size {n} does not match grid size {grid.n}")
-        raw = np.fromfile(path_base + ".bin", dtype="<f8")
-        matrix = raw.reshape((n, n), order="F").astype(float)
-        return cls(
-            matrix=matrix,
-            grid=grid,
-            scheme=sidecar["scheme"],
-            T=sidecar["T"],
-            n_steps=sidecar["n_steps"],
-        )
-
 
 @dataclass
 class ResolventReport:

@@ -3,8 +3,8 @@
 Interior nodes sit at cell centers, so the first node is half a cell away
 from the boundary and the zero Dirichlet data of the absorbed process is
 pinned on the faces themselves, not at a node.  All fields are stored in
-flat C order (last axis fastest); :meth:`DomainGrid.flat_index` is the
-bijection between multi-indices and flat indices.
+flat C order (last axis fastest): node (i, j) of a 2-d grid is flat index
+``np.ravel_multi_index((i, j), grid.shape)``.
 """
 
 from __future__ import annotations
@@ -72,25 +72,6 @@ class DomainGrid:
         xg, yg = np.meshgrid(axes[0], axes[1], indexing="ij")
         return np.column_stack([xg.ravel(), yg.ravel()])
 
-    def flat_index(self, multi):
-        """Multi-index tuple -> flat index (C order)."""
-        multi = tuple(int(m) for m in multi)
-        for k, m in enumerate(multi):
-            if not 0 <= m < self.n_cells[k]:
-                raise IndexError(f"index {multi} outside grid {self.shape}")
-        if self.dim == 1:
-            return multi[0]
-        return multi[0] * self.n_cells[1] + multi[1]
-
-    def multi_index(self, flat):
-        """Flat index -> multi-index tuple, inverse of :meth:`flat_index`."""
-        flat = int(flat)
-        if not 0 <= flat < self.n:
-            raise IndexError(f"flat index {flat} outside grid of size {self.n}")
-        if self.dim == 1:
-            return (flat,)
-        return divmod(flat, self.n_cells[1])
-
 
 def make_grid(dim, lo, hi, n_cells):
     """Validate parameters and build a :class:`DomainGrid`."""
@@ -143,10 +124,6 @@ class DensityField:
         pts = grid.nodes()
         return cls(grid, fn(*[pts[:, k] for k in range(grid.dim)]))
 
-    def reshaped(self):
-        """Values as an array shaped like the grid."""
-        return self.values.reshape(self.grid.shape)
-
     def with_values(self, values):
         return DensityField(self.grid, values)
 
@@ -192,14 +169,6 @@ class DensityField:
 def mass(field):
     """Midpoint-rule integral of the field over the box."""
     return float(field.values.sum() * field.grid.cell_volume)
-
-
-def norm_l1(field):
-    return float(np.abs(field.values).sum() * field.grid.cell_volume)
-
-
-def norm_l2(field):
-    return float(np.sqrt((field.values**2).sum() * field.grid.cell_volume))
 
 
 def norm_sup(field):

@@ -13,7 +13,8 @@ that structure and are flagged.
 Every time step solves (I - dt_eff*A_h) p_new = rhs by back-substitution
 through a sparse LU factorization of the step matrix: implicit Euler takes
 dt_eff = dt and rhs = p, Crank-Nicolson dt_eff = dt/2 and
-rhs = p + dt/2 * A_h p.  The sparse generator is probed from the stencil and
+rhs = p + dt/2 * A_h p.  The sparse generator is assembled straight from the
+coefficient arrays, one grid-shaped array of entries per stencil offset, and
 factored once per operator for time-homogeneous models, however many marches
 go through it, and once per step for tabulated series.  Each solve is
 checked a posteriori: a singular factor, a non-finite solution or a column
@@ -70,133 +71,84 @@ class Trajectory:
     positivity_certified: bool
 
 
-class _Stencil:
-    """Discrete generator at one evaluation time."""
+def _span(n, d):
+    """Slices along one axis of n cells: the rows r whose neighbour r + d
+    is inside, and those neighbours."""
+    if d > 0:
+        return slice(0, n - 1), slice(1, n)
+    if d < 0:
+        return slice(1, n), slice(0, n - 1)
+    return slice(None), slice(None)
 
-    def __init__(self, model, grid, t):
-        self.grid = grid
-        self.dim = grid.dim
-        pts = grid.nodes()
-        a = eval_a(model, pts, t)
-        f = model.drift_at(pts, t)
-        shape = grid.shape
-        if grid.dim == 1:
-            self.a = a[:, 0, 0].reshape(shape)
-            fx = f[:, 0].reshape(shape)
-            self.fxp = np.maximum(fx, 0.0)
-            self.fxm = np.maximum(-fx, 0.0)
-            self.has_mixed = False
-        else:
-            self.a11 = a[:, 0, 0].reshape(shape)
-            self.a22 = a[:, 1, 1].reshape(shape)
-            self.a12 = a[:, 0, 1].reshape(shape)
-            fx = f[:, 0].reshape(shape)
-            fy = f[:, 1].reshape(shape)
-            self.fxp = np.maximum(fx, 0.0)
-            self.fxm = np.maximum(-fx, 0.0)
-            self.fyp = np.maximum(fy, 0.0)
-            self.fym = np.maximum(-fy, 0.0)
-            self.has_mixed = bool(np.any(self.a12 != 0.0))
-        self.h = grid.h
 
-    def apply(self, values):
-        """A_h applied to a flat field vector."""
-        g = self.grid
-        p = values.reshape(g.shape)
-        h = self.h
-        if self.dim == 1:
-            q = self.a * p
-            out = np.empty_like(q)
-            out[1:-1] = q[2:] - 2.0 * q[1:-1] + q[:-2]
-            out[0] = q[1] - 3.0 * q[0]
-            out[-1] = q[-2] - 3.0 * q[-1]
-            out /= h[0] ** 2
-            gp = self.fxp * p
-            gm = self.fxm * p
-            out -= (self.fxp + self.fxm) * p / h[0]
-            out[1:] += gp[:-1] / h[0]
-            out[:-1] += gm[1:] / h[0]
-            return out.reshape(-1)
-
-        out = np.zeros_like(p)
-        q = self.a11 * p
-        out[1:-1, :] += (q[2:, :] - 2.0 * q[1:-1, :] + q[:-2, :]) / h[0] ** 2
-        out[0, :] += (q[1, :] - 3.0 * q[0, :]) / h[0] ** 2
-        out[-1, :] += (q[-2, :] - 3.0 * q[-1, :]) / h[0] ** 2
-        q = self.a22 * p
-        out[:, 1:-1] += (q[:, 2:] - 2.0 * q[:, 1:-1] + q[:, :-2]) / h[1] ** 2
-        out[:, 0] += (q[:, 1] - 3.0 * q[:, 0]) / h[1] ** 2
-        out[:, -1] += (q[:, -2] - 3.0 * q[:, -1]) / h[1] ** 2
-        if self.has_mixed:
-            # Four-point cross stencil on the odd extension of a12*p.  The
-            # corner ghosts are reflected twice and come back with plus sign.
-            q = self.a12 * p
-            qp = np.zeros((p.shape[0] + 2, p.shape[1] + 2))
-            qp[1:-1, 1:-1] = q
-            qp[0, 1:-1] = -q[0, :]
-            qp[-1, 1:-1] = -q[-1, :]
-            qp[1:-1, 0] = -q[:, 0]
-            qp[1:-1, -1] = -q[:, -1]
-            qp[0, 0] = q[0, 0]
-            qp[0, -1] = q[0, -1]
-            qp[-1, 0] = q[-1, 0]
-            qp[-1, -1] = q[-1, -1]
-            out += 2.0 * (
-                qp[2:, 2:] - qp[2:, :-2] - qp[:-2, 2:] + qp[:-2, :-2]
-            ) / (4.0 * h[0] * h[1])
-        gp = self.fxp * p
-        gm = self.fxm * p
-        out -= (self.fxp + self.fxm) * p / h[0]
-        out[1:, :] += gp[:-1, :] / h[0]
-        out[:-1, :] += gm[1:, :] / h[0]
-        gp = self.fyp * p
-        gm = self.fym * p
-        out -= (self.fyp + self.fym) * p / h[1]
-        out[:, 1:] += gp[:, :-1] / h[1]
-        out[:, :-1] += gm[:, 1:] / h[1]
-        return out.reshape(-1)
-
-    def matrix(self):
-        """Sparse matrix of :meth:`apply`, probed with one field per color.
-
-        Nodes are colored by their index modulo 3 per axis, so within any
-        3x3 neighborhood the colors are distinct and every entry can be read
-        off from one of the (at most 9) probe applications.
-        """
-        shape = self.grid.shape
-        idx = np.indices(shape).reshape(self.dim, -1)
-        color = np.ravel_multi_index(idx % 3, (3,) * self.dim)
-        probes = np.array(
-            [self.apply((color == c).astype(float)) for c in range(3**self.dim)]
-        )
-        rows, cols, vals = [], [], []
-        for off in itertools.product((-1, 0, 1), repeat=self.dim):
-            nbr = idx + np.array(off)[:, None]
-            ok = np.all((nbr >= 0) & (nbr < np.array(shape)[:, None]), axis=0)
-            i = np.flatnonzero(ok)
-            j = np.ravel_multi_index(nbr[:, ok], shape)
-            rows.append(i)
-            cols.append(j)
-            vals.append(probes[color[j], i])
-        n = self.grid.n
-        mat = coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsr()
-        mat.eliminate_zeros()
-        return mat
+def _reach(n, s):
+    """Where step s of the cross stencil lands along one axis: the inside
+    neighbour, or at the face the row's odd reflection (own column, sign flipped)."""
+    dst, src = _span(n, s)
+    face = slice(n - 1, n) if s > 0 else slice(0, 1)
+    return (dst, src, s, 1.0), (face, face, 0, -1.0)
 
 
 def build_stencil(model, grid, t):
+    """CSR matrix of A_h at time ``t`` and whether it has an a12 term.
+
+    ``w[o]`` holds, per row r, the entry in column r + o; each entry adds up
+    its terms in one fixed order: diffusion per axis, cross term, drift.
+    """
     if model.dim != grid.dim:
         raise ValueError(f"model dim {model.dim} != grid dim {grid.dim}")
-    return _Stencil(model, grid, t)
+    dim, shape, h = grid.dim, grid.shape, grid.h
+    pts = grid.nodes()
+    a = eval_a(model, pts, t).reshape(shape + (dim, dim))
+    f = model.drift_at(pts, t).reshape(shape + (dim,))
+    offsets = list(itertools.product((-1, 0, 1), repeat=dim))
+    w = {o: np.zeros(shape) for o in offsets}
+    center = (0,) * dim
 
+    def along(k, sl):
+        return (slice(None),) * k + (sl,) + (slice(None),) * (dim - k - 1)
 
-def apply_A(model, grid, field, t):
-    """Discrete generator applied to one field."""
-    st = build_stencil(model, grid, t)
-    return DensityField(grid, st.apply(field.values))
+    def couple(k, d, values):
+        """Add values[r + d e_k] to row r in column r + d e_k."""
+        dst, src = _span(shape[k], d)
+        offset = tuple(d * (i == k) for i in range(dim))
+        w[offset][along(k, dst)] += values[along(k, src)]
+
+    for k in range(dim):
+        # central second difference of a_kk p; the odd reflection of the
+        # ghost folds -a/h^2 into the face diagonal
+        ak = a[..., k, k]
+        coef = np.full(shape, -2.0)
+        coef[along(k, slice(0, 1))] = coef[along(k, slice(-1, None))] = -3.0
+        w[center] += coef * ak / h[k] ** 2
+        couple(k, 1, ak / h[k] ** 2)
+        couple(k, -1, ak / h[k] ** 2)
+    mixed = dim == 2 and bool(np.any(a[..., 0, 1] != 0.0))
+    if mixed:
+        # four-point cross stencil on the odd extension of a12 p; a corner
+        # ghost is reflected twice and comes back with plus sign
+        scale = 4.0 * h[0] * h[1]
+        for s0, s1 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            for d0, r0, o0, f0 in _reach(shape[0], s0):
+                for d1, r1, o1, f1 in _reach(shape[1], s1):
+                    term = s0 * s1 * f0 * f1 * a[r0, r1, 0, 1]
+                    w[o0, o1][d0, d1] += 2.0 * term / scale
+    for k in range(dim):
+        # first-order upwind flux with no inflow through the faces
+        fp = np.maximum(f[..., k], 0.0)
+        fm = np.maximum(-f[..., k], 0.0)
+        w[center] -= (fp + fm) / h[k]
+        couple(k, -1, fp / h[k])
+        couple(k, 1, fm / h[k])
+    idx = np.arange(grid.n).reshape(shape)
+    parts = []
+    for o in offsets:
+        dst, src = zip(*map(_span, shape, o))
+        parts.append((w[o][dst].ravel(), idx[dst].ravel(), idx[src].ravel()))
+    vals, rows, cols = map(np.concatenate, zip(*parts))
+    mat = coo_matrix((vals, (rows, cols)), shape=(grid.n, grid.n)).tocsr()
+    mat.eliminate_zeros()
+    return mat, mixed
 
 
 class _Stepper:
@@ -229,9 +181,8 @@ class _Stepper:
 
     def _factor(self, k):
         t = self.times[k + 1] if self.implicit else self.times[k] + 0.5 * self.dt
-        st = build_stencil(self.model, self.grid, t)
-        self.mixed |= st.has_mixed
-        self.A = st.matrix()
+        self.A, mixed = build_stencil(self.model, self.grid, t)
+        self.mixed |= mixed
         dt_eff = self.dt if self.implicit else 0.5 * self.dt
         self.M = identity(self.grid.n, format="csr") - dt_eff * self.A
         try:
@@ -317,21 +268,9 @@ def mass_curve(traj):
     return [(float(t), mass(f)) for t, f in zip(traj.times, traj.fields)]
 
 
-def stable_time_step(model, grid, t=0.0):
-    """Heuristic dt = h_min^2 / (2 dim max||a||) for crank-nicolson comfort."""
-    pts = grid.nodes()
-    a = eval_a(model, pts, t)
-    if grid.dim == 1:
-        a_max = float(np.max(np.abs(a[:, 0, 0])))
-    else:
-        a_max = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    return min(grid.h) ** 2 / (2.0 * grid.dim * a_max)
-
-
 def generator_matrix(model, grid, t):
-    """Sparse matrix of the discrete generator at time ``t``: exactly the
-    matrix of :func:`apply_A`, boundary folding included."""
-    return build_stencil(model, grid, t).matrix()
+    """Sparse matrix of the discrete generator at time ``t``."""
+    return build_stencil(model, grid, t)[0]
 
 
 def save_trajectory(traj, directory):

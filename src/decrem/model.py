@@ -66,6 +66,8 @@ def _as_beta_matrix(beta, dim):
 def constant_model(drift, beta):
     """Constant drift vector and constant diffusion factor matrix."""
     drift = np.atleast_1d(np.asarray(drift, dtype=float))
+    if not np.all(np.isfinite(drift)):
+        raise ValueError(f"drift must be finite, got {drift.tolist()}")
     dim = drift.shape[0]
     beta = _as_beta_matrix(beta, dim)
     return DiffusionModel(
@@ -81,6 +83,8 @@ def ou_model(rate, center, beta):
     center = np.atleast_1d(np.asarray(center, dtype=float))
     dim = center.shape[0]
     rate = np.broadcast_to(np.asarray(rate, dtype=float), (dim,)).copy()
+    if not np.all(np.isfinite(np.concatenate([rate, center]))):
+        raise ValueError(f"rate {rate.tolist()}, center {center.tolist()} not finite")
     beta = _as_beta_matrix(beta, dim)
     return DiffusionModel(
         dim,

@@ -295,41 +295,67 @@ def test_cmd_mc_rejects_empty_runs(tmp_path, capsys, override, key):
     assert not (tmp_path / "out").exists()
 
 
+def _verify(path, solution, out_dir):
+    args = ["verify", str(path), "--solution", str(solution)]
+    return main(args + ["--set", f"output_dir={out_dir}"])
+
+
+def _nan_in_row(path, row):
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[row].rstrip("\n").split(",")
+    lines[row] = ",".join(cells[:-1] + ["nan"]) + "\n"
+    path.write_text("".join(lines))
+
+
 def test_cmd_verify_detects_tampered_alpha(tmp_path):
     path = tmp_path / "run.json"
     write_config(path)
     assert main(["seed", str(path)]) == 0
     solution = tmp_path / "out" / "solution"
-    assert (
-        main(
-            [
-                "verify",
-                str(path),
-                "--solution",
-                str(solution),
-                "--set",
-                f"output_dir={tmp_path / 'v'}",
-            ]
-        )
-        == 0
-    )
+    assert _verify(path, solution, tmp_path / "v") == 0
     report_path = solution / "report.json"
-    report = json.loads(report_path.read_text())
+    pristine = report_path.read_text()
+    report = json.loads(pristine)
     report["alpha"] *= 1.05
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    assert (
-        main(
-            [
-                "verify",
-                str(path),
-                "--solution",
-                str(solution),
-                "--set",
-                f"output_dir={tmp_path / 'v2'}",
-            ]
-        )
-        == 13
-    )
+    assert _verify(path, solution, tmp_path / "v2") == 13
+    report_path.write_text(pristine)
+    # a NaN in either stored field fails the stored-solution checks
+    for name in ("u0.csv", "rho.csv"):
+        stored = solution / name
+        kept = stored.read_text()
+        _nan_in_row(stored, 20)
+        assert _verify(path, solution, tmp_path / f"v-{name}") == 13, name
+        stored.write_text(kept)
+    assert _verify(path, solution, tmp_path / "v3") == 0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["tolerances.residual_tol=NaN"],
+        ["tolerances.residual_tol=-1"],
+        ["tolerances.residual_tol=0"],
+        ["tolerances.verify_tol=Infinity"],
+        ["tolerances.verify_tol=NaN"],
+        ["tolerances.resolvent_tol=NaN"],
+        ["tolerances.eps_neg=NaN"],
+        ["tolerances.eps_neg=-1e-3"],
+        ["model.drift=[NaN]"],
+        ["model.family=linear-drift", "model.rate=NaN", "model.center=[0.5]"],
+        ["model.family=linear-drift", "model.rate=1.0", "model.center=[Infinity]"],
+    ],
+    ids=" ".join,
+)
+def test_cmd_seed_rejects_non_finite_settings(tmp_path, capsys, overrides):
+    path = tmp_path / "run.json"
+    write_config(path)
+    args = ["seed", str(path)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_echo_config_reruns_identically(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,12 @@ from decrem import (
     CapExceeded,
     DensityField,
     NoConvergence,
-    OperatorMatrix,
     SolverConfig,
     apply_Q,
     assemble_Q,
     constant_model,
     make_grid,
     mass,
-    norm_l2,
     propagator_action,
     realize_gamma,
     resolvent_dense,
@@ -41,8 +41,8 @@ def test_apply_Q_eigen_decay(heat):
     config = SolverConfig(n_steps=512, scheme="crank-nicolson")
     xi = sampled_sine(grid)
     out = apply_Q(heat, grid, config, xi, 1.0)
-    err = norm_l2(xi.with_values(out.values - DECAY_1 * xi.values))
-    assert err <= 1e-2 * DECAY_1 * norm_l2(xi)
+    err = np.linalg.norm(out.values - DECAY_1 * xi.values)
+    assert err <= 1e-2 * DECAY_1 * np.linalg.norm(xi.values)
 
 
 def test_apply_Q_loses_mass(grid64, heat):
@@ -117,16 +117,18 @@ def test_assembly_cap(heat):
 
 
 def test_operator_matrix_save_load_round_trip(tmp_path, qhat128, grid128):
+    # operator.bin is the kernel as column-major little-endian float64
     base = str(tmp_path / "qhat")
     qhat128.save(base)
-    loaded = OperatorMatrix.load(base, grid128)
-    assert np.array_equal(loaded.matrix, qhat128.matrix)
-    assert loaded.scheme == qhat128.scheme
-    assert loaded.T == qhat128.T
-    assert loaded.n_steps == qhat128.n_steps
-    wrong = make_grid(1, [0.0], [1.0], [64])
-    with pytest.raises(ValueError):
-        OperatorMatrix.load(base, wrong)
+    sidecar = json.loads(open(base + ".json").read())
+    n = sidecar["n"]
+    assert n == grid128.n
+    assert (sidecar["dtype"], sidecar["order"]) == ("<f8", "column-major")
+    loaded = np.fromfile(base + ".bin", dtype="<f8").reshape((n, n), order="F")
+    assert np.array_equal(loaded, qhat128.matrix)
+    assert sidecar["scheme"] == qhat128.scheme
+    assert sidecar["T"] == qhat128.T
+    assert sidecar["n_steps"] == qhat128.n_steps
 
 
 def test_spectral_radius_decay_oracles(heat, grid128):
@@ -171,8 +173,8 @@ def test_resolvent_eigenmode_closed_form(heat, grid128):
     gamma = sampled_sine(grid128)
     report = solve_resolvent(heat, grid128, config, gamma, 1.0, tol=1e-10)
     expected = gamma.values / (1.0 - DECAY_1)
-    err = norm_l2(gamma.with_values(report.zeta.values - expected))
-    assert err <= 1e-2 * norm_l2(gamma.with_values(expected))
+    err = np.linalg.norm(report.zeta.values - expected)
+    assert err <= 1e-2 * np.linalg.norm(expected)
     assert report.method == "krylov"
     assert report.iterations <= 5
 
@@ -189,8 +191,8 @@ def test_resolvent_agrees_with_dense_lu(qhat128, heat, grid128):
     gamma = realize_gamma(grid128, {"kind": "bump", "lo": [0.4], "hi": [0.6]})
     report = solve_resolvent(heat, grid128, config, gamma.field, 0.5, tol=1e-10)
     dense = resolvent_dense(qhat128, gamma.field)
-    err = norm_l2(dense.with_values(report.zeta.values - dense.values))
-    assert err <= 1e-7 * norm_l2(dense)
+    err = np.linalg.norm(report.zeta.values - dense.values)
+    assert err <= 1e-7 * np.linalg.norm(dense.values)
 
 
 def _count_Q(monkeypatch):

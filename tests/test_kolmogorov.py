@@ -1,42 +1,134 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 
 from decrem import (
     DensityField,
     LinearSolveFailure,
     SolverConfig,
-    apply_A,
     constant_model,
+    eval_a,
     evolve,
     generator_matrix,
     make_grid,
-    mass,
     mass_curve,
-    norm_l2,
     ou_model,
-    stable_time_step,
+    tabulated_model,
 )
+from decrem.kolmogorov import _march, _Stepper
 from conftest import sampled_sine
 
 DECAY_1 = np.exp(-np.pi**2 / 2)  # e^{-pi^2/2} ~ 0.0071918834
 
 
+def _reference_apply(model, grid, t, values):
+    """The matrix-free A_h that the assembly replaced, kept as its
+    reference: diffusion per axis, the cross term, drift per axis."""
+    pts = grid.nodes()
+    a = eval_a(model, pts, t)
+    f = model.drift_at(pts, t)
+    p = values.reshape(grid.shape)
+    h = grid.h
+    if grid.dim == 1:
+        q = a[:, 0, 0].reshape(grid.shape) * p
+        out = np.empty_like(q)
+        out[1:-1] = q[2:] - 2.0 * q[1:-1] + q[:-2]
+        out[0] = q[1] - 3.0 * q[0]
+        out[-1] = q[-2] - 3.0 * q[-1]
+        out /= h[0] ** 2
+    else:
+        out = np.zeros_like(p)
+        q = a[:, 0, 0].reshape(grid.shape) * p
+        out[1:-1, :] += (q[2:, :] - 2.0 * q[1:-1, :] + q[:-2, :]) / h[0] ** 2
+        out[0, :] += (q[1, :] - 3.0 * q[0, :]) / h[0] ** 2
+        out[-1, :] += (q[-2, :] - 3.0 * q[-1, :]) / h[0] ** 2
+        q = a[:, 1, 1].reshape(grid.shape) * p
+        out[:, 1:-1] += (q[:, 2:] - 2.0 * q[:, 1:-1] + q[:, :-2]) / h[1] ** 2
+        out[:, 0] += (q[:, 1] - 3.0 * q[:, 0]) / h[1] ** 2
+        out[:, -1] += (q[:, -2] - 3.0 * q[:, -1]) / h[1] ** 2
+        a12 = a[:, 0, 1].reshape(grid.shape)
+        if np.any(a12 != 0.0):
+            q = a12 * p
+            qp = np.zeros((p.shape[0] + 2, p.shape[1] + 2))
+            qp[1:-1, 1:-1] = q
+            qp[0, 1:-1] = -q[0, :]
+            qp[-1, 1:-1] = -q[-1, :]
+            qp[1:-1, 0] = -q[:, 0]
+            qp[1:-1, -1] = -q[:, -1]
+            qp[0, 0] = q[0, 0]
+            qp[0, -1] = q[0, -1]
+            qp[-1, 0] = q[-1, 0]
+            qp[-1, -1] = q[-1, -1]
+            out += 2.0 * (
+                qp[2:, 2:] - qp[2:, :-2] - qp[:-2, 2:] + qp[:-2, :-2]
+            ) / (4.0 * h[0] * h[1])
+    for k in range(grid.dim):
+        fk = f[:, k].reshape(grid.shape)
+        fp = np.maximum(fk, 0.0)
+        fm = np.maximum(-fk, 0.0)
+        out -= (fp + fm) * p / h[k]
+        lo = (slice(None),) * k + (slice(None, -1),)
+        hi = (slice(None),) * k + (slice(1, None),)
+        out[hi] += (fp * p)[lo] / h[k]
+        out[lo] += (fm * p)[hi] / h[k]
+    return out.reshape(-1)
+
+
+def _reference_matrix(model, grid, t):
+    """Sparse matrix of :func:`_reference_apply`, probed with one field per
+    color: nodes are colored by their index modulo 3 per axis, so within
+    any 3x3 neighborhood the colors are distinct."""
+    shape = grid.shape
+    idx = np.indices(shape).reshape(grid.dim, -1)
+    color = np.ravel_multi_index(idx % 3, (3,) * grid.dim)
+    probes = np.array(
+        [
+            _reference_apply(model, grid, t, (color == c).astype(float))
+            for c in range(3**grid.dim)
+        ]
+    )
+    rows, cols, vals = [], [], []
+    for off in itertools.product((-1, 0, 1), repeat=grid.dim):
+        nbr = idx + np.array(off)[:, None]
+        ok = np.all((nbr >= 0) & (nbr < np.array(shape)[:, None]), axis=0)
+        i = np.flatnonzero(ok)
+        j = np.ravel_multi_index(nbr[:, ok], shape)
+        rows.append(i)
+        cols.append(j)
+        vals.append(probes[color[j], i])
+    mat = coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.n, grid.n),
+    ).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _assert_bit_identical(model, grid, t):
+    A = generator_matrix(model, grid, t)
+    ref = _reference_matrix(model, grid, t)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, part), getattr(ref, part)), part
+
+
 def test_apply_A_zero_field(grid128, heat):
-    out = apply_A(heat, grid128, DensityField.zeros(grid128), 0.0)
-    assert not np.any(out.values)
+    A = generator_matrix(heat, grid128, 0.0)
+    assert not np.any(A @ np.zeros(grid128.n))
 
 
 def test_apply_A_eigenfunction(heat):
     # A sin(pi x) = -(pi^2/2) sin(pi x) for a = 1/2
     grid = make_grid(1, [0.0], [1.0], [256])
     f = sampled_sine(grid)
-    out = apply_A(heat, grid, f, 0.0)
+    out = generator_matrix(heat, grid, 0.0) @ f.values
     expected = -(np.pi**2 / 2) * f.values
-    assert norm_l2(out.with_values(out.values - expected)) <= 1e-3 * norm_l2(
-        out.with_values(expected)
-    )
+    assert np.linalg.norm(out - expected) <= 1e-3 * np.linalg.norm(expected)
     mid = np.argmin(np.abs(grid.axis_centers(0) - 0.5))
-    assert out.values[mid] == pytest.approx(-4.9348, rel=1e-3)
+    assert out[mid] == pytest.approx(-4.9348, rel=1e-3)
 
 
 def test_apply_A_hand_stencil():
@@ -46,27 +138,11 @@ def test_apply_A_hand_stencil():
     # (the outflow face flux cancels the upwind difference).
     grid = make_grid(1, [0.0], [1.0], [8])
     model = constant_model([2.0], [[1.0]])
-    ones = DensityField(grid, np.ones(8))
-    out = apply_A(model, grid, ones, 0.0)
+    out = generator_matrix(model, grid, 0.0) @ np.ones(8)
     expected = np.zeros(8)
     expected[0] = -2.0 * 0.5 * 64.0 - 2.0 * 8.0  # -64 diffusion, -16 drift
     expected[-1] = -2.0 * 0.5 * 64.0
-    assert np.array_equal(out.values, expected)
-
-
-def test_apply_A_linear(grid64, heat):
-    rng = np.random.default_rng(17)
-    model = ou_model(1.0, [0.4], 1.0)
-    for _ in range(25):
-        u = rng.standard_normal(64)
-        v = rng.standard_normal(64)
-        c = float(rng.standard_normal())
-        left = apply_A(model, grid64, DensityField(grid64, u + c * v), 0.0).values
-        right = (
-            apply_A(model, grid64, DensityField(grid64, u), 0.0).values
-            + c * apply_A(model, grid64, DensityField(grid64, v), 0.0).values
-        )
-        assert np.allclose(left, right, rtol=0.0, atol=1e-9 * max(1.0, abs(c)))
+    assert np.array_equal(out, expected)
 
 
 def test_evolve_zero_is_zero(grid64, heat):
@@ -81,8 +157,8 @@ def test_eigenmode_decay_crank_nicolson(heat):
     rho = sampled_sine(grid)
     traj = evolve(heat, grid, config, rho, 0.0, 1.0)
     expected = DECAY_1 * rho.values
-    err = norm_l2(rho.with_values(traj.fields[-1].values - expected))
-    assert err <= 1e-2 * norm_l2(rho.with_values(expected))
+    err = np.linalg.norm(traj.fields[-1].values - expected)
+    assert err <= 1e-2 * np.linalg.norm(expected)
     mid = np.argmin(np.abs(grid.axis_centers(0) - 0.5))
     assert traj.fields[-1].values[mid] == pytest.approx(0.007192, rel=1e-2)
 
@@ -202,25 +278,30 @@ def test_solver_config_validation():
 
 
 def test_generator_matrix_matches_apply(grid64):
-    model = ou_model(2.0, [0.3], 1.0)
-    A = generator_matrix(model, grid64, 0.0)
+    # the assembled matrix equals the probed matrix-free stencil bit for bit
+    grid2 = make_grid(2, [0.0, -0.5], [1.0, 1.2], [9, 7])
+    _assert_bit_identical(constant_model([0.0], [[1.0]]), grid64, 0.0)
+    _assert_bit_identical(ou_model(2.0, [0.3], 1.0), grid64, 0.0)
+    drifted = constant_model([0.2, -0.1], [[1.0, 0.0], [0.0, 0.7]])
+    _assert_bit_identical(drifted, grid2, 0.0)
     rng = np.random.default_rng(41)
-    for _ in range(10):
-        v = rng.standard_normal(64)
-        direct = apply_A(model, grid64, DensityField(grid64, v), 0.0).values
-        # entries scale like 1/h^2, so compare in units of the field size
-        assert np.allclose(A @ v, direct, rtol=0.0, atol=1e-13 / grid64.h[0] ** 2)
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 7])
+    series = [
+        (rng.normal(size=(grid.n, 2)), rng.normal(size=(grid.n, 2, 2)) + 2 * np.eye(2))
+        for _ in range(2)
+    ]
+    table = tabulated_model(grid, None, None, times=[0.0, 1.0], series=series)
+    for t in (0.0, 0.37):
+        _assert_bit_identical(table, grid, t)
 
 
 def test_generator_matrix_2d_mixed():
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [8, 8])
-    model = constant_model([0.1, -0.2], [[1.0, 0.4], [0.0, 1.0]])
-    A = generator_matrix(model, grid, 0.0)
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        v = rng.standard_normal(grid.n)
-        direct = apply_A(model, grid, DensityField(grid, v), 0.0).values
-        assert np.allclose(A @ v, direct, rtol=0.0, atol=1e-11)
+    cases = ((1.0, [[1.0, 0.4], [0.0, 1.0]]), (-1.0, [[1.0, -0.4], [0.2, 1.0]]))
+    for sign, beta in cases:
+        model = constant_model([0.1, -0.2], beta)
+        assert np.sign(eval_a(model, grid.nodes(), 0.0)[0, 0, 1]) == sign
+        _assert_bit_identical(model, grid, 0.0)
 
 
 def test_column_sums_certify_mass_loss(grid64, heat):
@@ -239,6 +320,54 @@ def test_column_sums_certify_mass_loss(grid64, heat):
         assert np.all(A.data[A.row != A.col] >= 0.0)
         sums = np.asarray(A.sum(axis=0)).ravel()
         assert np.all(sums <= 1e-9 * abs(A).max())
+
+
+@st.composite
+def _axis_aligned_case(draw):
+    """A random grid of 1 or 2 axes and a constant, linear-drift or
+    tabulated model with diagonal beta, so a12 == 0."""
+    dim = draw(st.sampled_from([1, 2]))
+    n_cells = draw(st.lists(st.integers(4, 12), min_size=dim, max_size=dim))
+    lo = draw(st.lists(st.floats(-2.0, 1.0), min_size=dim, max_size=dim))
+    width = draw(st.lists(st.floats(0.05, 4.0), min_size=dim, max_size=dim))
+    grid = make_grid(dim, lo, np.add(lo, width), n_cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["constant", "linear-drift", "tabulated"]))
+    beta = np.diag(rng.uniform(0.05, 3, dim))
+    if family == "constant":
+        model = constant_model(rng.uniform(-5, 5, dim), beta)
+    elif family == "linear-drift":
+        center = np.add(lo, rng.uniform(0, 1, dim) * width)
+        model = ou_model(rng.uniform(0, 5, dim), center, beta)
+    else:
+        beta = np.zeros((grid.n, dim, dim))
+        beta[:, range(dim), range(dim)] = rng.uniform(0.05, 3, (grid.n, dim))
+        model = tabulated_model(grid, rng.uniform(-5, 5, (grid.n, dim)), beta)
+    return model, grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_axis_aligned_case(), dt=st.floats(1e-4, 1.0), seed=st.integers(0, 2**32 - 1)
+)
+def test_axis_aligned_generator_is_monotone(case, dt, seed):
+    # off-diagonals >= 0 and column sums <= 0 (to round-off) make
+    # I - dt*A an M-matrix, so one implicit-Euler step keeps data >= 0
+    model, grid = case
+    A = generator_matrix(model, grid, 0.0).tocoo()
+    assert np.all(A.data[A.row != A.col] >= 0.0)
+    sums = np.asarray(A.sum(axis=0)).ravel()
+    size = np.asarray(abs(A).sum(axis=0)).ravel()
+    assert np.all(sums <= 1e-14 * size)
+    values = np.random.default_rng(seed).random(grid.n)
+    values[values < 0.3] = 0.0
+    config = SolverConfig(n_steps=1)
+    assert np.all(_march(model, grid, config, values, 0.0, dt, record=False)[1] >= 0.0)
+    # the clamp of the march only removes round-off of the solve
+    step = _Stepper(model, grid, config, 0.0, dt)
+    step.start(False)
+    raw = step(0, values)
+    assert raw.min() >= -config.linear_solver_tol * np.abs(raw).max()
 
 
 def test_mixed_term_voids_certificate():
@@ -263,8 +392,3 @@ def test_2d_product_eigenmode_decay():
     ratio = traj.fields[-1].values / rho.values
     assert ratio.mean() == pytest.approx(np.exp(-np.pi**2 * 0.3), rel=1e-2)
     assert ratio.std() <= 1e-6 * ratio.mean()  # still an exact eigenvector
-
-
-def test_stable_time_step_value(grid64, heat):
-    # h^2 / (2 * dim * a) with a = 1/2 gives exactly h^2
-    assert stable_time_step(heat, grid64) == pytest.approx(grid64.h[0] ** 2)
