@@ -10,6 +10,7 @@ flat C order (last axis fastest): node (i, j) of a 2-d grid is flat index
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +54,11 @@ class DomainGrid:
     @property
     def n(self):
         """Total number of interior nodes."""
-        return int(np.prod(self.n_cells))
+        return math.prod(self.n_cells)
 
     @property
     def cell_volume(self):
-        return float(np.prod(self.h))
+        return math.prod(self.h)
 
     def axis_centers(self, axis):
         """Cell-center coordinates along one axis."""

@@ -10,18 +10,26 @@ diagonally dominant, nonpositive off-diagonal), so the exact step preserves
 nonnegativity and strictly loses mass; mixed-derivative terms in 2-d break
 that structure and are flagged.
 
-Every time step solves (I - dt_eff*A_h) p_new = rhs by back-substitution
-through a sparse LU factorization of the step matrix: implicit Euler takes
-dt_eff = dt and rhs = p, Crank-Nicolson dt_eff = dt/2 and
-rhs = p + dt/2 * A_h p.  The sparse generator is assembled straight from the
-coefficient arrays, one grid-shaped array of entries per stencil offset, and
-factored once per operator for time-homogeneous models, however many marches
-go through it, and once per step for tabulated series.  Each solve is
-checked a posteriori: a singular factor, a non-finite solution or a column
-whose relative residual exceeds ``linear_solver_tol`` raises
-:class:`LinearSolveFailure`.  Negative round-off from the solve is projected
-out only when the march input is nonnegative and the scheme is monotone,
-where the exact solution is provably nonnegative.
+Every time step solves M p_new = rhs with the step matrix
+M = I - dt_eff*A_h: implicit Euler takes dt_eff = dt and rhs = p,
+Crank-Nicolson dt_eff = dt/2 and rhs = p + dt/2 * A_h p.  The sparse
+generator is assembled straight from the coefficient arrays, one grid-shaped
+array of entries per stencil offset, and M gets a sparse LU factorization
+once per operator for time-homogeneous models, however many marches go
+through it, and once per step for tabulated series.  Each solve is checked
+a posteriori: a singular factor, a non-finite solution or a column whose
+relative residual exceeds ``linear_solver_tol`` raises
+:class:`LinearSolveFailure`.
+
+A time-homogeneous operator on at most ``DENSE_MAX_N`` nodes steps through
+the dense inverse S = M^-1, formed once from the factor, so every step is
+one matrix-vector product instead of a back-substitution and a residual
+check.  S is kept only under a certificate that bounds the relative residual
+of every product S @ rhs, round-off included, by ``linear_solver_tol``;
+otherwise, for tabulated series and on larger grids the steps go through the
+factor as above.  Negative round-off from the solve is projected out only
+when the march input is nonnegative and the scheme is monotone, where the
+exact solution is provably nonnegative.
 """
 
 from __future__ import annotations
@@ -41,6 +49,12 @@ from .grid import DensityField, mass
 from .model import check_ellipticity, eval_a
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
+
+#: Largest node count that steps through a dense inverse.  Measured on one
+#: CPU: at n = 100 a dense step takes about a third of a sparse one and
+#: forming the inverse is repaid within about 40 steps, at n = 256 only
+#: after about 200 steps, and at n = 512 the dense step is the slower one.
+DENSE_MAX_N = 128
 
 
 @dataclass(frozen=True)
@@ -156,9 +170,10 @@ class _Stepper:
     n-by-m block of them, from ``times[k]`` to ``times[k + 1]``.
 
     One stepper serves any number of marches over its times and keeps its
-    factor between them for time-homogeneous models.  :meth:`start` begins
-    a march: with the monotone scheme, nonnegative data arm the positivity
-    clamp, which stays off while a factored step has had an a12 term.
+    factor, and on small grids its certified dense inverse, between them for
+    time-homogeneous models.  :meth:`start` begins a march: with the
+    monotone scheme, nonnegative data arm the positivity clamp, which stays
+    off while a factored step has had an a12 term.
     """
 
     def __init__(self, model, grid, config, s, T):
@@ -173,6 +188,7 @@ class _Stepper:
         self.clamp = False
         self.mixed = False
         self.lu = None
+        self.inverse = None
 
     def start(self, nonnegative):
         self.clamp = self.implicit and nonnegative
@@ -191,13 +207,41 @@ class _Stepper:
             raise LinearSolveFailure(
                 f"step matrix at t={t:g} could not be factored: {exc}"
             ) from exc
+        if not self.model.time_dependent and self.grid.n <= DENSE_MAX_N:
+            self.inverse = self._certified_inverse()
+
+    def _certified_inverse(self):
+        """S = M^-1 from the factor, or None if S cannot be certified.
+
+        A computed x = S @ rhs has the residual rhs - M x = (I - M S) rhs
+        minus M times the product's round-off, which is at most
+        gamma_n |S| |rhs| entrywise.  The computed I - M S is off by the
+        same amount again, and Frobenius norms bound 2-norms, so the bound
+        below caps the relative residual of every dense step.
+        """
+        n = self.grid.n
+        S = self.lu.solve(np.eye(n))
+        R = self.M @ S
+        R.flat[:: n + 1] -= 1.0  # M S - I, the same norm as I - M S
+        eps = np.finfo(float).eps
+        gamma = n * eps / (1.0 - n * eps)
+        bound = np.linalg.norm(R) + 2.0 * gamma * (
+            np.linalg.norm(self.M.data) * np.linalg.norm(S)
+        )
+        # written so that a NaN bound fails too
+        return S if bound <= self.tol else None
 
     def __call__(self, k, p):
         if self.lu is None or self.model.time_dependent:
             self._factor(k)
         rhs = p if self.implicit else p + 0.5 * self.dt * (self.A @ p)
-        x = self.lu.solve(rhs)
-        self._check(rhs, x, k)
+        if self.inverse is None:
+            x = self.lu.solve(rhs)
+            self._check(rhs, x, k)
+        else:
+            x = self.inverse @ rhs
+            if not np.isfinite(x).all():
+                raise LinearSolveFailure(f"solve at step {k} is not finite")
         if self.clamp and not self.mixed:
             # The exact M-matrix step maps nonnegative to nonnegative, so
             # any negative entry is round-off of the solve.

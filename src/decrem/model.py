@@ -106,6 +106,10 @@ class _Table:
         dim = grid.dim
         drift_values = np.asarray(drift_values, dtype=float).reshape(grid.n, dim)
         beta_values = np.asarray(beta_values, dtype=float).reshape(grid.n, dim, dim)
+        for name, values in (("drift", drift_values), ("beta", beta_values)):
+            bad = np.flatnonzero(~np.isfinite(values.reshape(grid.n, -1)).all(axis=1))
+            if bad.size:
+                raise ValueError(f"tabulated {name} is not finite at node {bad[0]}")
         self.grid = grid
         self.drift_values = drift_values
         self.beta_values = beta_values
@@ -132,7 +136,8 @@ def tabulated_model(grid, drift_values, beta_values, times=None, series=None):
     Either pass one (drift_values, beta_values) sample for a steady model,
     or ``times`` together with ``series`` = list of such pairs, in which
     case evaluation interpolates linearly in time and holds the end samples
-    constant beyond the sampled range.
+    constant beyond the sampled range.  A non-finite coefficient raises
+    ValueError.
     """
     if series is None:
         tables = [_Table(grid, drift_values, beta_values)]

@@ -34,6 +34,7 @@ from decrem import (
     solve_resolvent,
     spectral_radius,
 )
+from decrem.kolmogorov import _Stepper
 from conftest import sampled_sine
 
 LAMBDA_T1 = np.exp(-np.pi**2 / 2)  # 0.0071918834
@@ -239,6 +240,27 @@ def test_criterion_8_scale_equivariance():
     )
 
 
+def _run_decrem(workdir, threads, args):
+    """Run ``python -m decrem`` on ``args`` in ``workdir`` with BLAS and
+    OpenMP on ``threads`` threads; the run must exit 0."""
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(decrem.__file__)))
+    env = dict(os.environ)
+    # The subprocess runs in a temporary cwd, where a relative PYTHONPATH
+    # (say `src`) resolves to nothing; put the tree this process imported
+    # first, so it also wins over any installed copy of decrem.
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    env["OMP_NUM_THREADS"] = threads
+    env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run(
+        [sys.executable, "-m", "decrem", *args],
+        cwd=workdir,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_criterion_9_determinism_across_threads(tmp_path):
     cfg = {
         "domain": {"dim": 1, "lo": [0.0], "hi": [1.0], "n_cells": [64]},
@@ -250,30 +272,13 @@ def test_criterion_9_determinism_across_threads(tmp_path):
     }
     f = sampled_sine(make_grid(1, [0.0], [1.0], [64]))
     rho = f.with_values(f.values / mass(f))
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(decrem.__file__)))
     digests = []
     for threads in ("1", "4"):
         workdir = tmp_path / f"threads_{threads}"
         workdir.mkdir()
         (workdir / "run.json").write_text(json.dumps(cfg))
         rho.to_csv(workdir / "rho.csv")
-        env = dict(os.environ)
-        # The subprocess runs in a temporary cwd, where a relative PYTHONPATH
-        # (say `src`) resolves to nothing; put the tree this process imported
-        # first, so it also wins over any installed copy of decrem.
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [pkg_root, env.get("PYTHONPATH")])
-        )
-        env["OMP_NUM_THREADS"] = threads
-        env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run(
-            [sys.executable, "-m", "decrem", "mc", "run.json", "--rho", "rho.csv"],
-            cwd=workdir,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
+        _run_decrem(workdir, threads, ["mc", "run.json", "--rho", "rho.csv"])
         blob = b"".join(
             (workdir / "out" / name).read_bytes()
             for name in (
@@ -291,3 +296,38 @@ def test_criterion_9_determinism_across_threads(tmp_path):
         f"cmd_mc reports byte-identical across OMP_NUM_THREADS=1/4 "
         f"({len(digests[0])} bytes compared)",
     )
+
+
+def test_seed_dense_steps_determinism_across_threads(tmp_path):
+    # every step of this 10x10 drifted box is a BLAS product with the dense
+    # inverse of the step matrix; its bits must not depend on the threads
+    cfg = {
+        "domain": {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.0], "n_cells": [10, 10]},
+        "model": {
+            "family": "constant",
+            "drift": [0.2, -0.1],
+            "beta": [[1.0, 0.0], [0.0, 0.7]],
+        },
+        "time": {"T": 0.3, "n_steps": 128},
+        "gamma": {"kind": "bump", "lo": [0.2, 0.3], "hi": [0.65, 0.75]},
+        "output_dir": "out",
+    }
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 10])
+    model = constant_model(cfg["model"]["drift"], cfg["model"]["beta"])
+    step = _Stepper(model, grid, SolverConfig(n_steps=128), 0.0, 0.3)
+    step(0, np.ones(grid.n))
+    assert step.inverse is not None
+    outputs = []
+    for threads in ("1", "4"):
+        workdir = tmp_path / f"threads_{threads}"
+        workdir.mkdir()
+        (workdir / "run.json").write_text(json.dumps(cfg))
+        _run_decrem(workdir, threads, ["seed", "run.json"])
+        out = workdir / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = sorted(entry["name"] for entry in manifest["files"])
+        assert "solution/rho.csv" in names
+        outputs.append(
+            {name: (out / name).read_bytes() for name in names + ["manifest.json"]}
+        )
+    assert outputs[0] == outputs[1]

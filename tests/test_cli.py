@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from decrem import make_grid, write_coefficient_csv
 from decrem.cli import load_config, main
 from decrem.errors import ConfigError
 
@@ -152,6 +153,22 @@ def test_cmd_seed_overflowing_beta_exits_3(tmp_path):
     )
     with np.errstate(over="ignore"):
         assert main(["seed", str(path)]) == 3
+
+
+@pytest.mark.parametrize("column", ["f1", "b11"])
+def test_cmd_seed_rejects_non_finite_table(tmp_path, capsys, column):
+    # a 32-cell coefficient table whose sixth drift (or beta) value is NaN
+    grid = make_grid(1, [0.0], [1.0], [32])
+    drift, beta = np.zeros((32, 1)), np.ones((32, 1, 1))
+    (drift if column == "f1" else beta).flat[5] = np.nan
+    write_coefficient_csv(grid, tmp_path / "coeffs.csv", drift, beta)
+    path = tmp_path / "run.json"
+    cfg = write_config(path, domain={"n_cells": [32]}, time={"n_steps": 8})
+    cfg["model"] = {"family": "tabulated", "file": "coeffs.csv"}
+    path.write_text(json.dumps(cfg))
+    assert main(["seed", str(path)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_evolve(tmp_path):

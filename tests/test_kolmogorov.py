@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, identity
+from scipy.sparse.linalg import splu
 
 from decrem import (
     DensityField,
@@ -19,7 +20,7 @@ from decrem import (
     ou_model,
     tabulated_model,
 )
-from decrem.kolmogorov import _march, _Stepper
+from decrem.kolmogorov import DENSE_MAX_N, SCHEMES, _march, _Stepper, build_stencil
 from conftest import sampled_sine
 
 DECAY_1 = np.exp(-np.pi**2 / 2)  # e^{-pi^2/2} ~ 0.0071918834
@@ -392,3 +393,113 @@ def test_2d_product_eigenmode_decay():
     ratio = traj.fields[-1].values / rho.values
     assert ratio.mean() == pytest.approx(np.exp(-np.pi**2 * 0.3), rel=1e-2)
     assert ratio.std() <= 1e-6 * ratio.mean()  # still an exact eigenvector
+
+
+def _reference_march(model, grid, config, values, s, T):
+    """The per-step sparse march: back-substitution through a SuperLU factor
+    of I - dt_eff*A_h, formed once for a time-homogeneous model and at every
+    step for a tabulated series, then the positivity clamp."""
+    implicit = config.scheme == "implicit-euler"
+    dt = (T - s) / config.n_steps
+    times = s + dt * np.arange(config.n_steps + 1)
+    dt_eff = dt if implicit else 0.5 * dt
+    clamp = implicit and bool(np.all(values >= 0.0))
+    mixed = False
+    lu = None
+    p = np.array(values, dtype=float)
+    for k in range(config.n_steps):
+        if lu is None or model.time_dependent:
+            t = times[k + 1] if implicit else times[k] + 0.5 * dt
+            A, m = build_stencil(model, grid, t)
+            mixed |= m
+            lu = splu((identity(grid.n, format="csr") - dt_eff * A).tocsc())
+        rhs = p if implicit else p + 0.5 * dt * (A @ p)
+        p = lu.solve(rhs)
+        if clamp and not mixed:
+            np.maximum(p, 0.0, out=p)
+    return p
+
+
+def _dense_cases():
+    heat = constant_model([0.0], [[1.0]])
+    drifted = constant_model([0.2, -0.1], [[1.0, 0.0], [0.0, 0.7]])
+    mixed = constant_model([0.1, -0.2], [[1.0, 0.4], [0.0, 1.0]])
+    return {
+        "heat-1d-64": (heat, make_grid(1, [0.0], [1.0], [64])),
+        "drifted-2d-10x10": (drifted, make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 10])),
+        "mixed-2d-8x8": (mixed, make_grid(2, [0.0, 0.0], [1.0, 1.0], [8, 8])),
+    }
+
+
+@pytest.mark.parametrize("sign", ["nonnegative", "mixed-sign"])
+@pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+@pytest.mark.parametrize("case", sorted(_dense_cases()))
+def test_dense_march_matches_sparse_reference(case, scheme, sign):
+    model, grid = _dense_cases()[case]
+    config = SolverConfig(n_steps=32, scheme=scheme)
+    values = np.random.default_rng(7).random(grid.n)
+    if sign == "mixed-sign":
+        values -= 0.4
+    step = _Stepper(model, grid, config, 0.0, 0.3)
+    out = _march(model, grid, config, values, 0.0, 0.3, record=False, step=step)[1]
+    assert step.inverse is not None
+    ref = _reference_march(model, grid, config, values, 0.0, 0.3)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the certificate bounds the relative residual of every dense step
+    step.start(False)
+    rhs = values if step.implicit else values + 0.5 * step.dt * (step.A @ values)
+    x = step(0, values)
+    d = rhs - step.M @ x
+    assert np.linalg.norm(d) <= config.linear_solver_tol * np.linalg.norm(rhs)
+
+
+def test_sparse_path_is_unchanged(monkeypatch):
+    # a tabulated series and a grid above the cap never form the inverse,
+    # and march bit for bit as the per-step sparse reference
+    def no_inverse(self):
+        raise AssertionError("dense inverse formed")
+
+    monkeypatch.setattr(_Stepper, "_certified_inverse", no_inverse)
+    rng = np.random.default_rng(43)
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [6, 7])
+    series = [
+        (rng.normal(size=(grid.n, 2)), np.eye(2) + 0.3 * rng.normal(size=(grid.n, 2, 2)))
+        for _ in range(3)
+    ]
+    table = tabulated_model(grid, None, None, times=[0.0, 0.1, 0.2], series=series)
+    big = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 1])
+    drifted = constant_model([0.3], [[1.0]])
+    for model, g in ((table, grid), (drifted, big)):
+        for scheme in SCHEMES:
+            config = SolverConfig(n_steps=16, scheme=scheme)
+            values = rng.random(g.n)
+            for v in (values, values - 0.5):
+                out = _march(model, g, config, v, 0.0, 0.25, record=False)[1]
+                ref = _reference_march(model, g, config, v, 0.0, 0.25)
+                assert np.array_equal(out, ref)
+
+
+def test_uncertified_inverse_falls_back(heat):
+    grid = make_grid(1, [0.0], [1.0], [32])
+    values = sampled_sine(grid).values
+    step = _Stepper(heat, grid, SolverConfig(n_steps=8), 0.0, 0.5)
+    step(0, values)
+    assert step.inverse is not None
+    # no inverse meets a relative residual of 1e-20: the steps go through
+    # the sparse factor and its check, which raises
+    config = SolverConfig(n_steps=8, linear_solver_tol=1e-20)
+    step = _Stepper(heat, grid, config, 0.0, 0.5)
+    with pytest.raises(LinearSolveFailure, match="step 0"):
+        step(0, values)
+    assert step.lu is not None and step.inverse is None
+
+
+def test_dense_step_rejects_non_finite(heat):
+    grid = make_grid(1, [0.0], [1.0], [16])
+    step = _Stepper(heat, grid, SolverConfig(n_steps=4), 0.0, 0.5)
+    values = np.ones(grid.n)
+    step(0, values)
+    assert step.inverse is not None
+    values[3] = np.nan
+    with pytest.raises(LinearSolveFailure, match="step 1"):
+        step(1, values)
