@@ -22,7 +22,7 @@ print(f"resolvent          {sol.resolvent.method}, "
       f"{sol.resolvent.iterations} operator applications")
 print(f"survivors at T     {sol.mass_curve[-1][1]:.6f} of 1.0")
 
-check = verify_seed(model, grid, config, sol)
+check = verify_seed(model, grid, config, sol.rho, sol.alpha, sol.gamma.field, T=0.5)
 print(f"re-verification    refined residual {check.residual_refined:.3e}, "
       f"mass decreasing: {check.mass_decreasing}, passed: {check.passed}")
 

@@ -26,7 +26,7 @@ T = 0.3
 
 gamma = realize_gamma(grid, {"kind": "bump", "lo": [0.55, 0.25], "hi": [0.85, 0.55]})
 sol = run_seed(model, grid, config, gamma, T)
-check = verify_seed(model, grid, config, sol)
+check = verify_seed(model, grid, config, sol.rho, sol.alpha, gamma.field, T)
 
 print(f"alpha = {sol.alpha:.6f}")
 print(f"construction residual (sup) = {sol.residual:.2e}")

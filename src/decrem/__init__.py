@@ -32,7 +32,6 @@ from .fredholm import (
     OperatorMatrix,
     ResolventReport,
     SpectralEstimate,
-    apply_Q,
     assemble_Q,
     propagator_action,
     resolvent_dense,
@@ -45,7 +44,6 @@ from .kolmogorov import (
     SolverConfig,
     Trajectory,
     evolve,
-    generator_matrix,
     mass_curve,
     save_trajectory,
 )
@@ -108,7 +106,6 @@ __all__ = [
     "Trajectory",
     "VerificationFailed",
     "VerificationReport",
-    "apply_Q",
     "assemble_Q",
     "check_ellipticity",
     "constant_model",
@@ -116,7 +113,6 @@ __all__ = [
     "estimate_density",
     "eval_a",
     "evolve",
-    "generator_matrix",
     "load_solution",
     "load_tabulated",
     "load_tabulated_series",

@@ -64,14 +64,7 @@ from .model import (
     ou_model,
 )
 from .montecarlo import default_dt, estimate_density, sample_initial, simulate
-from .seedpipe import (
-    SeedSolution,
-    TargetProfile,
-    load_solution,
-    realize_gamma,
-    run_seed,
-    verify_seed,
-)
+from .seedpipe import load_solution, realize_gamma, run_seed, verify_seed
 
 EXIT_CODES = (
     (ConfigError, 2),
@@ -290,11 +283,15 @@ def cmd_seed(cfg, base_dir):
         resolvent_max_iter=int(tol["resolvent_max_iter"]),
         eps_neg=tol["eps_neg"],
     )
-    verification = verify_seed(model, grid, config, solution, tol=tol["verify_tol"])
+    verification = verify_seed(
+        model, grid, config, solution.rho, solution.alpha, solution.gamma.field, T,
+        tol=tol["verify_tol"],
+    )
     out_dir = cfg["output_dir"]
     os.makedirs(os.path.join(out_dir, "solution"), exist_ok=True)
     names = [os.path.join("solution", n) for n in solution.save(os.path.join(out_dir, "solution"))]
-    names.append(_write_json(out_dir, "verification.json", verification.to_json_dict()))
+    names.append(_write_json(out_dir, "verification.json",
+                             verification.to_json_dict(solution.residual)))
     names.append(_echo_config(cfg, out_dir))
     _write_manifest(out_dir, names)
     print(f"alpha     {solution.alpha:.12g}")
@@ -448,9 +445,7 @@ def cmd_verify(cfg, base_dir, solution_dir):
     config, T = _build_solver(cfg)
     gamma = _build_gamma(cfg, grid, base_dir)
     tol = _tolerances(cfg)
-    rho, u0, uT, decrement, report = load_solution(grid, solution_dir)
-    sup = float(np.max(gamma.field.values))
-    gamma = TargetProfile(gamma.kind, gamma.field.with_values(gamma.field.values / sup))
+    rho, u0, _, _, report = load_solution(grid, solution_dir)
     try:
         alpha = float(report["alpha"])
         stored_residual = float(report["residual"])
@@ -463,28 +458,17 @@ def cmd_verify(cfg, base_dir, solution_dir):
         )
     if not (np.all(rho.values >= 0.0) and abs(mass(rho) - 1.0) <= 1e-9):
         raise VerificationFailed("stored rho is not a probability density")
-    solution = SeedSolution(
-        gamma=gamma,
-        zeta=u0,
-        u0=u0,
-        uT=uT,
-        rho=rho,
-        alpha=alpha,
-        residual=stored_residual,
-        negativity=0.0,
-        resolvent=None,
-        mass_curve=[],
-        decrement=decrement,
-        T=T,
+    verification = verify_seed(
+        model, grid, config, rho, alpha, gamma.field, T, tol=tol["verify_tol"]
     )
-    verification = verify_seed(model, grid, config, solution, tol=tol["verify_tol"])
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    names = [_write_json(out_dir, "verification.json", verification.to_json_dict())]
+    names = [_write_json(out_dir, "verification.json",
+                         verification.to_json_dict(stored_residual))]
     names.append(_echo_config(cfg, out_dir))
     _write_manifest(out_dir, names)
     print(f"refined residual {verification.residual_refined:.3e} "
-          f"(stored {verification.residual_stored:.3e})")
+          f"(stored {stored_residual:.3e})")
     print(f"mass decreasing: {verification.mass_decreasing}")
     if not verification.passed:
         raise VerificationFailed(

@@ -25,7 +25,6 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .errors import CapExceeded, NoConvergence
 from .grid import DensityField
 from .kolmogorov import _march, _Stepper
-from .model import check_ellipticity
 
 
 @dataclass
@@ -95,23 +94,14 @@ class SpectralEstimate:
     iterations: int
 
 
-def apply_Q(model, grid, config, xi, T, s=0.0):
-    """One matrix-free application of the time-T solution operator."""
-    if model.delta is None:
-        check_ellipticity(model, grid, times=(s, T))
-    final = _march(model, grid, config, xi.values, s, T, record=False)[1]
-    return DensityField(grid, final)
-
-
 def propagator_action(model, grid, config, T, s=0.0):
     """Q as a callable on flat vectors, for power iteration and Krylov use.
 
     Every call marches through one stepper, so a time-homogeneous model is
     factored once for all of them; each call still arms the positivity
-    clamp from the sign of its own input, as :func:`apply_Q` does.
+    clamp from the sign of its own input, so it returns the bits of a
+    march on a fresh stepper.
     """
-    if model.delta is None:
-        check_ellipticity(model, grid, times=(s, T))
     step = _Stepper(model, grid, config, s, T)
     return lambda v: _march(model, grid, config, v, s, T, record=False, step=step)[1]
 
@@ -119,17 +109,16 @@ def propagator_action(model, grid, config, T, s=0.0):
 def assemble_Q(model, grid, config, T, s=0.0, cap=4096):
     """Dense diagnostic assembly of Q, one column per unit-mass cell density.
 
-    Drives the stepping core of :func:`apply_Q` on the identity block scaled
-    to unit mass: every step back-substitutes all N columns through the same
-    factored step matrix, with the same residual check and clamp, so column
-    j is :func:`apply_Q` of the unit mass in cell j up to round-off.  Each
-    step replaces the block, so at most two N x N blocks are alive at once.
+    Drives the stepping core of :func:`propagator_action` on the identity
+    block scaled to unit mass: every step back-substitutes all N columns
+    through the same factored step matrix, with the same residual check and
+    clamp, so column j is :func:`propagator_action` of the unit mass in cell
+    j up to round-off.  Each step replaces the block, so at most two N x N
+    blocks are alive at once.
     """
     n = grid.n
     if n > cap:
         raise CapExceeded(f"grid has {n} nodes, dense assembly capped at {cap}")
-    if model.delta is None:
-        check_ellipticity(model, grid, times=(s, T))
     step = _Stepper(model, grid, config, s, T)
     step.start(nonnegative=True)
     X = np.eye(n) / grid.cell_volume

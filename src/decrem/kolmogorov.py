@@ -173,10 +173,13 @@ class _Stepper:
     factor, and on small grids its certified dense inverse, between them for
     time-homogeneous models.  :meth:`start` begins a march: with the
     monotone scheme, nonnegative data arm the positivity clamp, which stays
-    off while a factored step has had an a12 term.
+    off while a factored step has had an a12 term.  A model whose
+    ellipticity is not yet certified is checked at s and T first.
     """
 
     def __init__(self, model, grid, config, s, T):
+        if model.delta is None:
+            check_ellipticity(model, grid, times=(s, T))
         if not T > s:
             raise ValueError(f"need s < T, got s={s}, T={T}")
         self.model = model
@@ -293,8 +296,6 @@ def evolve(model, grid, config, rho, s, T):
         raise ValueError("field does not live on the given grid")
     if not np.all(np.isfinite(rho.values)):
         raise ValueError("initial field has non-finite values")
-    if model.delta is None:
-        check_ellipticity(model, grid, times=(s, T))
     step = _Stepper(model, grid, config, s, T)
     times, raw = _march(model, grid, config, rho.values, s, T, record=True, step=step)
     fields = [DensityField(grid, v) for v in raw]
@@ -310,11 +311,6 @@ def evolve(model, grid, config, rho, s, T):
 def mass_curve(traj):
     """Masses along the trajectory as (time, mass) pairs."""
     return [(float(t), mass(f)) for t, f in zip(traj.times, traj.fields)]
-
-
-def generator_matrix(model, grid, t):
-    """Sparse matrix of the discrete generator at time ``t``."""
-    return build_stencil(model, grid, t)[0]
 
 
 def save_trajectory(traj, directory):

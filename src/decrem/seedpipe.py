@@ -103,7 +103,6 @@ class SeedSolution:
     """Everything :func:`run_seed` produces, ready for export."""
 
     gamma: TargetProfile  # sup-normalized profile actually solved for
-    zeta: DensityField
     u0: DensityField
     uT: DensityField
     rho: DensityField
@@ -113,7 +112,6 @@ class SeedSolution:
     resolvent: ResolventReport
     mass_curve: list
     decrement: DensityField
-    T: float
 
     def save(self, directory):
         """Write rho/u0/uT/decrement CSVs and report.json; returns file names."""
@@ -135,6 +133,21 @@ class SeedSolution:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return names + ["report.json"]
+
+
+def _unit_sup(field):
+    """The profile rescaled to unit sup, the shape both checks measure."""
+    return field.with_values(field.values / norm_sup(field))
+
+
+def _decrement(model, grid, config, rho, alpha, gamma, T):
+    """Evolve rho over [0, T] once: the sup residual of p(., 0) - p(., T) =
+    alpha * gamma for a unit-sup ``gamma``, the decrement p(., 0) - p(., T)
+    and the mass curve."""
+    traj = evolve(model, grid, config, rho, 0.0, T)
+    decrement = traj.fields[0].values - traj.fields[-1].values
+    residual = float(np.abs(decrement - alpha * gamma.values).max())
+    return residual, DensityField(grid, decrement), mass_curve(traj)
 
 
 def run_seed(
@@ -163,16 +176,14 @@ def run_seed(
             "seed construction requires the positivity-certified implicit-euler "
             "scheme; pass allow_non_monotone=True to override"
         )
-    sup_g = norm_sup(gamma.field)
-    gamma = TargetProfile(gamma.kind, gamma.field.with_values(gamma.field.values / sup_g))
+    gamma = TargetProfile(gamma.kind, _unit_sup(gamma.field))
     if resolvent_tol is None:
         resolvent_tol = min(1e-9, tol * 1e-3)
     report = solve_resolvent(
         model, grid, config, gamma.field, T,
         tol=resolvent_tol, max_iter=resolvent_max_iter,
     )
-    zeta = report.zeta
-    u0 = zeta.values.copy()
+    u0 = report.zeta.values.copy()
     if eps_neg is None:
         eps_neg = 1e-10 * max(float(u0.max()), 0.0)
     worst = float(min(u0.min(), 0.0))
@@ -188,11 +199,7 @@ def run_seed(
         raise NegativityViolation("u(., 0) carries no mass after clamping")
     alpha = 1.0 / total
     rho = DensityField(grid, alpha * u0)
-    traj = evolve(model, grid, config, rho, 0.0, T)
-    p0 = traj.fields[0].values
-    pT = traj.fields[-1].values
-    diff = p0 - pT - alpha * gamma.field.values
-    residual = float(np.abs(diff).max()) / norm_sup(gamma.field)
+    residual, decrement, curve = _decrement(model, grid, config, rho, alpha, gamma.field, T)
     if residual > tol:
         raise ResidualTooLarge(
             f"decrement residual {residual:.3e} exceeds tol {tol:g}",
@@ -200,7 +207,6 @@ def run_seed(
         )
     return SeedSolution(
         gamma=gamma,
-        zeta=zeta,
         u0=u0_field,
         uT=report.q_zeta,
         rho=rho,
@@ -208,26 +214,25 @@ def run_seed(
         residual=residual,
         negativity=worst,
         resolvent=report,
-        mass_curve=mass_curve(traj),
-        decrement=DensityField(grid, p0 - pT),
-        T=float(T),
+        mass_curve=curve,
+        decrement=decrement,
     )
 
 
 @dataclass
 class VerificationReport:
-    """Outcome of independently re-evolving a stored seed solution."""
+    """Outcome of independently re-evolving a seed density."""
 
-    residual_stored: float
     residual_refined: float
     mass_decreasing: bool
     mass_curve: list
-    decrement: DensityField
     passed: bool
 
-    def to_json_dict(self):
+    def to_json_dict(self, residual_stored):
+        """verification.json: the refined check beside the residual that
+        the construction stored."""
         return {
-            "residual_stored": self.residual_stored,
+            "residual_stored": residual_stored,
             "residual_refined": self.residual_refined,
             "mass_decreasing": self.mass_decreasing,
             "mass_curve": [[t, m] for t, m in self.mass_curve],
@@ -235,8 +240,10 @@ class VerificationReport:
         }
 
 
-def verify_seed(model, grid, config, solution, tol=5e-3):
-    """Re-evolve rho with doubled n_steps and re-measure the decrement.
+def verify_seed(model, grid, config, rho, alpha, gamma, T, tol=5e-3):
+    """Re-evolve rho over [0, T] with doubled n_steps and re-measure the
+    decrement against ``alpha`` times ``gamma`` rescaled to unit sup, as
+    :func:`run_seed` measures it.
 
     The refined march does not share the construction's time grid, so its
     residual floor is the first-order-in-dt difference between the two
@@ -247,30 +254,22 @@ def verify_seed(model, grid, config, solution, tol=5e-3):
     refined trajectory must decrease strictly.
     """
     refined = replace(config, n_steps=2 * config.n_steps)
-    traj = evolve(model, grid, config=refined, rho=solution.rho, s=0.0, T=solution.T)
-    p0 = traj.fields[0].values
-    pT = traj.fields[-1].values
-    diff = p0 - pT - solution.alpha * solution.gamma.field.values
-    residual_refined = float(np.abs(diff).max()) / norm_sup(solution.gamma.field)
-    curve = mass_curve(traj)
+    residual, _, curve = _decrement(model, grid, refined, rho, alpha, _unit_sup(gamma), T)
     masses = np.array([m for _, m in curve])
     decreasing = bool(np.all(np.diff(masses) < 0.0))
-    passed = residual_refined <= tol and decreasing
     return VerificationReport(
-        residual_stored=solution.residual,
-        residual_refined=residual_refined,
+        residual_refined=residual,
         mass_decreasing=decreasing,
         mass_curve=curve,
-        decrement=DensityField(grid, p0 - pT),
-        passed=passed,
+        passed=residual <= tol and decreasing,
     )
 
 
 def load_solution(grid, directory):
     """Reload a saved solution directory for verification.
 
-    The stored decrement is taken as the realized (normalized) profile
-    scaled by alpha, so gamma = decrement / alpha up to the stored residual.
+    Returns the stored fields and report as written; the profile to check
+    against comes from the run config, not from the stored decrement.
     """
     rho = DensityField.from_csv(grid, os.path.join(directory, "rho.csv"))
     u0 = DensityField.from_csv(grid, os.path.join(directory, "u0.csv"))

@@ -9,12 +9,25 @@ hold to discretization accuracy and make cheap oracles.
 import numpy as np
 import pytest
 
-from decrem import DensityField, SolverConfig, assemble_Q, constant_model, make_grid
+from decrem import (
+    DensityField,
+    SolverConfig,
+    assemble_Q,
+    constant_model,
+    make_grid,
+    propagator_action,
+)
 
 
 def sampled_sine(grid):
     x = grid.axis_centers(0)
     return DensityField(grid, np.sin(np.pi * x))
+
+
+def apply_Q(model, grid, config, xi, T):
+    """One application of the time-T operator Q to the field ``xi``, through
+    a propagator of its own."""
+    return DensityField(grid, propagator_action(model, grid, config, T)(xi.values))
 
 
 @pytest.fixture

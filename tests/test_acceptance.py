@@ -35,7 +35,7 @@ from decrem import (
     spectral_radius,
 )
 from decrem.kolmogorov import _Stepper
-from conftest import sampled_sine
+from conftest import apply_Q, sampled_sine
 
 LAMBDA_T1 = np.exp(-np.pi**2 / 2)  # 0.0071918834
 LAMBDA_T01 = np.exp(-np.pi**2 / 20)  # 0.6105
@@ -156,8 +156,6 @@ def test_criterion_5_positivity(qhat128):
 
 
 def test_criterion_6_mass_loss():
-    from decrem import apply_Q
-
     grid = make_grid(1, [0.0], [1.0], [64])
     model = heat_model()
     config = SolverConfig(n_steps=16)

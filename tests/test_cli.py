@@ -155,6 +155,19 @@ def test_cmd_seed_overflowing_beta_exits_3(tmp_path):
         assert main(["seed", str(path)]) == 3
 
 
+def test_cmd_seed_residual_too_large_exits_9(tmp_path):
+    # the resolvent meets 1e-9 but no end-to-end residual meets 1e-20
+    path = tmp_path / "run.json"
+    write_config(
+        path,
+        domain={"dim": 1, "lo": [0.0], "hi": [1.0], "n_cells": [16]},
+        time={"T": 0.05, "n_steps": 16},
+    )
+    tight = ["tolerances.residual_tol=1e-20", "tolerances.resolvent_tol=1e-9"]
+    assert main(["seed", str(path), "--set", tight[0], "--set", tight[1]]) == 9
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("column", ["f1", "b11"])
 def test_cmd_seed_rejects_non_finite_table(tmp_path, capsys, column):
     # a 32-cell coefficient table whose sixth drift (or beta) value is NaN
@@ -345,6 +358,27 @@ def test_cmd_verify_detects_tampered_alpha(tmp_path):
         assert _verify(path, solution, tmp_path / f"v-{name}") == 13, name
         stored.write_text(kept)
     assert _verify(path, solution, tmp_path / "v3") == 0
+
+
+BUMP_2D = {
+    "domain": {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.0], "n_cells": [10, 10]},
+    "model": {"family": "constant", "drift": [0.2, -0.1], "beta": [[1.0, 0.0], [0.0, 0.7]]},
+    "time": {"T": 0.3, "n_steps": 128},
+    "gamma": {"kind": "bump", "lo": [0.2, 0.3], "hi": [0.7, 0.8], "value": 3.5},
+}
+
+
+@pytest.mark.parametrize("patches", [{}, BUMP_2D], ids=["eigenmode-1d", "bump-2d"])
+def test_cmd_verify_reproduces_seed_verification(tmp_path, patches):
+    # verify rebuilds the check from the stored rho and alpha and the config's
+    # raw gamma (sup 3.5 for the bump), so it must normalize the profile as
+    # seed did and write the same verification.json, byte for byte
+    path = tmp_path / "run.json"
+    write_config(path, **patches)
+    assert main(["seed", str(path)]) == 0
+    assert _verify(path, tmp_path / "out" / "solution", tmp_path / "v") == 0
+    seeded = (tmp_path / "out" / "verification.json").read_bytes()
+    assert (tmp_path / "v" / "verification.json").read_bytes() == seeded
 
 
 @pytest.mark.parametrize(

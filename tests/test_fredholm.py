@@ -11,7 +11,6 @@ from decrem import (
     DensityField,
     NoConvergence,
     SolverConfig,
-    apply_Q,
     assemble_Q,
     constant_model,
     make_grid,
@@ -26,7 +25,7 @@ from decrem import (
     tabulated_model,
 )
 from decrem import fredholm
-from conftest import sampled_sine
+from conftest import apply_Q, sampled_sine
 
 DECAY_1 = np.exp(-np.pi**2 / 2)
 

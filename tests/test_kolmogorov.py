@@ -14,7 +14,6 @@ from decrem import (
     constant_model,
     eval_a,
     evolve,
-    generator_matrix,
     make_grid,
     mass_curve,
     ou_model,
@@ -110,14 +109,14 @@ def _reference_matrix(model, grid, t):
 
 
 def _assert_bit_identical(model, grid, t):
-    A = generator_matrix(model, grid, t)
+    A = build_stencil(model, grid, t)[0]
     ref = _reference_matrix(model, grid, t)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A, part), getattr(ref, part)), part
 
 
 def test_apply_A_zero_field(grid128, heat):
-    A = generator_matrix(heat, grid128, 0.0)
+    A = build_stencil(heat, grid128, 0.0)[0]
     assert not np.any(A @ np.zeros(grid128.n))
 
 
@@ -125,7 +124,7 @@ def test_apply_A_eigenfunction(heat):
     # A sin(pi x) = -(pi^2/2) sin(pi x) for a = 1/2
     grid = make_grid(1, [0.0], [1.0], [256])
     f = sampled_sine(grid)
-    out = generator_matrix(heat, grid, 0.0) @ f.values
+    out = build_stencil(heat, grid, 0.0)[0] @ f.values
     expected = -(np.pi**2 / 2) * f.values
     assert np.linalg.norm(out - expected) <= 1e-3 * np.linalg.norm(expected)
     mid = np.argmin(np.abs(grid.axis_centers(0) - 0.5))
@@ -139,7 +138,7 @@ def test_apply_A_hand_stencil():
     # (the outflow face flux cancels the upwind difference).
     grid = make_grid(1, [0.0], [1.0], [8])
     model = constant_model([2.0], [[1.0]])
-    out = generator_matrix(model, grid, 0.0) @ np.ones(8)
+    out = build_stencil(model, grid, 0.0)[0] @ np.ones(8)
     expected = np.zeros(8)
     expected[0] = -2.0 * 0.5 * 64.0 - 2.0 * 8.0  # -64 diffusion, -16 drift
     expected[-1] = -2.0 * 0.5 * 64.0
@@ -308,7 +307,7 @@ def test_generator_matrix_2d_mixed():
 def test_column_sums_certify_mass_loss(grid64, heat):
     # columns of A sum to <= 0, strictly < 0 next to the boundary, and its
     # off-diagonals are >= 0; this is what makes I - dt*A an M-matrix
-    A = generator_matrix(heat, grid64, 0.0)
+    A = build_stencil(heat, grid64, 0.0)[0]
     sums = np.asarray(A.sum(axis=0)).ravel()
     assert np.all(sums <= 1e-9)
     assert sums[0] < -1.0 and sums[-1] < -1.0
@@ -317,7 +316,7 @@ def test_column_sums_certify_mass_loss(grid64, heat):
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 10])
     drifted = constant_model([0.2, -0.1], [[1.0, 0.0], [0.0, 0.7]])
     for model, g in ((heat, grid64), (drifted, grid)):
-        A = generator_matrix(model, g, 0.0).tocoo()
+        A = build_stencil(model, g, 0.0)[0].tocoo()
         assert np.all(A.data[A.row != A.col] >= 0.0)
         sums = np.asarray(A.sum(axis=0)).ravel()
         assert np.all(sums <= 1e-9 * abs(A).max())
@@ -355,7 +354,7 @@ def test_axis_aligned_generator_is_monotone(case, dt, seed):
     # off-diagonals >= 0 and column sums <= 0 (to round-off) make
     # I - dt*A an M-matrix, so one implicit-Euler step keeps data >= 0
     model, grid = case
-    A = generator_matrix(model, grid, 0.0).tocoo()
+    A = build_stencil(model, grid, 0.0)[0].tocoo()
     assert np.all(A.data[A.row != A.col] >= 0.0)
     sums = np.asarray(A.sum(axis=0)).ravel()
     size = np.asarray(abs(A).sum(axis=0)).ravel()
