@@ -55,9 +55,7 @@ from .model import (
     load_tabulated,
     load_tabulated_series,
     ou_model,
-    read_coefficient_csv,
     tabulated_model,
-    write_coefficient_csv,
 )
 from .montecarlo import (
     MCEstimate,
@@ -122,7 +120,6 @@ __all__ = [
     "norm_sup",
     "ou_model",
     "propagator_action",
-    "read_coefficient_csv",
     "realize_gamma",
     "resolvent_dense",
     "run_seed",
@@ -134,5 +131,4 @@ __all__ = [
     "spectral_radius",
     "tabulated_model",
     "verify_seed",
-    "write_coefficient_csv",
 ]

@@ -54,7 +54,7 @@ from .errors import (
     VerificationFailed,
 )
 from .fredholm import assemble_Q, propagator_action, singular_values, spectral_radius
-from .grid import DensityField, make_grid, mass
+from .grid import DensityField, _write_json, make_grid, mass
 from .kolmogorov import SolverConfig, evolve, save_trajectory
 from .model import (
     check_ellipticity,
@@ -219,19 +219,8 @@ def _build_gamma(cfg, grid, base_dir):
         raise ConfigError(f"bad gamma block: {exc}") from exc
 
 
-def _echo_config(cfg, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "config.echo.json")
-    with open(path, "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return "config.echo.json"
-
-
-def _write_json(out_dir, name, payload):
-    with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _save_json(out_dir, name, payload):
+    _write_json(os.path.join(out_dir, name), payload)
     return name
 
 
@@ -241,9 +230,7 @@ def _write_manifest(out_dir, names):
         with open(os.path.join(out_dir, name), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         entries.append({"name": name, "sha256": digest})
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump({"files": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _save_json(out_dir, "manifest.json", {"files": entries})
 
 
 def _tolerances(cfg):
@@ -290,9 +277,9 @@ def cmd_seed(cfg, base_dir):
     out_dir = cfg["output_dir"]
     os.makedirs(os.path.join(out_dir, "solution"), exist_ok=True)
     names = [os.path.join("solution", n) for n in solution.save(os.path.join(out_dir, "solution"))]
-    names.append(_write_json(out_dir, "verification.json",
-                             verification.to_json_dict(solution.residual)))
-    names.append(_echo_config(cfg, out_dir))
+    names.append(_save_json(out_dir, "verification.json",
+                            verification.to_json_dict(solution.residual)))
+    names.append(_save_json(out_dir, "config.echo.json", cfg))
     _write_manifest(out_dir, names)
     print(f"alpha     {solution.alpha:.12g}")
     print(f"residual  {solution.residual:.3e} ({solution.resolvent.method}, "
@@ -316,7 +303,7 @@ def cmd_evolve(cfg, base_dir, rho_path):
     out_dir = cfg["output_dir"]
     traj_dir = os.path.join(out_dir, "trajectory")
     names = [os.path.join("trajectory", n) for n in save_trajectory(traj, traj_dir)]
-    names.append(_echo_config(cfg, out_dir))
+    names.append(_save_json(out_dir, "config.echo.json", cfg))
     _write_manifest(out_dir, names)
     final = traj.fields[-1]
     print(f"evolved to T={T:g} in {config.n_steps} steps ({config.scheme})")
@@ -357,8 +344,8 @@ def cmd_spectrum(cfg, base_dir):
             for i, s in enumerate(sv):
                 fh.write(f"{i},{float(s)!r}\n")
         names.append("singular_values.csv")
-    names.append(_write_json(out_dir, "spectrum.json", payload))
-    names.append(_echo_config(cfg, out_dir))
+    names.append(_save_json(out_dir, "spectrum.json", payload))
+    names.append(_save_json(out_dir, "config.echo.json", cfg))
     _write_manifest(out_dir, names)
     print(f"spectral radius {est.value:.9g} "
           f"(converged: {est.converged}, {est.iterations} iterations)")
@@ -372,13 +359,10 @@ def cmd_spectrum(cfg, base_dir):
 def _coarsen(values, grid, bins):
     """Sum cell masses into a regular partition with ``bins`` boxes per axis."""
     w = values.reshape(grid.shape) * grid.cell_volume
-    if grid.dim == 1:
-        edges = np.linspace(0, grid.n_cells[0], bins + 1).astype(int)
-        return np.add.reduceat(w, edges[:-1])
-    ex = np.linspace(0, grid.n_cells[0], bins + 1).astype(int)
-    ey = np.linspace(0, grid.n_cells[1], bins + 1).astype(int)
-    out = np.add.reduceat(w, ex[:-1], axis=0)
-    return np.add.reduceat(out, ey[:-1], axis=1).reshape(-1)
+    for k in range(grid.dim):
+        edges = np.linspace(0, grid.n_cells[k], bins + 1).astype(int)
+        w = np.add.reduceat(w, edges[:-1], axis=k)
+    return w.reshape(-1)
 
 
 def _mc_count(mc, key):
@@ -430,8 +414,8 @@ def cmd_mc(cfg, base_dir, rho_path):
         "max_abs_z": float(np.abs(z).max()),
         "dt": dt,
     }
-    names.append(_write_json(out_dir, "comparison.json", comparison))
-    names.append(_echo_config(cfg, out_dir))
+    names.append(_save_json(out_dir, "comparison.json", comparison))
+    names.append(_save_json(out_dir, "config.echo.json", cfg))
     _write_manifest(out_dir, names)
     print(f"master seed {int(seed)}")
     print(f"survival: mc {estimate.survival:.6f} vs pde {comparison['survival_pde']:.6f}")
@@ -445,7 +429,7 @@ def cmd_verify(cfg, base_dir, solution_dir):
     config, T = _build_solver(cfg)
     gamma = _build_gamma(cfg, grid, base_dir)
     tol = _tolerances(cfg)
-    rho, u0, _, _, report = load_solution(grid, solution_dir)
+    rho, u0, report = load_solution(grid, solution_dir)
     try:
         alpha = float(report["alpha"])
         stored_residual = float(report["residual"])
@@ -463,9 +447,9 @@ def cmd_verify(cfg, base_dir, solution_dir):
     )
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    names = [_write_json(out_dir, "verification.json",
-                         verification.to_json_dict(stored_residual))]
-    names.append(_echo_config(cfg, out_dir))
+    names = [_save_json(out_dir, "verification.json",
+                        verification.to_json_dict(stored_residual))]
+    names.append(_save_json(out_dir, "config.echo.json", cfg))
     _write_manifest(out_dir, names)
     print(f"refined residual {verification.residual_refined:.3e} "
           f"(stored {stored_residual:.3e})")

@@ -16,14 +16,13 @@ applications of one solve share one step factorization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CapExceeded, NoConvergence
-from .grid import DensityField
+from .grid import DensityField, _write_json
 from .kolmogorov import _march, _Stepper
 
 
@@ -68,9 +67,7 @@ class OperatorMatrix:
             "T": self.T,
             "n_steps": self.n_steps,
         }
-        with open(path_base + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path_base + ".json", sidecar)
         return [path_base + ".bin", path_base + ".json"]
 
 
@@ -94,19 +91,19 @@ class SpectralEstimate:
     iterations: int
 
 
-def propagator_action(model, grid, config, T, s=0.0):
-    """Q as a callable on flat vectors, for power iteration and Krylov use.
+def propagator_action(model, grid, config, T):
+    """Q over [0, T] as a callable on flat vectors, for power and Krylov iterations.
 
     Every call marches through one stepper, so a time-homogeneous model is
     factored once for all of them; each call still arms the positivity
     clamp from the sign of its own input, so it returns the bits of a
     march on a fresh stepper.
     """
-    step = _Stepper(model, grid, config, s, T)
-    return lambda v: _march(model, grid, config, v, s, T, record=False, step=step)[1]
+    step = _Stepper(model, grid, config, 0.0, T)
+    return lambda v: _march(model, grid, config, v, 0.0, T, record=False, step=step)[1]
 
 
-def assemble_Q(model, grid, config, T, s=0.0, cap=4096):
+def assemble_Q(model, grid, config, T, cap=4096):
     """Dense diagnostic assembly of Q, one column per unit-mass cell density.
 
     Drives the stepping core of :func:`propagator_action` on the identity
@@ -119,7 +116,7 @@ def assemble_Q(model, grid, config, T, s=0.0, cap=4096):
     n = grid.n
     if n > cap:
         raise CapExceeded(f"grid has {n} nodes, dense assembly capped at {cap}")
-    step = _Stepper(model, grid, config, s, T)
+    step = _Stepper(model, grid, config, 0.0, T)
     step.start(nonnegative=True)
     X = np.eye(n) / grid.cell_volume
     for k in range(config.n_steps):

@@ -1,4 +1,5 @@
-"""Tensor-product grids on box domains and scalar fields living on them.
+"""Tensor-product grids on box domains, scalar fields living on them, and
+the package's file formats: node tables (one CSV row per node) and JSON.
 
 Interior nodes sit at cell centers, so the first node is half a cell away
 from the boundary and the zero Dirichlet data of the absorbed process is
@@ -10,6 +11,7 @@ flat C order (last axis fastest): node (i, j) of a 2-d grid is flat index
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -73,6 +75,16 @@ class DomainGrid:
         xg, yg = np.meshgrid(axes[0], axes[1], indexing="ij")
         return np.column_stack([xg.ravel(), yg.ravel()])
 
+    def cell_index(self, points):
+        """Flat index of the cell holding each row of the (M, dim) array
+        ``points``; a point outside the box reads the nearest boundary cell."""
+        h = self.h
+        idx = np.zeros(points.shape[0], dtype=int)
+        for k in range(self.dim):
+            ik = np.floor((points[:, k] - self.lo[k]) / h[k]).astype(int)
+            idx = idx * self.n_cells[k] + np.clip(ik, 0, self.n_cells[k] - 1)
+        return idx
+
 
 def make_grid(dim, lo, hi, n_cells):
     """Validate parameters and build a :class:`DomainGrid`."""
@@ -130,14 +142,7 @@ class DensityField:
 
     def to_csv(self, path):
         """Write ``x[,y],value`` rows in flat-index order."""
-        pts = self.grid.nodes()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(_COORD_NAMES[: self.grid.dim]) + ["value"])
-            for i in range(self.grid.n):
-                writer.writerow(
-                    [repr(float(c)) for c in pts[i]] + [repr(float(self.values[i]))]
-                )
+        _write_table(self.grid, path, ["value"], [self.values])
 
     @classmethod
     def from_csv(cls, grid, path):
@@ -146,25 +151,53 @@ class DensityField:
         Raises ShapeMismatch when the row count, column count or node
         coordinates do not match ``grid``.
         """
-        expected_header = list(_COORD_NAMES[: grid.dim]) + ["value"]
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != expected_header:
-                raise ShapeMismatch(
-                    f"{path}: expected header {expected_header}, got {header}"
-                )
-            rows = [row for row in reader if row]
-        if len(rows) != grid.n:
-            raise ShapeMismatch(f"{path}: expected {grid.n} rows, got {len(rows)}")
-        data = np.array([[float(v) for v in row] for row in rows])
-        if data.shape[1] != grid.dim + 1:
-            raise ShapeMismatch(f"{path}: expected {grid.dim + 1} columns")
-        pts = grid.nodes()
-        tol = 1e-9 * max(grid.h)
-        if not np.allclose(data[:, : grid.dim], pts, atol=tol, rtol=0.0):
-            raise ShapeMismatch(f"{path}: node coordinates do not match the grid")
-        return cls(grid, data[:, grid.dim])
+        return cls(grid, _read_table(grid, path, ["value"])[:, 0])
+
+
+def _write_json(path, payload):
+    """Write ``payload`` as every JSON file of the package is written: two-space
+    indent, sorted keys and a final newline, so reruns are byte-identical."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_table(grid, path, names, columns):
+    """Write a node table: the header ``x[,y]`` followed by ``names``, then one
+    row per node in flat order holding its coordinates and the values of
+    ``columns`` (each with ``grid.n`` rows, flattened per node), all as
+    ``repr`` floats with csv's CRLF row ends."""
+    columns = [np.asarray(c, dtype=float).reshape(grid.n, -1) for c in columns]
+    data = np.column_stack([grid.nodes()] + columns)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(_COORD_NAMES[: grid.dim]) + list(names))
+        writer.writerows([repr(v) for v in row] for row in data.tolist())
+
+
+def _read_table(grid, path, names):
+    """Read a node table written by :func:`_write_table` and return its value
+    columns as an (N, len(names)) array.
+
+    Raises ShapeMismatch when the header, row count, column count or node
+    coordinates do not match ``grid``.
+    """
+    header = list(_COORD_NAMES[: grid.dim]) + list(names)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            raise ShapeMismatch(f"{path}: expected header {header}, got {got}")
+        rows = [row for row in reader if row]
+    if len(rows) != grid.n:
+        raise ShapeMismatch(f"{path}: expected {grid.n} rows, got {len(rows)}")
+    if any(len(row) != len(header) for row in rows):
+        raise ShapeMismatch(f"{path}: expected {len(header)} columns")
+    data = np.array([[float(v) for v in row] for row in rows])
+    tol = 1e-9 * max(grid.h)
+    if not np.allclose(data[:, : grid.dim], grid.nodes(), atol=tol, rtol=0.0):
+        raise ShapeMismatch(f"{path}: node coordinates do not match the grid")
+    return data[:, grid.dim :]
 
 
 def mass(field):

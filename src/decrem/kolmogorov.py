@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import os
 from dataclasses import dataclass
 
@@ -45,7 +44,7 @@ from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .errors import LinearSolveFailure
-from .grid import DensityField, mass
+from .grid import DensityField, _write_json, mass
 from .model import check_ellipticity, eval_a
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
@@ -330,9 +329,7 @@ def save_trajectory(traj, directory):
         "scheme": traj.scheme,
         "positivity_certified": traj.positivity_certified,
     }
-    with open(os.path.join(directory, "trajectory.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(directory, "trajectory.json"), manifest)
     with open(os.path.join(directory, "mass_curve.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "mass"])

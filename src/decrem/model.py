@@ -8,14 +8,13 @@ supported inputs: constant coefficients, linear drift toward a center
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 
 import numpy as np
 
 from .errors import EllipticityViolation, ShapeMismatch
-from .grid import _COORD_NAMES
+from .grid import _read_table
 
 FAMILIES = ("constant", "linear-drift", "tabulated")
 
@@ -114,20 +113,11 @@ class _Table:
         self.drift_values = drift_values
         self.beta_values = beta_values
 
-    def _cells(self, points):
-        g = self.grid
-        idx = np.zeros(points.shape[0], dtype=int)
-        for k in range(g.dim):
-            ik = np.floor((points[:, k] - g.lo[k]) / g.h[k]).astype(int)
-            ik = np.clip(ik, 0, g.n_cells[k] - 1)
-            idx = idx * g.n_cells[k] + ik
-        return idx
-
     def drift(self, points):
-        return self.drift_values[self._cells(points)]
+        return self.drift_values[self.grid.cell_index(points)]
 
     def beta(self, points):
-        return self.beta_values[self._cells(points)]
+        return self.beta_values[self.grid.cell_index(points)]
 
 
 def tabulated_model(grid, drift_values, beta_values, times=None, series=None):
@@ -182,54 +172,19 @@ def tabulated_model(grid, drift_values, beta_values, times=None, series=None):
     )
 
 
-def _tabulated_header(dim):
-    cols = list(_COORD_NAMES[:dim])
-    cols += [f"f{k + 1}" for k in range(dim)]
-    cols += [f"b{i + 1}{j + 1}" for i in range(dim) for j in range(dim)]
-    return cols
-
-
-def read_coefficient_csv(grid, path):
-    """Read one tabulated sample: columns x[,y], f1[,f2], b11[,b12,b21,b22].
-
-    Rows must be in flat-index order with coordinates matching the grid.
-    """
+def _read_coefficients(grid, path):
+    """Read one tabulated sample, a node table with the value columns
+    f1[,f2], b11[,b12,b21,b22]; returns (drift (N, dim), beta (N, dim, dim))."""
     dim = grid.dim
-    expected = _tabulated_header(dim)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise ShapeMismatch(f"{path}: expected header {expected}, got {header}")
-        rows = [row for row in reader if row]
-    if len(rows) != grid.n:
-        raise ShapeMismatch(f"{path}: expected {grid.n} rows, got {len(rows)}")
-    data = np.array([[float(v) for v in row] for row in rows])
-    pts = grid.nodes()
-    if not np.allclose(data[:, :dim], pts, atol=1e-9 * max(grid.h), rtol=0.0):
-        raise ShapeMismatch(f"{path}: node coordinates do not match the grid")
-    drift_values = data[:, dim : 2 * dim]
-    beta_values = data[:, 2 * dim :].reshape(grid.n, dim, dim)
-    return drift_values, beta_values
-
-
-def write_coefficient_csv(grid, path, drift_values, beta_values):
-    """Inverse of :func:`read_coefficient_csv`."""
-    dim = grid.dim
-    drift_values = np.asarray(drift_values, dtype=float).reshape(grid.n, dim)
-    beta_values = np.asarray(beta_values, dtype=float).reshape(grid.n, dim * dim)
-    pts = grid.nodes()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_tabulated_header(dim))
-        for i in range(grid.n):
-            row = list(pts[i]) + list(drift_values[i]) + list(beta_values[i])
-            writer.writerow([repr(float(v)) for v in row])
+    names = [f"f{k + 1}" for k in range(dim)]
+    names += [f"b{i + 1}{j + 1}" for i in range(dim) for j in range(dim)]
+    data = _read_table(grid, path, names)
+    return data[:, :dim], data[:, dim:].reshape(grid.n, dim, dim)
 
 
 def load_tabulated(grid, path):
     """Steady tabulated model from a single coefficient CSV."""
-    drift_values, beta_values = read_coefficient_csv(grid, path)
+    drift_values, beta_values = _read_coefficients(grid, path)
     return tabulated_model(grid, drift_values, beta_values)
 
 
@@ -246,7 +201,7 @@ def load_tabulated_series(grid, manifest_path):
     if len(times) != len(files):
         raise ShapeMismatch(f"{manifest_path}: times and files differ in length")
     base = os.path.dirname(os.path.abspath(manifest_path))
-    series = [read_coefficient_csv(grid, os.path.join(base, f)) for f in files]
+    series = [_read_coefficients(grid, os.path.join(base, f)) for f in files]
     return tabulated_model(grid, None, None, times=times, series=series)
 
 

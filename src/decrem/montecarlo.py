@@ -21,8 +21,6 @@ package absorbs into its statistical tolerances.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -32,7 +30,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .errors import NotADensity
-from .grid import DensityField, mass
+from .grid import DensityField, _write_json, _write_table, mass
 from .model import eval_a
 
 _STEP_STRIDE = 1 << 128  # counter block per time step
@@ -88,14 +86,9 @@ def sample_initial(rho, n, seed):
     rng = Generator(Philox(key=int(seed) & ((1 << 128) - 1), counter=_INIT_BLOCK))
     cells = rng.choice(grid.n, size=n, p=weights)
     offsets = rng.random((n, grid.dim))
-    lo_corner = np.empty((n, grid.dim))
-    for k in range(grid.dim):
-        if grid.dim == 1:
-            ik = cells
-        else:
-            ik = cells // grid.n_cells[1] if k == 0 else cells % grid.n_cells[1]
-        lo_corner[:, k] = grid.lo[k] + grid.h[k] * ik
-    positions = lo_corner + offsets * np.asarray(grid.h)
+    h = np.asarray(grid.h)
+    ijk = np.column_stack(np.unravel_index(cells, grid.shape))
+    positions = (np.asarray(grid.lo) + h * ijk) + offsets * h
     return ParticleEnsemble(
         positions=positions,
         alive=np.ones(n, dtype=bool),
@@ -186,26 +179,19 @@ class MCEstimate:
     def save(self, directory):
         """Write density.csv (coords, density, stderr) and mc.json."""
         os.makedirs(directory, exist_ok=True)
-        grid = self.histogram.grid
-        pts = grid.nodes()
-        coord_names = ["x", "y"][: grid.dim]
-        with open(os.path.join(directory, "density.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(coord_names + ["density", "stderr"])
-            for i in range(grid.n):
-                row = [repr(float(c)) for c in pts[i]]
-                row.append(repr(float(self.histogram.values[i])))
-                row.append(repr(float(self.stderr.values[i])))
-                writer.writerow(row)
+        _write_table(
+            self.histogram.grid,
+            os.path.join(directory, "density.csv"),
+            ["density", "stderr"],
+            [self.histogram.values, self.stderr.values],
+        )
         report = {
             "n": self.n,
             "survival": self.survival,
             "dt": self.dt,
             "seed": self.seed,
         }
-        with open(os.path.join(directory, "mc.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(directory, "mc.json"), report)
         return ["density.csv", "mc.json"]
 
 
@@ -215,12 +201,7 @@ def estimate_density(ensemble, grid):
     The histogram mass equals the survival fraction exactly.
     """
     alive_pos = ensemble.positions[ensemble.alive]
-    flat = np.zeros(alive_pos.shape[0], dtype=int)
-    for k in range(grid.dim):
-        ik = np.floor((alive_pos[:, k] - grid.lo[k]) / grid.h[k]).astype(int)
-        ik = np.clip(ik, 0, grid.n_cells[k] - 1)
-        flat = flat * grid.n_cells[k] + ik
-    counts = np.bincount(flat, minlength=grid.n).astype(float)
+    counts = np.bincount(grid.cell_index(alive_pos), minlength=grid.n).astype(float)
     n = ensemble.n
     vol = grid.cell_volume
     density = counts / (n * vol)

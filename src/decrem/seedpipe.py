@@ -25,7 +25,7 @@ from .errors import (
     ResidualTooLarge,
 )
 from .fredholm import ResolventReport, solve_resolvent
-from .grid import DensityField, mass, norm_sup
+from .grid import DensityField, _write_json, mass, norm_sup
 from .kolmogorov import evolve, mass_curve
 
 GAMMA_KINDS = ("eigenmode", "bump", "tiles", "csv")
@@ -129,9 +129,7 @@ class SeedSolution:
             "method": self.resolvent.method,
             "mass_curve": [[t, m] for t, m in self.mass_curve],
         }
-        with open(os.path.join(directory, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(directory, "report.json"), report)
         return names + ["report.json"]
 
 
@@ -160,7 +158,6 @@ def run_seed(
     resolvent_tol=None,
     resolvent_max_iter=200,
     eps_neg=None,
-    allow_non_monotone=False,
 ):
     """Construct the seed density for a decrement profile.
 
@@ -171,10 +168,9 @@ def run_seed(
     """
     if isinstance(gamma, DensityField):
         gamma = _validate_gamma("csv", gamma)
-    if config.scheme != "implicit-euler" and not allow_non_monotone:
+    if config.scheme != "implicit-euler":
         raise ValueError(
-            "seed construction requires the positivity-certified implicit-euler "
-            "scheme; pass allow_non_monotone=True to override"
+            "seed construction requires the positivity-certified implicit-euler scheme"
         )
     gamma = TargetProfile(gamma.kind, _unit_sup(gamma.field))
     if resolvent_tol is None:
@@ -266,15 +262,12 @@ def verify_seed(model, grid, config, rho, alpha, gamma, T, tol=5e-3):
 
 
 def load_solution(grid, directory):
-    """Reload a saved solution directory for verification.
-
-    Returns the stored fields and report as written; the profile to check
-    against comes from the run config, not from the stored decrement.
+    """Reload what verification of a saved solution directory reads: rho,
+    u0 and the report, as written.  The profile to check against comes from
+    the run config, not from the stored decrement.
     """
     rho = DensityField.from_csv(grid, os.path.join(directory, "rho.csv"))
     u0 = DensityField.from_csv(grid, os.path.join(directory, "u0.csv"))
-    uT = DensityField.from_csv(grid, os.path.join(directory, "uT.csv"))
-    decrement = DensityField.from_csv(grid, os.path.join(directory, "decrement.csv"))
     with open(os.path.join(directory, "report.json")) as fh:
         report = json.load(fh)
-    return rho, u0, uT, decrement, report
+    return rho, u0, report

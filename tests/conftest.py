@@ -17,6 +17,7 @@ from decrem import (
     make_grid,
     propagator_action,
 )
+from decrem.grid import _write_table
 
 
 def sampled_sine(grid):
@@ -28,6 +29,14 @@ def apply_Q(model, grid, config, xi, T):
     """One application of the time-T operator Q to the field ``xi``, through
     a propagator of its own."""
     return DensityField(grid, propagator_action(model, grid, config, T)(xi.values))
+
+
+def write_coefficient_csv(grid, path, drift_values, beta_values):
+    """Write a coefficient table: x[,y], f1[,f2], b11[,b12,b21,b22] per node."""
+    dim = grid.dim
+    names = [f"f{k + 1}" for k in range(dim)]
+    names += [f"b{i + 1}{j + 1}" for i in range(dim) for j in range(dim)]
+    _write_table(grid, path, names, [drift_values, beta_values])
 
 
 @pytest.fixture

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from decrem import make_grid, write_coefficient_csv
+from decrem import DensityField, make_grid
 from decrem.cli import load_config, main
 from decrem.errors import ConfigError
+from conftest import write_coefficient_csv
 
 
 def write_config(path, **patches):
@@ -184,6 +185,22 @@ def test_cmd_seed_rejects_non_finite_table(tmp_path, capsys, column):
     assert not (tmp_path / "out").exists()
 
 
+def test_cmd_seed_wide_coefficient_table_exits_11(tmp_path, capsys):
+    # rows one column wider than the header: a shape mismatch, like a wrong header
+    grid = make_grid(1, [0.0], [1.0], [32])
+    table = tmp_path / "coeffs.csv"
+    write_coefficient_csv(grid, table, np.zeros((32, 1)), np.ones((32, 1, 1)))
+    header, *rows = table.read_text().splitlines()
+    table.write_text("\n".join([header] + [row + ",0.5" for row in rows]) + "\n")
+    path = tmp_path / "run.json"
+    cfg = write_config(path, domain={"n_cells": [32]}, time={"n_steps": 8})
+    cfg["model"] = {"family": "tabulated", "file": "coeffs.csv"}
+    path.write_text(json.dumps(cfg))
+    assert main(["seed", str(path)]) == 11
+    assert "ShapeMismatch" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_evolve(tmp_path):
     path = tmp_path / "run.json"
     write_config(path)
@@ -358,6 +375,22 @@ def test_cmd_verify_detects_tampered_alpha(tmp_path):
         assert _verify(path, solution, tmp_path / f"v-{name}") == 13, name
         stored.write_text(kept)
     assert _verify(path, solution, tmp_path / "v3") == 0
+
+
+def test_cmd_verify_reads_only_rho_and_u0(tmp_path, monkeypatch):
+    path = tmp_path / "run.json"
+    write_config(path)
+    assert main(["seed", str(path)]) == 0
+    reads = []
+    from_csv = DensityField.from_csv.__func__
+
+    def counting(cls, grid, csv_path):
+        reads.append(os.path.basename(csv_path))
+        return from_csv(cls, grid, csv_path)
+
+    monkeypatch.setattr(DensityField, "from_csv", classmethod(counting))
+    assert _verify(path, tmp_path / "out" / "solution", tmp_path / "v") == 0
+    assert sorted(reads) == ["rho.csv", "u0.csv"]
 
 
 BUMP_2D = {

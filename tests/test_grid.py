@@ -9,12 +9,14 @@ from hypothesis.extra.numpy import arrays
 
 from decrem import (
     DensityField,
+    MCEstimate,
     ShapeMismatch,
     make_grid,
     mass,
     norm_sup,
 )
-from conftest import sampled_sine
+from decrem.grid import _write_json
+from conftest import sampled_sine, write_coefficient_csv
 
 
 def test_make_grid_1d_basics():
@@ -135,6 +137,18 @@ def test_csv_corrupt_header_rejected(tmp_path):
         DensityField.from_csv(grid, path)
 
 
+def test_csv_ragged_row_rejected(tmp_path):
+    # one row wider than the header is a shape mismatch, not a parse error
+    grid = make_grid(1, [0.0], [1.0], [4])
+    path = tmp_path / "f.csv"
+    DensityField.zeros(grid).to_csv(path)
+    rows = path.read_text().splitlines()
+    rows[2] += ",9.0"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ShapeMismatch, match="expected 2 columns"):
+        DensityField.from_csv(grid, path)
+
+
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
             1.7976931348623157e308, -1.7976931348623157e308]
 
@@ -158,3 +172,89 @@ def test_csv_round_trip_is_bit_exact(n_cells, data):
         f.to_csv(path)
         g = DensityField.from_csv(grid, path)
     assert np.array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
+
+
+# Golden bytes of the on-disk formats.  The box [0, 0.4] puts nodes at
+# 0.05, 0.15000000000000002, 0.25 and 0.35000000000000003, so the rows also
+# pin shortest-repr floats, the flat node order and the CRLF row ends.
+X4 = ["0.05", "0.15000000000000002", "0.25", "0.35000000000000003"]
+Y4 = ["-0.75", "-0.25", "0.25", "0.75"]
+
+
+def _crlf(*rows):
+    return "".join(row + "\r\n" for row in rows).encode()
+
+
+def test_field_csv_golden_bytes_1d(tmp_path):
+    grid = make_grid(1, [0.0], [0.4], [4])
+    DensityField(grid, [0.1, -0.0, 5e-324, 1 / 3]).to_csv(tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == _crlf(
+        "x,value",
+        "0.05,0.1",
+        "0.15000000000000002,-0.0",
+        "0.25,5e-324",
+        "0.35000000000000003,0.3333333333333333",
+    )
+
+
+def test_field_csv_golden_bytes_2d(tmp_path):
+    grid = make_grid(2, [0.0, -1.0], [0.4, 1.0], [4, 4])
+    DensityField(grid, np.arange(16) * 0.1).to_csv(tmp_path / "f.csv")
+    values = ["0.0", "0.1", "0.2", "0.30000000000000004", "0.4", "0.5",
+              "0.6000000000000001", "0.7000000000000001", "0.8", "0.9", "1.0",
+              "1.1", "1.2000000000000002", "1.3", "1.4000000000000001", "1.5"]
+    rows = [f"{x},{y}" for x in X4 for y in Y4]
+    assert (tmp_path / "f.csv").read_bytes() == _crlf(
+        "x,y,value", *[f"{r},{v}" for r, v in zip(rows, values)]
+    )
+
+
+def test_mc_density_golden_bytes(tmp_path):
+    grid = make_grid(1, [0.0], [0.4], [4])
+    MCEstimate(
+        histogram=DensityField(grid, [2.5, 0.0, 1 / 3, 7.5]),
+        stderr=DensityField(grid, [0.1, 0.0, 0.2, 1e-17]),
+        survival=0.75,
+        n=8,
+        seed=3,
+        dt=0.001,
+    ).save(tmp_path)
+    assert (tmp_path / "density.csv").read_bytes() == _crlf(
+        "x,density,stderr",
+        "0.05,2.5,0.1",
+        "0.15000000000000002,0.0,0.0",
+        "0.25,0.3333333333333333,0.2",
+        "0.35000000000000003,7.5,1e-17",
+    )
+    assert (tmp_path / "mc.json").read_bytes() == (
+        b'{\n  "dt": 0.001,\n  "n": 8,\n  "seed": 3,\n  "survival": 0.75\n}\n'
+    )
+
+
+def test_coefficient_table_golden_bytes_2d(tmp_path):
+    grid = make_grid(2, [0.0, -1.0], [0.4, 1.0], [4, 4])
+    drift = np.tile([0.5, -0.25], (16, 1))
+    beta = np.tile([[1.0, 0.0], [0.1, 0.7]], (16, 1, 1))
+    write_coefficient_csv(grid, tmp_path / "c.csv", drift, beta)
+    tail = "0.5,-0.25,1.0,0.0,0.1,0.7"
+    assert (tmp_path / "c.csv").read_bytes() == _crlf(
+        "x,y,f1,f2,b11,b12,b21,b22", *[f"{x},{y},{tail}" for x in X4 for y in Y4]
+    )
+
+
+def test_json_golden_bytes(tmp_path):
+    payload = {"b": [1, 2.5, {"z": None, "a": True}], "a": {"y": "s", "x": 0.1}}
+    _write_json(tmp_path / "p.json", payload)
+    assert (tmp_path / "p.json").read_bytes() == (
+        b'{\n  "a": {\n    "x": 0.1,\n    "y": "s"\n  },\n  "b": [\n    1,\n'
+        b'    2.5,\n    {\n      "a": true,\n      "z": null\n    }\n  ]\n}\n'
+    )
+
+
+def test_cell_index():
+    grid = make_grid(2, [0.0, -1.0], [0.4, 1.0], [4, 4])
+    # every node sits in its own cell
+    assert np.array_equal(grid.cell_index(grid.nodes()), np.arange(grid.n))
+    # faces and points outside the box read the nearest boundary cell
+    pts = np.array([[0.0, -1.0], [0.4, 1.0], [-5.0, 0.1], [0.1, 7.0], [0.25, -0.5]])
+    assert grid.cell_index(pts).tolist() == [0, 15, 2, 7, 9]

@@ -14,8 +14,8 @@ from decrem import (
     make_grid,
     ou_model,
     tabulated_model,
-    write_coefficient_csv,
 )
+from conftest import write_coefficient_csv
 
 
 def test_delta_unit_beta():

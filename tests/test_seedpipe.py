@@ -116,8 +116,6 @@ def test_run_seed_requires_monotone_scheme(heat, grid128):
     gamma = realize_gamma(grid128, {"kind": "eigenmode"})
     with pytest.raises(ValueError):
         run_seed(heat, grid128, config, gamma, 0.5)
-    sol = run_seed(heat, grid128, config, gamma, 0.5, allow_non_monotone=True)
-    assert sol.residual <= 1e-6
 
 
 def test_mass_loss_inequality_split_fields(heat, grid64):
@@ -163,11 +161,12 @@ def test_solution_save_load_round_trip(tmp_path, heat, grid128):
     sol = run_seed(heat, grid128, config, gamma, 0.5)
     names = sol.save(tmp_path)
     assert set(names) == {"rho.csv", "u0.csv", "uT.csv", "decrement.csv", "report.json"}
-    rho, u0, uT, decrement, report = load_solution(grid128, tmp_path)
+    rho, u0, report = load_solution(grid128, tmp_path)
     assert np.array_equal(rho.values, sol.rho.values)
     assert np.array_equal(u0.values, sol.u0.values)
-    assert np.array_equal(uT.values, sol.uT.values)
-    assert np.array_equal(decrement.values, sol.decrement.values)
+    for name in ("uT", "decrement"):
+        stored = DensityField.from_csv(grid128, tmp_path / f"{name}.csv")
+        assert np.array_equal(stored.values, getattr(sol, name).values)
     assert report["alpha"] == sol.alpha
     assert report["residual"] == sol.residual
     assert report["method"] == sol.resolvent.method
