@@ -54,7 +54,7 @@ from .errors import (
     VerificationFailed,
 )
 from .fredholm import assemble_Q, propagator_action, singular_values, spectral_radius
-from .grid import DensityField, _write_json, make_grid, mass
+from .grid import DensityField, _write_json, _write_rows, make_grid, mass
 from .kolmogorov import SolverConfig, evolve, save_trajectory
 from .model import (
     check_ellipticity,
@@ -334,15 +334,14 @@ def cmd_spectrum(cfg, base_dir):
         opmat = assemble_Q(model, grid, config, T, cap=int(spec["cap"]))
         sv = singular_values(opmat)
         payload["singular_value_head"] = [float(s) for s in sv[:8]]
-        payload["column_mass_range"] = [
-            float(opmat.column_masses().min()),
-            float(opmat.column_masses().max()),
-        ]
+        masses = opmat.column_masses()
+        payload["column_mass_range"] = [float(masses.min()), float(masses.max())]
         names += [os.path.basename(p) for p in opmat.save(os.path.join(out_dir, "operator"))]
-        with open(os.path.join(out_dir, "singular_values.csv"), "w", newline="") as fh:
-            fh.write("index,sigma\n")
-            for i, s in enumerate(sv):
-                fh.write(f"{i},{float(s)!r}\n")
+        _write_rows(
+            os.path.join(out_dir, "singular_values.csv"),
+            ["index", "sigma"],
+            ([i, repr(float(s))] for i, s in enumerate(sv)),
+        )
         names.append("singular_values.csv")
     names.append(_save_json(out_dir, "spectrum.json", payload))
     names.append(_save_json(out_dir, "config.echo.json", cfg))

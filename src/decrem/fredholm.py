@@ -91,15 +91,17 @@ class SpectralEstimate:
     iterations: int
 
 
-def propagator_action(model, grid, config, T):
+def propagator_action(model, grid, config, T, step=None):
     """Q over [0, T] as a callable on flat vectors, for power and Krylov iterations.
 
     Every call marches through one stepper, so a time-homogeneous model is
     factored once for all of them; each call still arms the positivity
     clamp from the sign of its own input, so it returns the bits of a
-    march on a fresh stepper.
+    march on a fresh stepper.  ``step`` passes in a stepper over [0, T]
+    that a caller keeps for later marches.
     """
-    step = _Stepper(model, grid, config, 0.0, T)
+    if step is None:
+        step = _Stepper(model, grid, config, 0.0, T)
     return lambda v: _march(model, grid, config, v, 0.0, T, record=False, step=step)[1]
 
 
@@ -174,17 +176,18 @@ def singular_values(opmat):
     return np.linalg.svd(opmat.coefficient_action(), compute_uv=False)
 
 
-def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200):
+def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200, step=None):
     """Solve (I - Q) zeta = gamma by restarted GMRES on I - Q.
 
     ``iterations`` counts every application of Q, the one that checks the
     final relative L2 residual included, and never exceeds ``max_iter``:
     a GMRES cycle of restart length m applies Q m + 1 times, so m is capped
     to fit the budget.  A final residual above ``tol`` raises NoConvergence.
+    ``step`` is passed on to :func:`propagator_action`.
     """
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2: one Krylov step and its check")
-    act = propagator_action(model, grid, config, T)
+    act = propagator_action(model, grid, config, T, step=step)
     g = np.array(gamma.values, dtype=float)
     n = g.size
     applies, last = 0, None  # last: (v, Q v) of the latest application

@@ -162,17 +162,27 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _write_rows(path, header, rows):
+    """Write a CSV file as every CSV of the package is written: ``header``,
+    then ``rows``, each cell as ``str`` gives it, with csv's CRLF row ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_table(grid, path, names, columns):
     """Write a node table: the header ``x[,y]`` followed by ``names``, then one
     row per node in flat order holding its coordinates and the values of
     ``columns`` (each with ``grid.n`` rows, flattened per node), all as
-    ``repr`` floats with csv's CRLF row ends."""
+    ``repr`` floats."""
     columns = [np.asarray(c, dtype=float).reshape(grid.n, -1) for c in columns]
     data = np.column_stack([grid.nodes()] + columns)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(_COORD_NAMES[: grid.dim]) + list(names))
-        writer.writerows([repr(v) for v in row] for row in data.tolist())
+    _write_rows(
+        path,
+        list(_COORD_NAMES[: grid.dim]) + list(names),
+        ([repr(v) for v in row] for row in data.tolist()),
+    )
 
 
 def _read_table(grid, path, names):

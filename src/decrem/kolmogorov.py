@@ -27,14 +27,16 @@ one matrix-vector product instead of a back-substitution and a residual
 check.  S is kept only under a certificate that bounds the relative residual
 of every product S @ rhs, round-off included, by ``linear_solver_tol``;
 otherwise, for tabulated series and on larger grids the steps go through the
-factor as above.  Negative round-off from the solve is projected out only
+factor as above.  A march of one vector through S fills a (steps, n)
+buffer and checks its finiteness once per chunk of steps (see
+:meth:`_Stepper.march_dense`); :func:`evolve` takes the mass curve from one
+row sum over it.  Negative round-off from the solve is projected out only
 when the march input is nonnegative and the scheme is monotone, where the
 exact solution is provably nonnegative.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import os
 from dataclasses import dataclass
@@ -44,7 +46,7 @@ from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .errors import LinearSolveFailure
-from .grid import DensityField, _write_json, mass
+from .grid import DensityField, _write_json, _write_rows
 from .model import check_ellipticity, eval_a
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
@@ -54,6 +56,18 @@ SCHEMES = ("implicit-euler", "crank-nicolson")
 #: forming the inverse is repaid within about 40 steps, at n = 256 only
 #: after about 200 steps, and at n = 512 the dense step is the slower one.
 DENSE_MAX_N = 128
+
+#: Steps of a dense march between two finiteness checks of its products;
+#: a march without ``record`` buffers no more rows than this.
+_CHUNK = 32
+
+
+def _check_finite(products, k0):
+    """Raise :class:`LinearSolveFailure` naming the first step whose product
+    is not finite; ``products[j]`` is the product of step ``k0 + j``."""
+    finite = np.isfinite(products.reshape(len(products), -1)).all(axis=1)
+    if not finite.all():
+        raise LinearSolveFailure(f"solve at step {k0 + int(np.argmin(finite))} is not finite")
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,7 @@ class Trajectory:
     grid: object
     times: np.ndarray
     fields: list
+    masses: np.ndarray  # mass(fields[k]), bit for bit
     scheme: str
     positivity_certified: bool
 
@@ -166,7 +181,9 @@ def build_stencil(model, grid, t):
 
 class _Stepper:
     """The stepping core: ``step(k, p)`` advances a flat field vector, or an
-    n-by-m block of them, from ``times[k]`` to ``times[k + 1]``.
+    n-by-m block of them, from ``times[k]`` to ``times[k + 1]``, and
+    :meth:`march_dense` runs a whole march of one vector through the
+    certified dense inverse.
 
     One stepper serves any number of marches over its times and keeps its
     factor, and on small grids its certified dense inverse, between them for
@@ -233,6 +250,15 @@ class _Stepper:
         # written so that a NaN bound fails too
         return S if bound <= self.tol else None
 
+    def dense(self):
+        """Factor a time-homogeneous operator on first use; True when its
+        steps go through the certified dense inverse."""
+        if self.model.time_dependent:
+            return False
+        if self.lu is None:
+            self._factor(0)
+        return self.inverse is not None
+
     def __call__(self, k, p):
         if self.lu is None or self.model.time_dependent:
             self._factor(k)
@@ -242,13 +268,49 @@ class _Stepper:
             self._check(rhs, x, k)
         else:
             x = self.inverse @ rhs
-            if not np.isfinite(x).all():
-                raise LinearSolveFailure(f"solve at step {k} is not finite")
+            _check_finite(x[None], k)
         if self.clamp and not self.mixed:
             # The exact M-matrix step maps nonnegative to nonnegative, so
             # any negative entry is round-off of the solve.
             np.maximum(x, 0.0, out=x)
         return x
+
+    def march_dense(self, p, record):
+        """March the flat vector ``p`` over every step through the dense
+        inverse; call only when :meth:`dense` holds.
+
+        Step k writes S @ rhs into a row of a buffer and clamps it into the
+        next state, with no check of its own: the finiteness of the products,
+        taken before the clamp so that a -inf it would zero still counts, is
+        checked once per chunk of at most ``_CHUNK`` steps and raises
+        :class:`LinearSolveFailure` naming the first bad step.  With
+        ``record`` the buffer holds all K + 1 states and is returned;
+        otherwise it holds one chunk, restarted from its last state, and
+        the final state is returned.
+        """
+        K = len(self.times) - 1
+        chunk = min(K, _CHUNK)
+        implicit, clamp = self.implicit, self.clamp and not self.mixed
+        S, A, half = self.inverse, self.A, 0.5 * self.dt
+        states = np.empty((K + 1 if record else chunk + 1, p.size))
+        raw = np.empty((chunk, p.size)) if clamp else None
+        states[0] = p
+        last = 0
+        for k0 in range(0, K, chunk):
+            m = min(chunk, K - k0)
+            if record:
+                block = states[k0 : k0 + m + 1]
+            else:
+                states[0] = states[last]
+                block = states[: m + 1]
+            products = raw[:m] if clamp else block[1:]
+            for x, out, nxt in zip(block[:-1], products, block[1:]):
+                np.dot(S, x if implicit else x + half * (A @ x), out=out)
+                if clamp:
+                    np.maximum(out, 0.0, out=nxt)
+            _check_finite(products, k0)
+            last = m
+        return states if record else states[last].copy()
 
     def _check(self, rhs, x, k):
         """Relative 2-norm residual of the solve, column by column; a block
@@ -273,21 +335,30 @@ class _Stepper:
 
 def _march(model, grid, config, values, s, T, record, step=None):
     """Advance a flat field vector from s to T through the stepping core;
-    ``step`` passes a stepper, and so its factor, on from an earlier march."""
+    ``step`` passes a stepper, and so its factor, on from an earlier march.
+
+    Returns the times and, with ``record``, the (K + 1, n) array of every
+    state, else the final state."""
     if step is None:
         step = _Stepper(model, grid, config, s, T)
     step.start(bool(np.all(values >= 0.0)))
     p = np.array(values, dtype=float)
-    fields = [p] if record else None
+    if step.dense():
+        return step.times, step.march_dense(p, record)
+    rows = np.empty((config.n_steps + 1, p.size)) if record else None
+    if record:
+        rows[0] = p
     for k in range(config.n_steps):
         p = step(k, p)
         if record:
-            fields.append(p)
-    return step.times, fields if record else p
+            rows[k + 1] = p
+    return step.times, rows if record else p
 
 
-def evolve(model, grid, config, rho, s, T):
-    """Evolve the density ``rho`` from time s to T, keeping every snapshot.
+def evolve(model, grid, config, rho, s, T, step=None):
+    """Evolve the density ``rho`` from time s to T, keeping every snapshot
+    and its mass; ``step`` passes on a stepper over [s, T] as in
+    :func:`_march`.
 
     Positivity is certified when the scheme is implicit-euler and no
     factored step had an a12 term."""
@@ -295,13 +366,14 @@ def evolve(model, grid, config, rho, s, T):
         raise ValueError("field does not live on the given grid")
     if not np.all(np.isfinite(rho.values)):
         raise ValueError("initial field has non-finite values")
-    step = _Stepper(model, grid, config, s, T)
-    times, raw = _march(model, grid, config, rho.values, s, T, record=True, step=step)
-    fields = [DensityField(grid, v) for v in raw]
+    if step is None:
+        step = _Stepper(model, grid, config, s, T)
+    times, rows = _march(model, grid, config, rho.values, s, T, record=True, step=step)
     return Trajectory(
         grid=grid,
         times=times,
-        fields=fields,
+        fields=[DensityField(grid, v) for v in rows],
+        masses=rows.sum(axis=1) * grid.cell_volume,
         scheme=config.scheme,
         positivity_certified=step.implicit and not step.mixed,
     )
@@ -309,7 +381,7 @@ def evolve(model, grid, config, rho, s, T):
 
 def mass_curve(traj):
     """Masses along the trajectory as (time, mass) pairs."""
-    return [(float(t), mass(f)) for t, f in zip(traj.times, traj.fields)]
+    return [(float(t), float(m)) for t, m in zip(traj.times, traj.masses)]
 
 
 def save_trajectory(traj, directory):
@@ -330,9 +402,9 @@ def save_trajectory(traj, directory):
         "positivity_certified": traj.positivity_certified,
     }
     _write_json(os.path.join(directory, "trajectory.json"), manifest)
-    with open(os.path.join(directory, "mass_curve.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "mass"])
-        for t, m in mass_curve(traj):
-            writer.writerow([repr(t), repr(m)])
+    _write_rows(
+        os.path.join(directory, "mass_curve.csv"),
+        ["time", "mass"],
+        ([repr(t), repr(m)] for t, m in mass_curve(traj)),
+    )
     return names + ["trajectory.json", "mass_curve.csv"]

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .fredholm import ResolventReport, solve_resolvent
 from .grid import DensityField, _write_json, mass, norm_sup
-from .kolmogorov import evolve, mass_curve
+from .kolmogorov import _Stepper, evolve, mass_curve
 
 GAMMA_KINDS = ("eigenmode", "bump", "tiles", "csv")
 
@@ -138,11 +138,11 @@ def _unit_sup(field):
     return field.with_values(field.values / norm_sup(field))
 
 
-def _decrement(model, grid, config, rho, alpha, gamma, T):
-    """Evolve rho over [0, T] once: the sup residual of p(., 0) - p(., T) =
-    alpha * gamma for a unit-sup ``gamma``, the decrement p(., 0) - p(., T)
-    and the mass curve."""
-    traj = evolve(model, grid, config, rho, 0.0, T)
+def _decrement(model, grid, config, rho, alpha, gamma, T, step=None):
+    """Evolve rho over [0, T] once, through ``step`` if given: the sup
+    residual of p(., 0) - p(., T) = alpha * gamma for a unit-sup ``gamma``,
+    the decrement p(., 0) - p(., T) and the mass curve."""
+    traj = evolve(model, grid, config, rho, 0.0, T, step=step)
     decrement = traj.fields[0].values - traj.fields[-1].values
     residual = float(np.abs(decrement - alpha * gamma.values).max())
     return residual, DensityField(grid, decrement), mass_curve(traj)
@@ -175,9 +175,13 @@ def run_seed(
     gamma = TargetProfile(gamma.kind, _unit_sup(gamma.field))
     if resolvent_tol is None:
         resolvent_tol = min(1e-9, tol * 1e-3)
+    # the construction march below goes through the same operator, so it
+    # reuses the factor the resolvent's applications made; the stepper dies
+    # with this call, before any refined check allocates its own
+    step = _Stepper(model, grid, config, 0.0, T)
     report = solve_resolvent(
         model, grid, config, gamma.field, T,
-        tol=resolvent_tol, max_iter=resolvent_max_iter,
+        tol=resolvent_tol, max_iter=resolvent_max_iter, step=step,
     )
     u0 = report.zeta.values.copy()
     if eps_neg is None:
@@ -195,7 +199,9 @@ def run_seed(
         raise NegativityViolation("u(., 0) carries no mass after clamping")
     alpha = 1.0 / total
     rho = DensityField(grid, alpha * u0)
-    residual, decrement, curve = _decrement(model, grid, config, rho, alpha, gamma.field, T)
+    residual, decrement, curve = _decrement(
+        model, grid, config, rho, alpha, gamma.field, T, step
+    )
     if residual > tol:
         raise ResidualTooLarge(
             f"decrement residual {residual:.3e} exceeds tol {tol:g}",

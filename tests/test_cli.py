@@ -77,6 +77,25 @@ def test_cmd_seed_happy_path(tmp_path, capsys):
     assert "alpha" in captured.out
 
 
+def test_cmd_seed_factors_each_operator_once(tmp_path, monkeypatch):
+    # the construction march reuses the factor of the resolvent's
+    # applications; only the refined check factors its own operator
+    from decrem import kolmogorov
+
+    calls = []
+    splu = kolmogorov.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(kolmogorov, "splu", counted)
+    path = tmp_path / "run.json"
+    write_config(path)
+    assert main(["seed", str(path)]) == 0
+    assert len(calls) == 2
+
+
 def test_cmd_seed_alpha_matches_closed_form(tmp_path):
     path = tmp_path / "run.json"
     write_config(

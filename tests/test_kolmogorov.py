@@ -15,11 +15,19 @@ from decrem import (
     eval_a,
     evolve,
     make_grid,
+    mass,
     mass_curve,
     ou_model,
     tabulated_model,
 )
-from decrem.kolmogorov import DENSE_MAX_N, SCHEMES, _march, _Stepper, build_stencil
+from decrem.kolmogorov import (
+    _CHUNK,
+    DENSE_MAX_N,
+    SCHEMES,
+    _march,
+    _Stepper,
+    build_stencil,
+)
 from conftest import sampled_sine
 
 DECAY_1 = np.exp(-np.pi**2 / 2)  # e^{-pi^2/2} ~ 0.0071918834
@@ -493,12 +501,85 @@ def test_uncertified_inverse_falls_back(heat):
     assert step.lu is not None and step.inverse is None
 
 
+def _dense_reference(step, values):
+    """Every state of the per-step dense march on a started, factored
+    stepper: S @ rhs, then the positivity clamp."""
+    p = np.array(values, dtype=float)
+    rows = [p]
+    for _ in range(len(step.times) - 1):
+        rhs = p if step.implicit else p + 0.5 * step.dt * (step.A @ p)
+        p = step.inverse @ rhs
+        if step.clamp and not step.mixed:
+            np.maximum(p, 0.0, out=p)
+        rows.append(p)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("sign", ["nonnegative", "mixed-sign"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("case", sorted(_dense_cases()))
+def test_buffered_march_matches_per_step_dense(case, scheme, sign, record):
+    # more steps than one chunk, and not a multiple of it
+    model, grid = _dense_cases()[case]
+    config = SolverConfig(n_steps=2 * _CHUNK + 5, scheme=scheme)
+    values = np.random.default_rng(11).random(grid.n)
+    if sign == "mixed-sign":
+        values -= 0.4
+    step = _Stepper(model, grid, config, 0.0, 0.3)
+    out = _march(model, grid, config, values, 0.0, 0.3, record=record, step=step)[1]
+    assert step.inverse is not None
+    ref = _dense_reference(step, values)
+    assert np.array_equal(out, ref if record else ref[-1])
+    # the inverse of an M-matrix is nonnegative, so the clamp rarely bites;
+    # a shifted S makes it bite wherever it is armed
+    step.inverse = step.inverse - 0.05 * step.inverse.max()
+    out = _march(model, grid, config, values, 0.0, 0.3, record=record, step=step)[1]
+    ref = _dense_reference(step, values)
+    assert np.array_equal(out, ref if record else ref[-1])
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse"])
+def test_mass_curve_is_per_field_mass(case, heat):
+    n = 40 if case == "dense" else DENSE_MAX_N + 3
+    grid = make_grid(1, [0.0], [1.0], [n])
+    rho = DensityField(grid, np.random.default_rng(5).random(n))
+    traj = evolve(heat, grid, SolverConfig(n_steps=_CHUNK + 3), rho, 0.0, 0.2)
+    expected = [(float(t), mass(f)) for t, f in zip(traj.times, traj.fields)]
+    assert [(t, m.hex()) for t, m in mass_curve(traj)] == [
+        (t, m.hex()) for t, m in expected
+    ]
+
+
+def _poisoned(step, k, sign):
+    """A dense inverse whose product at step k is sign * inf and finite
+    before, on the all-ones input: S = 2 I except that row 0 reads
+    sign * a * x[1] with a * 2**(k-1) < max < a * 2**k."""
+    n = step.grid.n
+    S = 2.0 * np.eye(n)
+    S[0, 0] = 0.0
+    S[0, 1] = sign * (np.finfo(float).max / 2.0**k) * 1.5
+    return S
+
+
 def test_dense_step_rejects_non_finite(heat):
     grid = make_grid(1, [0.0], [1.0], [16])
-    step = _Stepper(heat, grid, SolverConfig(n_steps=4), 0.0, 0.5)
-    values = np.ones(grid.n)
-    step(0, values)
-    assert step.inverse is not None
-    values[3] = np.nan
-    with pytest.raises(LinearSolveFailure, match="step 1"):
-        step(1, values)
+    config = SolverConfig(n_steps=2 * _CHUNK + 4)
+    ones = np.ones(grid.n)
+    # the first bad step lies in the second chunk, and a bad first entry
+    # of the input fails step 0; -inf is what the clamp of the
+    # nonnegative march would have turned into 0
+    k = _CHUNK + 7
+    for sign, record in itertools.product((-1.0, 1.0), (True, False)):
+        step = _Stepper(heat, grid, config, 0.0, 0.5)
+        assert step.dense()
+        step.inverse = _poisoned(step, k, sign)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            LinearSolveFailure, match=f"solve at step {k} is not"
+        ):
+            _march(heat, grid, config, ones, 0.0, 0.5, record=record, step=step)
+        assert step.clamp  # the march ran with the clamp armed
+    bad = ones.copy()
+    bad[3] = np.nan
+    with pytest.raises(LinearSolveFailure, match="solve at step 0 is not"):
+        _march(heat, grid, config, bad, 0.0, 0.5, record=False)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from decrem import seedpipe
 from decrem import (
     DensityField,
     GammaNegative,
     GammaZero,
     SolverConfig,
+    constant_model,
     load_solution,
     make_grid,
     mass,
@@ -171,3 +173,26 @@ def test_solution_save_load_round_trip(tmp_path, heat, grid128):
     assert report["residual"] == sol.residual
     assert report["method"] == sol.resolvent.method
     assert len(report["mass_curve"]) == config.n_steps + 1
+
+
+@pytest.mark.parametrize("n_cells", [[10, 10], [160]])
+def test_construction_march_reuses_resolvent_stepper(tmp_path, monkeypatch, n_cells):
+    # the construction march goes through the resolvent's stepper; every
+    # saved byte equals that of a march on a fresh stepper, on the dense
+    # path (100 nodes) and on the sparse one (160)
+    dim = len(n_cells)
+    grid = make_grid(dim, [0.0] * dim, [1.0] * dim, n_cells)
+    model = constant_model([0.2, -0.1][:dim], np.diag([1.0, 0.7][:dim]))
+    gamma = realize_gamma(grid, {"kind": "bump", "lo": [0.2] * dim, "hi": [0.65] * dim})
+    config = SolverConfig(n_steps=48)
+    shared = run_seed(model, grid, config, gamma, 0.3)
+    names = shared.save(tmp_path / "shared")
+    decrement = seedpipe._decrement
+    monkeypatch.setattr(seedpipe, "_decrement", lambda *args: decrement(*args[:7]))
+    fresh = run_seed(model, grid, config, gamma, 0.3)
+    fresh.save(tmp_path / "fresh")
+    assert shared.alpha == fresh.alpha
+    for name in names:
+        assert (tmp_path / "shared" / name).read_bytes() == (
+            tmp_path / "fresh" / name
+        ).read_bytes()
