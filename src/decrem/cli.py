@@ -64,7 +64,14 @@ from .model import (
     ou_model,
 )
 from .montecarlo import default_dt, estimate_density, sample_initial, simulate
-from .seedpipe import load_solution, realize_gamma, run_seed, verify_seed
+from .seedpipe import (
+    _decrement,
+    _unit_sup,
+    load_solution,
+    realize_gamma,
+    run_seed,
+    verify_seed,
+)
 
 EXIT_CODES = (
     (ConfigError, 2),
@@ -163,10 +170,24 @@ def load_config(path, overrides=()):
     return merged
 
 
+def _count(value, name):
+    """The config setting ``value`` as an int >= 1; a whole float such as
+    1e5 is accepted.  Every integer setting goes through here."""
+    if (
+        isinstance(value, bool)
+        or not (isinstance(value, int) or isinstance(value, float) and value.is_integer())
+        or value < 1
+    ):
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _build_grid(cfg):
     d = cfg["domain"]
     try:
-        return make_grid(d["dim"], d["lo"], d["hi"], d["n_cells"])
+        cells = d["n_cells"] if isinstance(d["n_cells"], list) else [d["n_cells"]]
+        cells = [_count(c, "domain.n_cells") for c in cells]
+        return make_grid(d["dim"], d["lo"], d["hi"], cells)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad domain block: {exc}") from exc
 
@@ -195,7 +216,7 @@ def _build_solver(cfg):
     tol = cfg["tolerances"]
     try:
         config = SolverConfig(
-            n_steps=int(t["n_steps"]),
+            n_steps=_count(t["n_steps"], "time.n_steps"),
             scheme=t.get("scheme", "implicit-euler"),
             linear_solver_tol=float(tol["linear_solver_tol"]),
         )
@@ -235,8 +256,12 @@ def _write_manifest(out_dir, names):
 
 def _tolerances(cfg):
     """The tolerance block with ``residual_tol``, ``verify_tol`` and a set
-    ``resolvent_tol`` finite and > 0, and a set ``eps_neg`` finite and >= 0."""
+    ``resolvent_tol`` finite and > 0, a set ``eps_neg`` finite and >= 0 and
+    ``resolvent_max_iter`` an integer >= 1."""
     tol = dict(cfg["tolerances"])
+    tol["resolvent_max_iter"] = _count(
+        tol["resolvent_max_iter"], "tolerances.resolvent_max_iter"
+    )
     for key in ("residual_tol", "verify_tol", "resolvent_tol", "eps_neg"):
         value = tol[key]
         if value is None and key in ("resolvent_tol", "eps_neg"):
@@ -267,7 +292,7 @@ def cmd_seed(cfg, base_dir):
         T,
         tol=tol["residual_tol"],
         resolvent_tol=tol["resolvent_tol"],
-        resolvent_max_iter=int(tol["resolvent_max_iter"]),
+        resolvent_max_iter=tol["resolvent_max_iter"],
         eps_neg=tol["eps_neg"],
     )
     verification = verify_seed(
@@ -305,9 +330,8 @@ def cmd_evolve(cfg, base_dir, rho_path):
     names = [os.path.join("trajectory", n) for n in save_trajectory(traj, traj_dir)]
     names.append(_save_json(out_dir, "config.echo.json", cfg))
     _write_manifest(out_dir, names)
-    final = traj.fields[-1]
     print(f"evolved to T={T:g} in {config.n_steps} steps ({config.scheme})")
-    print(f"final mass {mass(final):.12g}")
+    print(f"final mass {traj.masses[-1]:.12g}")
     if not traj.positivity_certified:
         print("warning: positivity not certified for this scheme/model")
     return 0
@@ -318,10 +342,10 @@ def cmd_spectrum(cfg, base_dir):
     model = _build_model(cfg, grid, base_dir)
     config, T = _build_solver(cfg)
     spec = cfg["spectrum"]
+    max_iter = _count(spec["max_iter"], "spectrum.max_iter")
+    cap = _count(spec["cap"], "spectrum.cap")
     act = propagator_action(model, grid, config, T)
-    est = spectral_radius(
-        act, n=grid.n, tol=float(spec["tol"]), max_iter=int(spec["max_iter"])
-    )
+    est = spectral_radius(act, n=grid.n, tol=float(spec["tol"]), max_iter=max_iter)
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     payload = {
@@ -331,7 +355,7 @@ def cmd_spectrum(cfg, base_dir):
     }
     names = []
     if spec["assemble"]:
-        opmat = assemble_Q(model, grid, config, T, cap=int(spec["cap"]))
+        opmat = assemble_Q(model, grid, config, T, cap=cap)
         sv = singular_values(opmat)
         payload["singular_value_head"] = [float(s) for s in sv[:8]]
         masses = opmat.column_masses()
@@ -350,7 +374,7 @@ def cmd_spectrum(cfg, base_dir):
           f"(converged: {est.converged}, {est.iterations} iterations)")
     if not est.converged:
         raise NoConvergence(
-            f"power iteration did not stabilize in {spec['max_iter']} iterations"
+            f"power iteration did not stabilize in {max_iter} iterations"
         )
     return 0
 
@@ -364,26 +388,13 @@ def _coarsen(values, grid, bins):
     return w.reshape(-1)
 
 
-def _mc_count(mc, key):
-    """``mc[key]`` as an int >= 1; a whole float such as 1e5 is accepted."""
-    value = mc[key]
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not float(value).is_integer()
-        or value < 1
-    ):
-        raise ConfigError(f"mc.{key} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def cmd_mc(cfg, base_dir, rho_path):
     grid = _build_grid(cfg)
     model = _build_model(cfg, grid, base_dir)
     config, T = _build_solver(cfg)
     mc = cfg["mc"]
-    n = _mc_count(mc, "n_particles")
-    bins = min(_mc_count(mc, "bins"), min(grid.n_cells))
+    n = _count(mc["n_particles"], "mc.n_particles")
+    bins = min(_count(mc["bins"], "mc.bins"), min(grid.n_cells))
     if model.delta is None:
         check_ellipticity(model, grid, times=(0.0, T))
     seed = mc["seed"]
@@ -397,8 +408,7 @@ def cmd_mc(cfg, base_dir, rho_path):
     ensemble = simulate(model, grid, ensemble, T, dt=dt)
     estimate = estimate_density(ensemble, grid)
     traj = evolve(model, grid, config, rho, 0.0, T)
-    pde_final = traj.fields[-1]
-    q = _coarsen(pde_final.values, grid, bins)
+    q = _coarsen(traj.states[-1], grid, bins)
     counts = _coarsen(estimate.histogram.values, grid, bins) * n
     qc = np.clip(q, 1e-12, 1.0)
     z = (counts / n - q) / np.sqrt(qc * (1.0 - qc) / n)
@@ -408,7 +418,7 @@ def cmd_mc(cfg, base_dir, rho_path):
     comparison = {
         "bins": bins,
         "survival_mc": estimate.survival,
-        "survival_pde": mass(pde_final),
+        "survival_pde": float(traj.masses[-1]),
         "frac_abs_z_le_4": float(np.mean(np.abs(z) <= 4.0)),
         "max_abs_z": float(np.abs(z).max()),
         "dt": dt,
@@ -441,6 +451,14 @@ def cmd_verify(cfg, base_dir, solution_dir):
         )
     if not (np.all(rho.values >= 0.0) and abs(mass(rho) - 1.0) <= 1e-9):
         raise VerificationFailed("stored rho is not a probability density")
+    # the contract on the construction's own time grid, to residual_tol: the
+    # refined check below cannot see a residual under its O(dt) floor
+    residual = _decrement(model, grid, config, rho, alpha, _unit_sup(gamma.field), T)[0]
+    if not residual <= tol["residual_tol"]:
+        raise VerificationFailed(
+            f"stored rho and alpha miss the decrement on the {config.n_steps}-step "
+            f"grid by {residual:.3e} > residual_tol {tol['residual_tol']:g}"
+        )
     verification = verify_seed(
         model, grid, config, rho, alpha, gamma.field, T, tol=tol["verify_tol"]
     )

@@ -11,9 +11,10 @@ flat C order (last axis fastest): node (i, j) of a 2-d grid is flat index
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -74,6 +75,12 @@ class DomainGrid:
             return axes[0][:, None]
         xg, yg = np.meshgrid(axes[0], axes[1], indexing="ij")
         return np.column_stack([xg.ravel(), yg.ravel()])
+
+    @cached_property
+    def _row_prefixes(self):
+        """Per node, the start of its node-table row: each coordinate as
+        ``repr`` gives it, followed by a comma."""
+        return ["".join(repr(c) + "," for c in row) for row in self.nodes().tolist()]
 
     def cell_index(self, points):
         """Flat index of the cell holding each row of the (M, dim) array
@@ -154,17 +161,63 @@ class DensityField:
         return cls(grid, _read_table(grid, path, ["value"])[:, 0])
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value, pad):
+    """``value``, nested at indent ``pad``, in the bytes of ``json.dumps(value,
+    indent=2, sort_keys=True)`` for the types the package writes: dicts with
+    str keys, lists, tuples, str, int, float, bool and None.
+
+    json's own encoder falls back to pure Python under ``indent``; this one
+    does the same work with fewer calls, and a list of float pairs, such as
+    a mass curve, goes out without a call per pair."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        r = float.__repr__(value)
+        return _FLOAT_WORDS.get(r, r)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _json(v, inner)
+            for k, v in sorted(value.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    if not value:
+        return "[]"
+    if all(
+        type(p) in (list, tuple) and len(p) == 2 and type(p[0]) is type(p[1]) is float
+        for p in value
+    ):
+        pair = "[\n" + inner + "  %r,\n" + inner + "  %r\n" + inner + "]"
+        text = (",\n" + inner).join([pair % (a, b) for a, b in value])
+        if "n" not in text:  # else a nan or inf, which JSON spells NaN, Infinity
+            return "[\n" + inner + text + "\n" + pad + "]"
+    items = [_json(v, inner) for v in value]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
 def _write_json(path, payload):
     """Write ``payload`` as every JSON file of the package is written: two-space
     indent, sorted keys and a final newline, so reruns are byte-identical."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json(payload, "") + "\n")
 
 
 def _write_rows(path, header, rows):
-    """Write a CSV file as every CSV of the package is written: ``header``,
-    then ``rows``, each cell as ``str`` gives it, with csv's CRLF row ends."""
+    """Write a CSV file that is not a node table: ``header``, then ``rows``,
+    each cell as ``str`` gives it, with csv's CRLF row ends."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -175,14 +228,18 @@ def _write_table(grid, path, names, columns):
     """Write a node table: the header ``x[,y]`` followed by ``names``, then one
     row per node in flat order holding its coordinates and the values of
     ``columns`` (each with ``grid.n`` rows, flattened per node), all as
-    ``repr`` floats."""
-    columns = [np.asarray(c, dtype=float).reshape(grid.n, -1) for c in columns]
-    data = np.column_stack([grid.nodes()] + columns)
-    _write_rows(
-        path,
-        list(_COORD_NAMES[: grid.dim]) + list(names),
-        ([repr(v) for v in row] for row in data.tolist()),
+    ``repr`` floats, in the bytes :func:`_write_rows` would write: no cell
+    needs csv quoting, so each row is its cells joined by commas."""
+    values = np.column_stack(
+        [np.asarray(c, dtype=float).reshape(grid.n, -1) for c in columns]
     )
+    header = ",".join(_COORD_NAMES[: grid.dim] + tuple(names))
+    body = "".join(
+        start + ",".join(map(repr, row)) + "\r\n"
+        for start, row in zip(grid._row_prefixes, values.tolist())
+    )
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n" + body)
 
 
 def _read_table(grid, path, names):

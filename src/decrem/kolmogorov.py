@@ -29,10 +29,16 @@ of every product S @ rhs, round-off included, by ``linear_solver_tol``;
 otherwise, for tabulated series and on larger grids the steps go through the
 factor as above.  A march of one vector through S fills a (steps, n)
 buffer and checks its finiteness once per chunk of steps (see
-:meth:`_Stepper.march_dense`); :func:`evolve` takes the mass curve from one
-row sum over it.  Negative round-off from the solve is projected out only
-when the march input is nonnegative and the scheme is monotone, where the
-exact solution is provably nonnegative.
+:meth:`_Stepper.march_dense`); :func:`evolve` keeps that buffer, read-only,
+as the trajectory's states and takes the mass curve from one row sum over
+it.  Negative round-off from the solve is projected out only when the march
+input is nonnegative and the scheme is monotone, where the exact solution
+is provably nonnegative.
+
+A time-homogeneous model keeps the generator A_h of its latest grid
+(``model.generator``), so the steppers of one command on that grid share
+one assembly whatever their step counts; only A_h is kept, never a factor
+or a dense inverse, which would hold their memory across marches.
 """
 
 from __future__ import annotations
@@ -89,14 +95,22 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Solution snapshots p(., t_k) for t_0 = s < ... < t_K = T."""
+    """Solution snapshots p(., t_k) for t_0 = s < ... < t_K = T.
+
+    ``states`` is the read-only (K + 1, n) array the march filled, row k
+    holding p(., t_k) in flat order; :attr:`fields` wraps each row in a
+    :class:`DensityField` only when it is read."""
 
     grid: object
     times: np.ndarray
-    fields: list
+    states: np.ndarray
     masses: np.ndarray  # mass(fields[k]), bit for bit
     scheme: str
     positivity_certified: bool
+
+    @property
+    def fields(self):
+        return [DensityField(self.grid, v) for v in self.states]
 
 
 def _span(n, d):
@@ -214,9 +228,20 @@ class _Stepper:
         if self.model.time_dependent:
             self.mixed = False  # every step of the march is factored anew
 
+    def _generator(self, t):
+        """A_h at time t and whether it has an a12 term; a time-homogeneous
+        model keeps them for its latest grid, like its ``delta``."""
+        model = self.model
+        if model.time_dependent:
+            return build_stencil(model, self.grid, t)
+        kept = model.generator
+        if kept is None or kept[0] != self.grid:
+            kept = model.generator = (self.grid, *build_stencil(model, self.grid, t))
+        return kept[1:]
+
     def _factor(self, k):
         t = self.times[k + 1] if self.implicit else self.times[k] + 0.5 * self.dt
-        self.A, mixed = build_stencil(self.model, self.grid, t)
+        self.A, mixed = self._generator(t)
         self.mixed |= mixed
         dt_eff = self.dt if self.implicit else 0.5 * self.dt
         self.M = identity(self.grid.n, format="csr") - dt_eff * self.A
@@ -368,12 +393,13 @@ def evolve(model, grid, config, rho, s, T, step=None):
         raise ValueError("initial field has non-finite values")
     if step is None:
         step = _Stepper(model, grid, config, s, T)
-    times, rows = _march(model, grid, config, rho.values, s, T, record=True, step=step)
+    times, states = _march(model, grid, config, rho.values, s, T, record=True, step=step)
+    states.setflags(write=False)
     return Trajectory(
         grid=grid,
         times=times,
-        fields=[DensityField(grid, v) for v in rows],
-        masses=rows.sum(axis=1) * grid.cell_volume,
+        states=states,
+        masses=states.sum(axis=1) * grid.cell_volume,
         scheme=config.scheme,
         positivity_certified=step.implicit and not step.mixed,
     )

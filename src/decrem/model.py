@@ -25,7 +25,10 @@ class DiffusionModel:
     ``drift_fn(points, t)`` maps an (N, dim) array to (N, dim);
     ``beta_fn(points, t)`` maps it to (N, dim, dim).  ``delta`` is the
     certified lower bound on the eigenvalues of beta beta^T; it is None
-    until :func:`check_ellipticity` has run.
+    until :func:`check_ellipticity` has run.  ``generator`` is None or, for
+    a time-homogeneous model, the ``(grid, A_h, mixed)`` that the stepping
+    core of :mod:`decrem.kolmogorov` last assembled, kept so that the
+    steppers of one command share it.
     """
 
     def __init__(self, dim, drift_fn, beta_fn, family, time_dependent=False):
@@ -37,6 +40,7 @@ class DiffusionModel:
         self.family = family
         self.time_dependent = bool(time_dependent)
         self.delta = None
+        self.generator = None
 
     def drift_at(self, points, t):
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -23,6 +23,7 @@ from .errors import (
     GammaZero,
     NegativityViolation,
     ResidualTooLarge,
+    VerificationFailed,
 )
 from .fredholm import ResolventReport, solve_resolvent
 from .grid import DensityField, _write_json, mass, norm_sup
@@ -143,7 +144,7 @@ def _decrement(model, grid, config, rho, alpha, gamma, T, step=None):
     residual of p(., 0) - p(., T) = alpha * gamma for a unit-sup ``gamma``,
     the decrement p(., 0) - p(., T) and the mass curve."""
     traj = evolve(model, grid, config, rho, 0.0, T, step=step)
-    decrement = traj.fields[0].values - traj.fields[-1].values
+    decrement = traj.states[0] - traj.states[-1]
     residual = float(np.abs(decrement - alpha * gamma.values).max())
     return residual, DensityField(grid, decrement), mass_curve(traj)
 
@@ -271,9 +272,24 @@ def load_solution(grid, directory):
     """Reload what verification of a saved solution directory reads: rho,
     u0 and the report, as written.  The profile to check against comes from
     the run config, not from the stored decrement.
+
+    A file that is missing or does not parse raises
+    :class:`VerificationFailed` naming it; a field table that does not
+    match ``grid`` raises ShapeMismatch.
     """
-    rho = DensityField.from_csv(grid, os.path.join(directory, "rho.csv"))
-    u0 = DensityField.from_csv(grid, os.path.join(directory, "u0.csv"))
-    with open(os.path.join(directory, "report.json")) as fh:
-        report = json.load(fh)
-    return rho, u0, report
+
+    def read(name, parse):
+        path = os.path.join(directory, name)
+        try:
+            return parse(path)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, number or encoding
+            raise VerificationFailed(f"cannot read {path}: {exc}") from exc
+
+    def field(path):
+        return DensityField.from_csv(grid, path)
+
+    def report(path):
+        with open(path) as fh:
+            return json.load(fh)
+
+    return read("rho.csv", field), read("u0.csv", field), read("report.json", report)

@@ -96,6 +96,25 @@ def test_cmd_seed_factors_each_operator_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_cmd_seed_builds_the_generator_once(tmp_path, monkeypatch):
+    # the resolvent, the construction march and the refined check share
+    # the constant model's A_h
+    from decrem import kolmogorov
+
+    calls = []
+    build = kolmogorov.build_stencil
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(kolmogorov, "build_stencil", counted)
+    path = tmp_path / "run.json"
+    write_config(path)
+    assert main(["seed", str(path)]) == 0
+    assert len(calls) == 1
+
+
 def test_cmd_seed_alpha_matches_closed_form(tmp_path):
     path = tmp_path / "run.json"
     write_config(
@@ -361,6 +380,36 @@ def test_cmd_mc_rejects_empty_runs(tmp_path, capsys, override, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["16.7", "1e400", "0", "true", '"8"'])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("seed", "time.n_steps"),
+        ("seed", "domain.n_cells"),
+        ("seed", "tolerances.resolvent_max_iter"),
+        ("spectrum", "spectrum.max_iter"),
+        ("spectrum", "spectrum.cap"),
+    ],
+)
+def test_integer_settings_reject_non_integers(tmp_path, capsys, command, key, value):
+    path = tmp_path / "run.json"
+    write_config(path)
+    override = f"{key}=[{value}]" if key == "domain.n_cells" else f"{key}={value}"
+    assert main([command, str(path), "--set", override]) == 2
+    assert f"ConfigError: {key} must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_settings_accept_whole_floats(tmp_path):
+    path = tmp_path / "run.json"
+    write_config(path, domain={"n_cells": 16}, time={"n_steps": 64.0})
+    assert main(["seed", str(path), "--set", "tolerances.resolvent_max_iter=50.0"]) == 0
+    echo = json.loads((tmp_path / "out" / "config.echo.json").read_text())
+    assert echo["time"]["n_steps"] == 64.0
+    report = json.loads((tmp_path / "out" / "solution" / "report.json").read_text())
+    assert len(report["mass_curve"]) == 65
+
+
 def _verify(path, solution, out_dir):
     args = ["verify", str(path), "--solution", str(solution)]
     return main(args + ["--set", f"output_dir={out_dir}"])
@@ -394,6 +443,49 @@ def test_cmd_verify_detects_tampered_alpha(tmp_path):
         assert _verify(path, solution, tmp_path / f"v-{name}") == 13, name
         stored.write_text(kept)
     assert _verify(path, solution, tmp_path / "v3") == 0
+
+
+def test_cmd_verify_checks_the_construction_grid(tmp_path, capsys):
+    # 3e-4 of the peak cell moved to its neighbour keeps the mass and
+    # leaves u0.csv and report.json alone; the refined check's O(dt) floor
+    # hides it, the construction's K-step grid does not
+    path = tmp_path / "run.json"
+    write_config(path, **BUMP_2D)
+    assert main(["seed", str(path)]) == 0
+    solution = tmp_path / "out" / "solution"
+    assert _verify(path, solution, tmp_path / "v") == 0
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 10])
+    rho = DensityField.from_csv(grid, solution / "rho.csv").values.copy()
+    peak = int(np.argmax(rho))
+    moved = 3e-4 * rho[peak]
+    rho[peak] -= moved
+    rho[peak + 1 if peak % 10 < 9 else peak - 1] += moved
+    DensityField(grid, rho).to_csv(solution / "rho.csv")
+    capsys.readouterr()
+    assert _verify(path, solution, tmp_path / "v2") == 13
+    assert "on the 128-step grid" in capsys.readouterr().err
+    assert not (tmp_path / "v2").exists()
+
+
+@pytest.mark.parametrize("name", ["rho.csv", "u0.csv", "report.json"])
+@pytest.mark.parametrize("damage", ["missing", "garbled"])
+def test_cmd_verify_names_an_unreadable_file(tmp_path, capsys, name, damage):
+    path = tmp_path / "run.json"
+    write_config(path, domain={"n_cells": [16]})
+    assert main(["seed", str(path)]) == 0
+    stored = tmp_path / "out" / "solution" / name
+    if damage == "missing":
+        stored.unlink()
+    elif name == "report.json":
+        stored.write_text('{"alpha": 1.5,')
+    else:
+        lines = stored.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace(",", ",x", 1)
+        stored.write_text("".join(lines))
+    capsys.readouterr()
+    assert _verify(path, stored.parent, tmp_path / "v") == 13
+    err = capsys.readouterr().err
+    assert "VerificationFailed" in err and str(stored) in err
 
 
 def test_cmd_verify_reads_only_rho_and_u0(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
+import csv
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,7 +17,7 @@ from decrem import (
     mass,
     norm_sup,
 )
-from decrem.grid import _write_json
+from decrem.grid import _write_json, _write_table
 from conftest import sampled_sine, write_coefficient_csv
 
 
@@ -249,6 +251,65 @@ def test_json_golden_bytes(tmp_path):
         b'{\n  "a": {\n    "x": 0.1,\n    "y": "s"\n  },\n  "b": [\n    1,\n'
         b'    2.5,\n    {\n      "a": true,\n      "z": null\n    }\n  ]\n}\n'
     )
+
+
+def _reference_table(grid, path, names, columns):
+    """A node table as csv.writer writes it, every cell a repr float."""
+    columns = [np.asarray(c, dtype=float).reshape(grid.n, -1) for c in columns]
+    data = np.column_stack([grid.nodes()] + columns)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"][: grid.dim] + names)
+        writer.writerows([repr(v) for v in row] for row in data.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cells=st.sampled_from([(4,), (9,), (4, 5), (6, 4)]),
+    lo=st.floats(-1e3, 1e3),
+    width=st.floats(1e-3, 1e3),
+    n_columns=st.integers(1, 3),
+    data=st.data(),
+)
+def test_node_table_bytes_match_csv_writer(n_cells, lo, width, n_columns, data):
+    dim = len(n_cells)
+    grid = make_grid(dim, [lo] * dim, [lo + width] * dim, list(n_cells))
+    doubles = st.one_of(st.floats(), st.sampled_from(EXTREMES))
+    columns = [
+        data.draw(arrays(np.float64, grid.n, elements=doubles)) for _ in range(n_columns)
+    ]
+    names = [f"c{k}" for k in range(n_columns)]
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_table(grid, Path(tmp) / "t.csv", names, columns)
+        _reference_table(grid, Path(tmp) / "r.csv", names, columns)
+        assert (Path(tmp) / "t.csv").read_bytes() == (Path(tmp) / "r.csv").read_bytes()
+
+
+def _json_values():
+    floats = st.one_of(
+        st.floats(), st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), -float("inf")])
+    )
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), floats, floats.map(np.float64), st.text()
+    )
+    pairs = st.lists(st.lists(floats, min_size=2, max_size=2) | st.tuples(floats, floats))
+    return st.recursive(
+        scalars | pairs,
+        lambda inner: st.lists(inner) | st.tuples(inner) | st.dictionaries(st.text(), inner),
+        max_leaves=40,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=_json_values())
+@example(payload={"mass_curve": [[0.0, 1.0], [0.5, float("nan")]], "e": [], "d": {}})
+@example(payload=[[np.float64(0.1), 2.0], [-0.0, 5e-324]])
+@example(payload={"\u00e9\u2603\U0001f600": ["\x00\"\\", True, False, None, 1, -float("inf")]})
+def test_write_json_bytes_match_json_dumps(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_json(Path(tmp) / "p.json", payload)
+        got = (Path(tmp) / "p.json").read_bytes()
+    assert got == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_cell_index():

@@ -583,3 +583,58 @@ def test_dense_step_rejects_non_finite(heat):
     bad[3] = np.nan
     with pytest.raises(LinearSolveFailure, match="solve at step 0 is not"):
         _march(heat, grid, config, bad, 0.0, 0.5, record=False)
+
+
+def _count_builds(monkeypatch):
+    from decrem import kolmogorov
+
+    calls = []
+
+    def counted(model, grid, t):
+        calls.append(t)
+        return build_stencil(model, grid, t)
+
+    monkeypatch.setattr(kolmogorov, "build_stencil", counted)
+    return calls
+
+
+def test_homogeneous_generator_is_built_once_per_grid(monkeypatch, heat):
+    # steppers of any step count on one grid share the model's A_h; another
+    # grid builds its own, and the march bits stay those of a fresh build
+    grid = make_grid(1, [0.0], [1.0], [24])
+    rho = sampled_sine(grid)
+    fresh = [
+        evolve(constant_model([0.0], [[1.0]]), grid, SolverConfig(n_steps=k), rho, 0.0, 0.3)
+        for k in (8, 16, 8)
+    ]
+    calls = _count_builds(monkeypatch)
+    for ref in fresh:
+        config = SolverConfig(n_steps=len(ref.times) - 1)
+        traj = evolve(heat, grid, config, rho, 0.0, 0.3)
+        assert traj.states.tobytes() == ref.states.tobytes()
+    assert len(calls) == 1
+    other = make_grid(1, [0.0], [1.0], [20])
+    evolve(heat, other, SolverConfig(n_steps=4), sampled_sine(other), 0.0, 0.3)
+    assert len(calls) == 2
+    assert heat.generator[0] == other
+
+
+def test_tabulated_series_builds_the_generator_every_step(monkeypatch):
+    rng = np.random.default_rng(44)
+    grid = make_grid(1, [0.0], [1.0], [12])
+    series = [(rng.normal(size=(grid.n, 1)), np.ones((grid.n, 1, 1))) for _ in range(2)]
+    table = tabulated_model(grid, None, None, times=[0.0, 0.3], series=series)
+    calls = _count_builds(monkeypatch)
+    rho = DensityField(grid, rng.random(grid.n))
+    for n_steps in (6, 10):
+        evolve(table, grid, SolverConfig(n_steps=n_steps), rho, 0.0, 0.3)
+    assert len(calls) == 16
+    assert table.generator is None
+
+
+def test_trajectory_fields_are_its_states(heat):
+    grid = make_grid(1, [0.0], [1.0], [16])
+    traj = evolve(heat, grid, SolverConfig(n_steps=5), sampled_sine(grid), 0.0, 0.2)
+    assert traj.states.shape == (6, grid.n)
+    assert not traj.states.flags.writeable
+    assert [f.values.tobytes() for f in traj.fields] == [v.tobytes() for v in traj.states]

@@ -8,6 +8,7 @@ from decrem import (
     GammaZero,
     SolverConfig,
     constant_model,
+    evolve,
     load_solution,
     make_grid,
     mass,
@@ -196,3 +197,25 @@ def test_construction_march_reuses_resolvent_stepper(tmp_path, monkeypatch, n_ce
         assert (tmp_path / "shared" / name).read_bytes() == (
             tmp_path / "fresh" / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize("n_cells", [[10, 10], [160]])
+def test_decrement_matches_per_field_reference(n_cells):
+    # the decrement, its residual and the mass curve come from the march's
+    # state rows with the bits that DensityField snapshots of them give
+    dim = len(n_cells)
+    grid = make_grid(dim, [0.0] * dim, [1.0] * dim, n_cells)
+    model = constant_model([0.2, -0.1][:dim], np.diag([1.0, 0.7][:dim]))
+    config = SolverConfig(n_steps=40)
+    rng = np.random.default_rng(8)
+    rho = DensityField(grid, rng.random(grid.n))
+    gamma = DensityField(grid, rng.random(grid.n))
+    residual, decrement, curve = seedpipe._decrement(model, grid, config, rho, 0.7, gamma, 0.3)
+    traj = evolve(model, grid, config, rho, 0.0, 0.3)
+    fields = [DensityField(grid, v) for v in traj.states]
+    expected = fields[0].values - fields[-1].values
+    assert decrement.values.tobytes() == expected.tobytes()
+    assert residual == float(np.abs(expected - 0.7 * gamma.values).max())
+    assert [(t, m.hex()) for t, m in curve] == [
+        (float(t), mass(f).hex()) for t, f in zip(traj.times, fields)
+    ]
