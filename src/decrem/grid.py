@@ -11,10 +11,10 @@ flat C order (last axis fastest): node (i, j) of a 2-d grid is flat index
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -77,10 +77,10 @@ class DomainGrid:
         return np.column_stack([xg.ravel(), yg.ravel()])
 
     @cached_property
-    def _row_prefixes(self):
-        """Per node, the start of its node-table row: each coordinate as
-        ``repr`` gives it, followed by a comma."""
-        return ["".join(repr(c) + "," for c in row) for row in self.nodes().tolist()]
+    def _node_cells(self):
+        """Per node, the coordinate cells of its node-table row: each
+        coordinate as ``repr`` gives it, joined by commas."""
+        return [",".join(map(repr, row)) for row in self.nodes().tolist()]
 
     def cell_index(self, points):
         """Flat index of the cell holding each row of the (M, dim) array
@@ -161,85 +161,66 @@ class DensityField:
         return cls(grid, _read_table(grid, path, ["value"])[:, 0])
 
 
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json(value, pad):
-    """``value``, nested at indent ``pad``, in the bytes of ``json.dumps(value,
-    indent=2, sort_keys=True)`` for the types the package writes: dicts with
-    str keys, lists, tuples, str, int, float, bool and None.
-
-    json's own encoder falls back to pure Python under ``indent``; this one
-    does the same work with fewer calls, and a list of float pairs, such as
-    a mass curve, goes out without a call per pair."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        r = float.__repr__(value)
-        return _FLOAT_WORDS.get(r, r)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            encode_basestring_ascii(k) + ": " + _json(v, inner)
-            for k, v in sorted(value.items())
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"cannot write {type(value).__name__} as JSON")
-    if not value:
-        return "[]"
-    if all(
-        type(p) in (list, tuple) and len(p) == 2 and type(p[0]) is type(p[1]) is float
+def _pair_list(value):
+    """``value`` as ``json.dumps(payload, indent=2)`` writes it under a key of
+    the top-level dict ``payload``, when it is a list of float pairs such as
+    a mass curve; else None."""
+    if not (value and type(value) is list and all(
+        type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is float
         for p in value
-    ):
-        pair = "[\n" + inner + "  %r,\n" + inner + "  %r\n" + inner + "]"
-        text = (",\n" + inner).join([pair % (a, b) for a, b in value])
-        if "n" not in text:  # else a nan or inf, which JSON spells NaN, Infinity
-            return "[\n" + inner + text + "\n" + pad + "]"
-    items = [_json(v, inner) for v in value]
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    )):
+        return None
+    text = ",\n    ".join(["[\n      %r,\n      %r\n    ]" % (a, b) for a, b in value])
+    # JSON spells nan and inf NaN and Infinity, not as repr does
+    return None if "n" in text else "[\n    " + text + "\n  ]"
 
 
 def _write_json(path, payload):
-    """Write ``payload`` as every JSON file of the package is written: two-space
-    indent, sorted keys and a final newline, so reruns are byte-identical."""
+    """Write the dict ``payload`` as every JSON file of the package is
+    written: two-space indent, sorted keys and a final newline, in the bytes
+    of ``json.dumps(payload, indent=2, sort_keys=True)``, so reruns are
+    byte-identical.
+
+    Under ``indent`` the json module encodes in pure Python, a call per
+    value, so a top-level list of float pairs (a mass curve) is formatted
+    here, one pair per ``%`` format; every other value goes through
+    ``json.dumps``."""
+    items = [
+        json.dumps(key) + ": " + (
+            _pair_list(value)
+            or json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        )
+        for key, value in sorted(payload.items())
+    ]
     with open(path, "w") as fh:
-        fh.write(_json(payload, "") + "\n")
+        fh.write("{\n  " + ",\n  ".join(items) + "\n}\n" if items else "{}\n")
 
 
 def _write_rows(path, header, rows):
-    """Write a CSV file that is not a node table: ``header``, then ``rows``,
-    each cell as ``str`` gives it, with csv's CRLF row ends."""
+    """Write a CSV file: ``header``, then ``rows``, each cell as ``str`` gives
+    it, joined by commas with CRLF row ends.  No cell the package writes
+    needs quoting, so these are the bytes ``csv.writer`` would write."""
+    text = "".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def _write_table(grid, path, names, columns):
     """Write a node table: the header ``x[,y]`` followed by ``names``, then one
     row per node in flat order holding its coordinates and the values of
     ``columns`` (each with ``grid.n`` rows, flattened per node), all as
-    ``repr`` floats, in the bytes :func:`_write_rows` would write: no cell
-    needs csv quoting, so each row is its cells joined by commas."""
+    ``repr`` floats."""
     values = np.column_stack(
         [np.asarray(c, dtype=float).reshape(grid.n, -1) for c in columns]
     )
-    header = ",".join(_COORD_NAMES[: grid.dim] + tuple(names))
-    body = "".join(
-        start + ",".join(map(repr, row)) + "\r\n"
-        for start, row in zip(grid._row_prefixes, values.tolist())
+    _write_rows(
+        path,
+        list(_COORD_NAMES[: grid.dim]) + list(names),
+        (
+            (coords, ",".join(map(repr, row)))
+            for coords, row in zip(grid._node_cells, values.tolist())
+        ),
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n" + body)
 
 
 def _read_table(grid, path, names):

@@ -222,6 +222,20 @@ def run_seed(
     )
 
 
+def check_contract(model, grid, config, rho, alpha, gamma, T, tol):
+    """Re-measure the decrement of a stored solution on the construction's
+    own time grid, as :func:`run_seed` measured it, and raise
+    :class:`VerificationFailed` when its residual exceeds ``tol`` (or is not
+    finite).  The refined check of :func:`verify_seed` cannot see a
+    residual under its O(dt) floor; this one can."""
+    residual = _decrement(model, grid, config, rho, alpha, _unit_sup(gamma), T)[0]
+    if not residual <= tol:
+        raise VerificationFailed(
+            f"stored rho and alpha miss the decrement on the {config.n_steps}-step "
+            f"grid by {residual:.3e} > residual_tol {tol:g}"
+        )
+
+
 @dataclass
 class VerificationReport:
     """Outcome of independently re-evolving a seed density."""

@@ -79,40 +79,27 @@ def test_cmd_seed_happy_path(tmp_path, capsys):
 
 def test_cmd_seed_factors_each_operator_once(tmp_path, monkeypatch):
     # the construction march reuses the factor of the resolvent's
-    # applications; only the refined check factors its own operator
+    # applications; only the refined check factors its own operator, and
+    # all three share the constant model's A_h
     from decrem import kolmogorov
 
-    calls = []
-    splu = kolmogorov.splu
+    calls = {"splu": 0, "build_stencil": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
+    def counting(name):
+        original = getattr(kolmogorov, name)
 
-    monkeypatch.setattr(kolmogorov, "splu", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kolmogorov, name, counted)
+
+    counting("splu")
+    counting("build_stencil")
     path = tmp_path / "run.json"
     write_config(path)
     assert main(["seed", str(path)]) == 0
-    assert len(calls) == 2
-
-
-def test_cmd_seed_builds_the_generator_once(tmp_path, monkeypatch):
-    # the resolvent, the construction march and the refined check share
-    # the constant model's A_h
-    from decrem import kolmogorov
-
-    calls = []
-    build = kolmogorov.build_stencil
-
-    def counted(*args):
-        calls.append(1)
-        return build(*args)
-
-    monkeypatch.setattr(kolmogorov, "build_stencil", counted)
-    path = tmp_path / "run.json"
-    write_config(path)
-    assert main(["seed", str(path)]) == 0
-    assert len(calls) == 1
+    assert calls == {"splu": 2, "build_stencil": 1}
 
 
 def test_cmd_seed_alpha_matches_closed_form(tmp_path):

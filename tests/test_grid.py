@@ -301,10 +301,11 @@ def _json_values():
 
 
 @settings(max_examples=100, deadline=None)
-@given(payload=_json_values())
+@given(payload=st.dictionaries(st.text(), _json_values()))
 @example(payload={"mass_curve": [[0.0, 1.0], [0.5, float("nan")]], "e": [], "d": {}})
-@example(payload=[[np.float64(0.1), 2.0], [-0.0, 5e-324]])
+@example(payload={"c": [[np.float64(0.1), 2.0], [-0.0, 5e-324]], "t": [(0.5, 1.0)]})
 @example(payload={"\u00e9\u2603\U0001f600": ["\x00\"\\", True, False, None, 1, -float("inf")]})
+@example(payload={})
 def test_write_json_bytes_match_json_dumps(payload):
     with tempfile.TemporaryDirectory() as tmp:
         _write_json(Path(tmp) / "p.json", payload)
