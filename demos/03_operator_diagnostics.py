@@ -24,7 +24,8 @@ T = 0.5
 for n_steps, scheme in ((128, "implicit-euler"), (128, "crank-nicolson")):
     opmat = assemble_Q(model, grid, SolverConfig(n_steps=n_steps, scheme=scheme), T)
     cm = opmat.column_masses()
-    est = spectral_radius(opmat)
+    Q = opmat.coefficient_action()
+    est = spectral_radius(lambda v: Q @ v, n=grid.n)
     sv = singular_values(opmat)
     analytic = np.exp(-np.pi**2 * T / 2.0)
     print(f"\n{scheme}, {n_steps} steps, N={grid.n}")

@@ -23,7 +23,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CapExceeded, NoConvergence
 from .grid import DensityField, _write_json
-from .kolmogorov import _march, _Stepper
+from .kolmogorov import PANEL, _march, _Stepper
 
 
 @dataclass
@@ -52,7 +52,7 @@ class OperatorMatrix:
         """Write ``<base>.bin`` (float64, little endian, column major) and
         ``<base>.json`` describing it."""
         n = self.grid.n
-        self.matrix.astype("<f8").T.tofile(path_base + ".bin")
+        np.asarray(self.matrix, "<f8").T.tofile(path_base + ".bin")
         sidecar = {
             "n": n,
             "dtype": "<f8",
@@ -92,7 +92,8 @@ class SpectralEstimate:
 
 
 def propagator_action(model, grid, config, T, step=None):
-    """Q over [0, T] as a callable on flat vectors, for power and Krylov iterations.
+    """Q over [0, T] as a callable on flat vectors or (n, m) blocks of them,
+    for power and Krylov iterations and the dense assembly.
 
     Every call marches through one stepper, so a time-homogeneous model is
     factored once for all of them; each call still arms the positivity
@@ -108,44 +109,36 @@ def propagator_action(model, grid, config, T, step=None):
 def assemble_Q(model, grid, config, T, cap=4096):
     """Dense diagnostic assembly of Q, one column per unit-mass cell density.
 
-    Drives the stepping core of :func:`propagator_action` on the identity
-    block scaled to unit mass: every step back-substitutes all N columns
-    through the same factored step matrix, with the same residual check and
-    clamp, so column j is :func:`propagator_action` of the unit mass in cell
-    j up to round-off.  Each step replaces the block, so at most two N x N
-    blocks are alive at once.
+    Applies :func:`propagator_action` to the unit masses ``PANEL`` cells at
+    a time, all panels through one stepper, and writes each panel's columns
+    into the N x N result, which is column-major as :meth:`OperatorMatrix.save`
+    writes it.
     """
     n = grid.n
     if n > cap:
         raise CapExceeded(f"grid has {n} nodes, dense assembly capped at {cap}")
-    step = _Stepper(model, grid, config, 0.0, T)
-    step.start(nonnegative=True)
-    X = np.eye(n) / grid.cell_volume
-    for k in range(config.n_steps):
-        X = step(k, X)
+    act = propagator_action(model, grid, config, T)
+    Q = np.empty((n, n), order="F")
+    for j in range(0, n, PANEL):
+        m = min(PANEL, n - j)
+        units = np.zeros((n, m))
+        units[j + np.arange(m), np.arange(m)] = 1.0 / grid.cell_volume
+        Q[:, j : j + m] = act(units)
     return OperatorMatrix(
-        matrix=X, grid=grid, scheme=config.scheme, T=float(T), n_steps=config.n_steps
+        matrix=Q, grid=grid, scheme=config.scheme, T=float(T), n_steps=config.n_steps
     )
 
 
-def spectral_radius(op, n=None, tol=1e-6, max_iter=200, seed=0):
+def spectral_radius(act, n, tol=1e-6, max_iter=200):
     """Power iteration for the spectral radius of Q.
 
-    ``op`` is either an :class:`OperatorMatrix` or a callable on flat
-    vectors (pass ``n`` for the vector length).  For nonsymmetric operators
-    the reported value is the magnitude of the Rayleigh quotient averaged
-    over the last few iterates; ``converged`` records whether the averaged
-    value stabilized to ``tol`` relative change.
+    ``act`` applies Q to flat vectors of length ``n``; the start vector is
+    a seeded normal draw.  For nonsymmetric operators the reported value is
+    the magnitude of the Rayleigh quotient averaged over the last few
+    iterates; ``converged`` records whether the averaged value stabilized to
+    ``tol`` relative change.
     """
-    if isinstance(op, OperatorMatrix):
-        mat = op.coefficient_action()
-        act = lambda v: mat @ v
-        n = mat.shape[0]
-    else:
-        act = op
-        if n is None:
-            raise ValueError("n is required for a matrix-free operator")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     history = []

@@ -132,10 +132,6 @@ class DensityField:
         self.values = values
 
     @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.n))
-
-    @classmethod
     def from_function(cls, grid, fn):
         """Sample ``fn`` at the cell centers.
 

@@ -27,8 +27,9 @@ one matrix-vector product instead of a back-substitution and a residual
 check.  S is kept only under a certificate that bounds the relative residual
 of every product S @ rhs, round-off included, by ``linear_solver_tol``;
 otherwise, for tabulated series and on larger grids the steps go through the
-factor as above.  A march of one vector through S fills a (steps, n)
-buffer and checks its finiteness once per chunk of steps (see
+factor as above.  A march of a vector, or of an (n, m) block of them,
+through S fills a (steps, n) or (steps, n, m) buffer and checks its
+finiteness once per chunk of steps (see
 :meth:`_Stepper.march_dense`); :func:`evolve` keeps that buffer, read-only,
 as the trajectory's states and takes the mass curve from one row sum over
 it.  Negative round-off from the solve is projected out only when the march
@@ -66,6 +67,10 @@ DENSE_MAX_N = 128
 #: Steps of a dense march between two finiteness checks of its products;
 #: a march without ``record`` buffers no more rows than this.
 _CHUNK = 32
+
+#: Columns per block: :func:`fredholm.assemble_Q` marches unit masses in
+#: panels this wide, and a factored block step checks its residual by them.
+PANEL = 64
 
 
 def _check_finite(products, k0):
@@ -195,9 +200,9 @@ def build_stencil(model, grid, t):
 
 class _Stepper:
     """The stepping core: ``step(k, p)`` advances a flat field vector, or an
-    n-by-m block of them, from ``times[k]`` to ``times[k + 1]``, and
-    :meth:`march_dense` runs a whole march of one vector through the
-    certified dense inverse.
+    n-by-m block of them, from ``times[k]`` to ``times[k + 1]`` through the
+    sparse factor with a residual check, and :meth:`march_dense` runs a
+    whole march of either through the certified dense inverse.
 
     One stepper serves any number of marches over its times and keeps its
     factor, and on small grids its certified dense inverse, between them for
@@ -288,12 +293,8 @@ class _Stepper:
         if self.lu is None or self.model.time_dependent:
             self._factor(k)
         rhs = p if self.implicit else p + 0.5 * self.dt * (self.A @ p)
-        if self.inverse is None:
-            x = self.lu.solve(rhs)
-            self._check(rhs, x, k)
-        else:
-            x = self.inverse @ rhs
-            _check_finite(x[None], k)
+        x = self.lu.solve(rhs)
+        self._check(rhs, x, k)
         if self.clamp and not self.mixed:
             # The exact M-matrix step maps nonnegative to nonnegative, so
             # any negative entry is round-off of the solve.
@@ -301,8 +302,8 @@ class _Stepper:
         return x
 
     def march_dense(self, p, record):
-        """March the flat vector ``p`` over every step through the dense
-        inverse; call only when :meth:`dense` holds.
+        """March the flat vector, or (n, m) block, ``p`` over every step
+        through the dense inverse; call only when :meth:`dense` holds.
 
         Step k writes S @ rhs into a row of a buffer and clamps it into the
         next state, with no check of its own: the finiteness of the products,
@@ -317,8 +318,8 @@ class _Stepper:
         chunk = min(K, _CHUNK)
         implicit, clamp = self.implicit, self.clamp and not self.mixed
         S, A, half = self.inverse, self.A, 0.5 * self.dt
-        states = np.empty((K + 1 if record else chunk + 1, p.size))
-        raw = np.empty((chunk, p.size)) if clamp else None
+        states = np.empty((K + 1 if record else chunk + 1,) + p.shape)
+        raw = np.empty((chunk,) + p.shape) if clamp else None
         states[0] = p
         last = 0
         for k0 in range(0, K, chunk):
@@ -339,16 +340,16 @@ class _Stepper:
 
     def _check(self, rhs, x, k):
         """Relative 2-norm residual of the solve, column by column; a block
-        goes 64 columns at a time so it never gets a full-size temporary."""
+        goes ``PANEL`` columns at a time so it never gets a full-size temporary."""
         tol2 = self.tol**2
         if x.ndim == 1:
             d = rhs - self.M @ x
             ok = d @ d <= tol2 * (rhs @ rhs)
         else:
             ok = True
-            for j in range(0, x.shape[1], 64):
-                r = rhs[:, j : j + 64]
-                d = r - self.M @ x[:, j : j + 64]
+            for j in range(0, x.shape[1], PANEL):
+                r = rhs[:, j : j + PANEL]
+                d = r - self.M @ x[:, j : j + PANEL]
                 sq = np.einsum("ij,ij->j", d, d)
                 ok &= bool(np.all(sq <= tol2 * np.einsum("ij,ij->j", r, r)))
         # the comparisons are written so that a NaN residual fails too
@@ -359,18 +360,19 @@ class _Stepper:
 
 
 def _march(model, grid, config, values, s, T, record, step=None):
-    """Advance a flat field vector from s to T through the stepping core;
-    ``step`` passes a stepper, and so its factor, on from an earlier march.
+    """Advance a flat field vector, or an (n, m) block of them, from s to T
+    through the stepping core; ``step`` passes a stepper, and so its factor,
+    on from an earlier march.
 
-    Returns the times and, with ``record``, the (K + 1, n) array of every
-    state, else the final state."""
+    Returns the times and, with ``record``, the (K + 1,) + ``values.shape``
+    array of every state, else the final state."""
     if step is None:
         step = _Stepper(model, grid, config, s, T)
     step.start(bool(np.all(values >= 0.0)))
     p = np.array(values, dtype=float)
     if step.dense():
         return step.times, step.march_dense(p, record)
-    rows = np.empty((config.n_steps + 1, p.size)) if record else None
+    rows = np.empty((config.n_steps + 1,) + p.shape) if record else None
     if record:
         rows[0] = p
     for k in range(config.n_steps):

@@ -37,8 +37,8 @@ _STEP_STRIDE = 1 << 128  # counter block per time step
 _INIT_BLOCK = 1 << 200  # far above any reachable step block
 
 
-def _normals(seed, step, n, dim, rows=slice(None)):
-    """Normal increments of particles ``rows`` (all by default) at ``step``.
+def _normals(seed, step, n, dim, rows):
+    """Normal increments of particles ``rows`` at ``step``.
 
     The whole (n, dim) block of uniforms is drawn so that particle i always
     reads slots [i*dim, (i+1)*dim) of counter block ``step << 128``; only the
@@ -64,9 +64,6 @@ class ParticleEnsemble:
     @property
     def n(self):
         return self.positions.shape[0]
-
-    def survival(self):
-        return float(self.alive.mean())
 
 
 def sample_initial(rho, n, seed):

@@ -188,7 +188,7 @@ def test_criterion_7_monte_carlo():
     f = sampled_sine(grid)
     rho = f.with_values(f.values / mass(f))
     ens = simulate(model, grid, sample_initial(rho, n, seed=2718), 0.5, dt=1e-4)
-    survival = ens.survival()
+    survival = ens.alive.mean()
     sigma = np.sqrt(LAMBDA_T05 * (1.0 - LAMBDA_T05) / n)
     surv_err = abs(survival - LAMBDA_T05)
     surv_tol = 3.0 * sigma + 0.01

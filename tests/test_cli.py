@@ -261,7 +261,7 @@ def test_cmd_evolve_zero_rho(tmp_path):
 
     grid = make_grid(1, [0.0], [1.0], [64])
     zero = tmp_path / "zero.csv"
-    DensityField.zeros(grid).to_csv(zero)
+    DensityField(grid, np.zeros(grid.n)).to_csv(zero)
     out = tmp_path / "zv"
     assert main(["evolve", str(path), "--rho", str(zero), "--set", f"output_dir={out}"]) == 0
     final = (out / "trajectory" / "field_00064.csv").read_text()

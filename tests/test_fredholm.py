@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,13 +26,15 @@ from decrem import (
     tabulated_model,
 )
 from decrem import fredholm
+from decrem.kolmogorov import PANEL, _Stepper
 from conftest import apply_Q, sampled_sine
 
 DECAY_1 = np.exp(-np.pi**2 / 2)
 
 
 def test_apply_Q_zero(grid64, heat):
-    out = apply_Q(heat, grid64, SolverConfig(n_steps=16), DensityField.zeros(grid64), 0.5)
+    zero = DensityField(grid64, np.zeros(grid64.n))
+    out = apply_Q(heat, grid64, SolverConfig(n_steps=16), zero, 0.5)
     assert not np.any(out.values)
 
 
@@ -143,7 +146,7 @@ def test_spectral_radius_decay_oracles(heat, grid128):
 
 
 def test_spectral_radius_of_assembled(qhat128):
-    est = spectral_radius(qhat128)
+    est = spectral_radius(lambda v: qhat128.coefficient_action() @ v, n=qhat128.grid.n)
     # implicit euler at K=128 overestimates the decay; stay within its bias
     assert est.converged
     assert est.value == pytest.approx(np.exp(-np.pi**2 / 4), rel=5e-2)
@@ -152,13 +155,13 @@ def test_spectral_radius_of_assembled(qhat128):
 def test_spectral_radius_zero_operator(heat):
     grid = make_grid(1, [0.0], [1.0], [4])
     opmat = assemble_Q(heat, grid, SolverConfig(n_steps=512), 5.0)
-    est = spectral_radius(opmat)
+    est = spectral_radius(lambda v: opmat.coefficient_action() @ v, n=grid.n)
     assert est.value <= 1e-8
 
 
 def test_resolvent_zero_gamma(grid64, heat):
     report = solve_resolvent(
-        heat, grid64, SolverConfig(n_steps=16), DensityField.zeros(grid64), 0.5
+        heat, grid64, SolverConfig(n_steps=16), DensityField(grid64, np.zeros(grid64.n)), 0.5
     )
     assert not np.any(report.zeta.values)
     assert report.iterations == 1
@@ -205,6 +208,45 @@ def _count_Q(monkeypatch):
 
     monkeypatch.setattr(fredholm, "_march", counted)
     return calls
+
+
+def test_assembly_marches_panels_through_Q(heat, monkeypatch):
+    # 150 nodes: two full panels and one of 22 columns, every step of them
+    # taken by a march of propagator_action
+    grid = make_grid(1, [0.0], [1.0], [150])
+    config = SolverConfig(n_steps=6)
+    applied = _count_Q(monkeypatch)
+    steps = []
+    sparse_step = _Stepper.__call__
+
+    def counted_step(self, k, p):
+        steps.append(k)
+        return sparse_step(self, k, p)
+
+    monkeypatch.setattr(_Stepper, "__call__", counted_step)
+    opmat = assemble_Q(heat, grid, config, 0.2)
+    assert len(applied) == -(-grid.n // PANEL) == 3
+    assert steps == 3 * list(range(config.n_steps))
+    j = 140
+    delta = np.zeros(grid.n)
+    delta[j] = 1.0 / grid.cell_volume
+    direct = propagator_action(heat, grid, config, 0.2)(delta)
+    assert np.allclose(opmat.matrix[:, j], direct, rtol=0.0, atol=1e-12)
+
+
+def test_assembly_peak_memory_below_two_blocks():
+    # the 28 x 28 grid, drift and horizon of the spectrum benchmark
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [28, 28])
+    model = constant_model([0.2, -0.1], [[1.0, 0.0], [0.0, 0.7]])
+    config = SolverConfig(n_steps=4)
+    assemble_Q(model, grid, config, 0.5)  # the kept generator is no part of the peak
+    tracemalloc.start()
+    try:
+        assemble_Q(model, grid, config, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grid.n**2 * 8
 
 
 def test_resolvent_respects_budget(heat, grid64, monkeypatch):

@@ -69,14 +69,14 @@ def test_field_requires_matching_shape():
 
 def test_field_values_read_only():
     grid = make_grid(1, [0.0], [1.0], [8])
-    f = DensityField.zeros(grid)
+    f = DensityField(grid, np.zeros(grid.n))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
 
 
 def test_mass_trivial_cases():
     grid = make_grid(1, [0.0], [1.0], [17])
-    assert mass(DensityField.zeros(grid)) == 0.0
+    assert mass(DensityField(grid, np.zeros(grid.n))) == 0.0
     assert mass(DensityField(grid, np.ones(17))) == pytest.approx(1.0, abs=1e-14)
     grid2 = make_grid(2, [0.0, 0.0], [2.0, 3.0], [5, 4])
     assert mass(DensityField(grid2, np.ones(20))) == pytest.approx(6.0, abs=1e-12)
@@ -121,7 +121,7 @@ def test_csv_round_trip_2d(tmp_path):
 
 def test_csv_wrong_grid_rejected(tmp_path):
     grid = make_grid(1, [0.0], [1.0], [32])
-    f = DensityField.zeros(grid)
+    f = DensityField(grid, np.zeros(grid.n))
     path = tmp_path / "f.csv"
     f.to_csv(path)
     with pytest.raises(ShapeMismatch):
@@ -143,7 +143,7 @@ def test_csv_ragged_row_rejected(tmp_path):
     # one row wider than the header is a shape mismatch, not a parse error
     grid = make_grid(1, [0.0], [1.0], [4])
     path = tmp_path / "f.csv"
-    DensityField.zeros(grid).to_csv(path)
+    DensityField(grid, np.zeros(grid.n)).to_csv(path)
     rows = path.read_text().splitlines()
     rows[2] += ",9.0"
     path.write_text("\n".join(rows) + "\n")

@@ -108,7 +108,7 @@ def test_run_seed_scale_equivariance(heat, grid128):
 def test_run_seed_rejects_zero_and_negative(heat, grid128):
     config = SolverConfig(n_steps=64)
     with pytest.raises(GammaZero):
-        run_seed(heat, grid128, config, DensityField.zeros(grid128), 0.5)
+        run_seed(heat, grid128, config, DensityField(grid128, np.zeros(grid128.n)), 0.5)
     bad = DensityField(grid128, np.linspace(-0.1, 1.0, 128))
     with pytest.raises(GammaNegative):
         run_seed(heat, grid128, config, bad, 0.5)
