@@ -49,7 +49,6 @@ from .kolmogorov import (
 )
 from .model import (
     DiffusionModel,
-    check_ellipticity,
     constant_model,
     eval_a,
     load_tabulated,
@@ -105,7 +104,6 @@ __all__ = [
     "VerificationFailed",
     "VerificationReport",
     "assemble_Q",
-    "check_ellipticity",
     "constant_model",
     "default_dt",
     "estimate_density",

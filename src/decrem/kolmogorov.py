@@ -10,6 +10,10 @@ diagonally dominant, nonpositive off-diagonal), so the exact step preserves
 nonnegativity and strictly loses mass; mixed-derivative terms in 2-d break
 that structure and are flagged.
 
+Every assembly of A_h first certifies that 2a = beta beta^T is finite and
+positive definite at every node, and a stepper certifies its ends s and T
+too, so a march is certified wherever the scheme reads the coefficients.
+
 Every time step solves M p_new = rhs with the step matrix
 M = I - dt_eff*A_h: implicit Euler takes dt_eff = dt and rhs = p,
 Crank-Nicolson dt_eff = dt/2 and rhs = p + dt/2 * A_h p.  The sparse
@@ -52,9 +56,9 @@ import numpy as np
 from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import splu
 
-from .errors import LinearSolveFailure
+from .errors import EllipticityViolation, LinearSolveFailure
 from .grid import DensityField, _write_json, _write_rows
-from .model import check_ellipticity, eval_a
+from .model import eval_a
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
 
@@ -136,8 +140,26 @@ def _reach(n, s):
     return (dst, src, s, 1.0), (face, face, 0, -1.0)
 
 
+def _certify(a, pts, t):
+    """The ellipticity certificate: ``a``, the (n, dim, dim) diffusion matrix
+    at the nodes ``pts`` and time ``t``, unless 2a = beta beta^T is not
+    finite and positive definite at some node; then EllipticityViolation."""
+    bbT = 2.0 * a
+    eigs = bbT[:, 0, 0] if a.shape[1] == 1 else np.linalg.eigvalsh(bbT)[:, 0]
+    k = int(np.argmin(eigs))  # the first NaN, if there is one
+    # an overflowing beta gives inf (or NaN), which is no certificate either
+    if not 0.0 < eigs[k] < np.inf:
+        raise EllipticityViolation(
+            f"beta beta^T has smallest eigenvalue {eigs[k]:.3e}, not finite and "
+            f"positive, at x={pts[k]}, t={t}",
+            x=pts[k], t=float(t), eigenvalue=float(eigs[k]),
+        )
+    return a
+
+
 def build_stencil(model, grid, t):
-    """CSR matrix of A_h at time ``t`` and whether it has an a12 term.
+    """CSR matrix of A_h at time ``t`` and whether it has an a12 term;
+    the coefficients are certified elliptic first.
 
     ``w[o]`` holds, per row r, the entry in column r + o; each entry adds up
     its terms in one fixed order: diffusion per axis, cross term, drift.
@@ -146,7 +168,7 @@ def build_stencil(model, grid, t):
         raise ValueError(f"model dim {model.dim} != grid dim {grid.dim}")
     dim, shape, h = grid.dim, grid.shape, grid.h
     pts = grid.nodes()
-    a = eval_a(model, pts, t).reshape(shape + (dim, dim))
+    a = _certify(eval_a(model, pts, t), pts, t).reshape(shape + (dim, dim))
     f = model.drift_at(pts, t).reshape(shape + (dim,))
     offsets = list(itertools.product((-1, 0, 1), repeat=dim))
     w = {o: np.zeros(shape) for o in offsets}
@@ -208,13 +230,12 @@ class _Stepper:
     factor, and on small grids its certified dense inverse, between them for
     time-homogeneous models.  :meth:`start` begins a march: with the
     monotone scheme, nonnegative data arm the positivity clamp, which stays
-    off while a factored step has had an a12 term.  A model whose
-    ellipticity is not yet certified is checked at s and T first.
+    off while a factored step has had an a12 term.  Construction certifies
+    ellipticity at s and T: a time-homogeneous model by fetching its kept
+    A_h, a time-dependent one directly.
     """
 
     def __init__(self, model, grid, config, s, T):
-        if model.delta is None:
-            check_ellipticity(model, grid, times=(s, T))
         if not T > s:
             raise ValueError(f"need s < T, got s={s}, T={T}")
         self.model = model
@@ -227,6 +248,12 @@ class _Stepper:
         self.mixed = False
         self.lu = None
         self.inverse = None
+        if model.time_dependent:
+            pts = grid.nodes()
+            for t in (s, T):
+                _certify(eval_a(model, pts, t), pts, t)
+        else:
+            self._generator(s)
 
     def start(self, nonnegative):
         self.clamp = self.implicit and nonnegative
@@ -235,7 +262,7 @@ class _Stepper:
 
     def _generator(self, t):
         """A_h at time t and whether it has an a12 term; a time-homogeneous
-        model keeps them for its latest grid, like its ``delta``."""
+        model keeps them for its latest grid."""
         model = self.model
         if model.time_dependent:
             return build_stencil(model, self.grid, t)

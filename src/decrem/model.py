@@ -1,9 +1,11 @@
-"""Drift/diffusion coefficient models and the ellipticity certificate.
+"""Drift/diffusion coefficient models.
 
 A model pairs a drift field f(x, t) with a diffusion factor beta(x, t).
-The generator uses a = (1/2) beta beta^T.  Three families cover the
-supported inputs: constant coefficients, linear drift toward a center
-(Ornstein-Uhlenbeck type), and coefficients tabulated on a grid.
+The generator uses a = (1/2) beta beta^T, which must be uniformly
+elliptic; :mod:`decrem.kolmogorov` certifies that on the coefficients it
+evaluates.  Three families cover the supported inputs: constant
+coefficients, linear drift toward a center (Ornstein-Uhlenbeck type), and
+coefficients tabulated on a grid.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 
 import numpy as np
 
-from .errors import EllipticityViolation, ShapeMismatch
+from .errors import ShapeMismatch
 from .grid import _read_table
 
 FAMILIES = ("constant", "linear-drift", "tabulated")
@@ -23,12 +25,10 @@ class DiffusionModel:
     """Vectorized coefficient evaluation for one of the supported families.
 
     ``drift_fn(points, t)`` maps an (N, dim) array to (N, dim);
-    ``beta_fn(points, t)`` maps it to (N, dim, dim).  ``delta`` is the
-    certified lower bound on the eigenvalues of beta beta^T; it is None
-    until :func:`check_ellipticity` has run.  ``generator`` is None or, for
-    a time-homogeneous model, the ``(grid, A_h, mixed)`` that the stepping
-    core of :mod:`decrem.kolmogorov` last assembled, kept so that the
-    steppers of one command share it.
+    ``beta_fn(points, t)`` maps it to (N, dim, dim).  ``generator`` is None
+    or, for a time-homogeneous model, the ``(grid, A_h, mixed)`` that the
+    stepping core of :mod:`decrem.kolmogorov` last assembled (and so
+    certified), kept so that the steppers of one command share it.
     """
 
     def __init__(self, dim, drift_fn, beta_fn, family, time_dependent=False):
@@ -39,7 +39,6 @@ class DiffusionModel:
         self._beta_fn = beta_fn
         self.family = family
         self.time_dependent = bool(time_dependent)
-        self.delta = None
         self.generator = None
 
     def drift_at(self, points, t):
@@ -215,38 +214,3 @@ def eval_a(model, points, t):
     m = 0.5 * np.einsum("nij,nkj->nik", b, b)
     return 0.5 * (m + np.swapaxes(m, 1, 2))
 
-
-def check_ellipticity(model, grid, times=(0.0,)):
-    """Certify uniform ellipticity of beta beta^T on grid nodes.
-
-    Returns the smallest eigenvalue of beta beta^T over all sampled
-    (node, time) pairs and records it as ``model.delta``.  Raises
-    EllipticityViolation when the minimum is not finite and strictly positive.
-    """
-    pts = grid.nodes()
-    worst = np.inf
-    worst_x = None
-    worst_t = None
-    for t in times:
-        b = model.beta_at(pts, t)
-        bbT = np.einsum("nij,nkj->nik", b, b)
-        if model.dim == 1:
-            eigs = bbT[:, 0, 0]
-        else:
-            eigs = np.linalg.eigvalsh(bbT)[:, 0]
-        k = int(np.argmin(eigs))
-        if worst_t is None or eigs[k] < worst:
-            worst = float(eigs[k])
-            worst_x = pts[k]
-            worst_t = float(t)
-    # an overflowing beta gives inf (or NaN), which is no certificate either
-    if not 0.0 < worst < np.inf:
-        raise EllipticityViolation(
-            f"beta beta^T has smallest eigenvalue {worst:.3e}, not finite and "
-            f"positive, at x={worst_x}, t={worst_t}",
-            x=worst_x,
-            t=worst_t,
-            eigenvalue=worst,
-        )
-    model.delta = worst
-    return worst

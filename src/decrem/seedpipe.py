@@ -26,7 +26,7 @@ from .errors import (
     VerificationFailed,
 )
 from .fredholm import ResolventReport, solve_resolvent
-from .grid import DensityField, _write_json, mass, norm_sup
+from .grid import DensityField, DomainGrid, _write_json, mass, norm_sup
 from .kolmogorov import _Stepper, evolve, mass_curve
 
 GAMMA_KINDS = ("eigenmode", "bump", "tiles", "csv")
@@ -84,16 +84,12 @@ def realize_gamma(grid, spec):
         field = DensityField(grid, np.where(inside, value, 0.0))
     elif kind == "tiles":
         shape = tuple(int(s) for s in spec["shape"])
-        if len(shape) != grid.dim:
-            raise ValueError(f"tiles shape {shape} does not match dim {grid.dim}")
+        if len(shape) != grid.dim or min(shape) < 1:
+            raise ValueError(f"tiles shape {shape} needs {grid.dim} entries >= 1")
         values = np.asarray(spec["values"], dtype=float).reshape(shape)
-        pts = grid.nodes()
-        idx = []
-        for k in range(grid.dim):
-            width = (grid.hi[k] - grid.lo[k]) / shape[k]
-            ik = np.floor((pts[:, k] - grid.lo[k]) / width).astype(int)
-            idx.append(np.clip(ik, 0, shape[k] - 1))
-        field = DensityField(grid, values[tuple(idx)])
+        # the tiles as cells of a coarse grid; make_grid would refuse < 4 per axis
+        tiles = DomainGrid(grid.dim, grid.lo, grid.hi, shape)
+        field = DensityField(grid, values.ravel()[tiles.cell_index(grid.nodes())])
     else:
         field = DensityField.from_csv(grid, spec["file"])
     return _validate_gamma(kind, field)

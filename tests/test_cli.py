@@ -120,6 +120,10 @@ def test_cmd_seed_exit_codes(tmp_path):
     write_config(path)
     assert main(["seed", str(path), "--set", "bogus.key=1"]) == 2
     assert main(["seed", str(path), "--set", "model.beta=0.0"]) == 3
+    # the certificate comes before the resolvent's own budget check
+    no_budget = "tolerances.resolvent_max_iter=1"
+    assert main(["seed", str(path), "--set", "model.beta=0.0", "--set", no_budget]) == 3
+    assert main(["seed", str(path), "--set", no_budget]) == 2
     assert (
         main(
             [
@@ -526,6 +530,8 @@ def test_cmd_verify_reproduces_seed_verification(tmp_path, patches):
         ["model.drift=[NaN]"],
         ["model.family=linear-drift", "model.rate=NaN", "model.center=[0.5]"],
         ["model.family=linear-drift", "model.rate=1.0", "model.center=[Infinity]"],
+        ["model.family=bogus"],
+        ["time.T=0"],
     ],
     ids=" ".join,
 )
@@ -569,3 +575,162 @@ def test_manifest_hashes_are_correct(tmp_path):
     for entry in manifest["files"]:
         digest = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"domain": ',
+        "[1, 2]",
+        "without output_dir",
+        "without gamma",
+    ],
+    ids=["invalid-json", "non-object-root", "no-output_dir", "no-gamma"],
+)
+def test_cmd_seed_rejects_malformed_config(tmp_path, capsys, text):
+    path = tmp_path / "run.json"
+    cfg = write_config(path)
+    if text.startswith("without "):
+        del cfg[text.split()[1]]
+        text = json.dumps(cfg)
+    path.write_text(text)
+    assert main(["seed", str(path)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _write_series(tmp_path, degenerate_at):
+    """A tabulated series over [0, 0.5] sampled at 0, 0.25 and 0.5, with
+    beta 0 at the sample ``degenerate_at`` and 1 at the others; returns the
+    model block."""
+    grid = make_grid(1, [0.0], [1.0], [8])
+    times = [0.0, 0.25, 0.5]
+    for k, t in enumerate(times):
+        beta = np.full((8, 1, 1), float(t != degenerate_at))
+        write_coefficient_csv(grid, tmp_path / f"t{k}.csv", np.zeros((8, 1)), beta)
+    files = [f"t{k}.csv" for k in range(3)]
+    (tmp_path / "series.json").write_text(json.dumps({"times": times, "files": files}))
+    return {"family": "tabulated", "manifest": "series.json"}
+
+
+DEGENERATE = {
+    "beta-zero": lambda tmp: {"family": "constant", "drift": [0.0], "beta": [[0.0]]},
+    "overflow-1d": lambda tmp: {"family": "constant", "drift": [0.0], "beta": [[1e200]]},
+    "overflow-2d": lambda tmp: {
+        "family": "constant", "drift": [0.0, 0.0], "beta": [[1e200, 0.0], [0.0, 1e200]]
+    },
+    "series-at-s": lambda tmp: _write_series(tmp, 0.0),
+    "series-at-T": lambda tmp: _write_series(tmp, 0.5),
+    "series-inside": lambda tmp: _write_series(tmp, 0.25),
+}
+
+
+@pytest.mark.parametrize("command", ["seed", "evolve", "mc", "spectrum"])
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_coefficients_exit_3(tmp_path, capsys, case, command):
+    # every time a march evaluates the coefficients is certified: a series
+    # degenerate only at its interior sample t = 0.25, which the implicit
+    # euler steps t = 0.0625 k read, fails like one degenerate at s or T
+    dim = 2 if case == "overflow-2d" else 1
+    grid = make_grid(dim, [0.0] * dim, [1.0] * dim, [8] * dim)
+    path = tmp_path / "run.json"
+    write_config(
+        path,
+        domain={"dim": dim, "lo": [0.0] * dim, "hi": [1.0] * dim, "n_cells": [8] * dim},
+        model=DEGENERATE[case](tmp_path),
+        time={"n_steps": 8},
+        mc={"n_particles": 200, "seed": 1, "dt": 0.01},
+    )
+    DensityField(grid, np.ones(grid.n)).to_csv(tmp_path / "rho.csv")
+    args = [command, str(path)]
+    if command in ("evolve", "mc"):
+        args += ["--rho", str(tmp_path / "rho.csv")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == 3
+    assert "EllipticityViolation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("seed", "model.file"),
+        ("seed", "model.manifest"),
+        ("seed", "gamma.file"),
+        ("evolve", "--rho"),
+        ("mc", "--rho"),
+    ],
+)
+def test_missing_input_file_exits_2(tmp_path, capsys, command, key):
+    path = tmp_path / "run.json"
+    missing = tmp_path / "absent.csv"
+    cfg = write_config(path)
+    if key.startswith("model."):
+        cfg["model"] = {"family": "tabulated", key.split(".")[1]: missing.name}
+    elif key == "gamma.file":
+        cfg["gamma"] = {"kind": "csv", "file": missing.name}
+    path.write_text(json.dumps(cfg))
+    args = [command, str(path)]
+    if key == "--rho":
+        args += ["--rho", str(missing)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "absent.csv" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("spectrum.tol=NaN", "spectrum.tol"),
+        ("spectrum.tol=-1", "spectrum.tol"),
+        ("spectrum.tol=0", "spectrum.tol"),
+        ("spectrum.tol=Infinity", "spectrum.tol"),
+        ("spectrum.tol=true", "spectrum.tol"),
+        ('spectrum.assemble="no"', "spectrum.assemble"),
+        ("spectrum.assemble=0.5", "spectrum.assemble"),
+        ("spectrum.assemble=1", "spectrum.assemble"),
+    ],
+)
+def test_cmd_spectrum_rejects_bad_settings(tmp_path, capsys, override, key):
+    path = tmp_path / "run.json"
+    write_config(path, domain={"n_cells": [8]}, time={"n_steps": 8})
+    assert main(["spectrum", str(path), "--set", override]) == 2
+    assert f"ConfigError: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cmd_spectrum_unconverged_exits_7_after_writing(tmp_path):
+    path = tmp_path / "run.json"
+    write_config(path, domain={"n_cells": [8]}, time={"n_steps": 8})
+    assert main(["spectrum", str(path), "--set", "spectrum.max_iter=1"]) == 7
+    out = tmp_path / "out"
+    payload = json.loads((out / "spectrum.json").read_text())
+    assert payload["converged"] is False and payload["iterations"] == 1
+    names = {e["name"] for e in json.loads((out / "manifest.json").read_text())["files"]}
+    assert names == {"spectrum.json", "config.echo.json"}
+
+
+def test_failed_verification_exits_13_after_writing(tmp_path):
+    # no refined march meets verify_tol = 1e-12: seed and verify both write
+    # verification.json with passed false, then exit 13
+    path = tmp_path / "run.json"
+    write_config(path)
+    strict = ["--set", "tolerances.verify_tol=1e-12"]
+    assert main(["seed", str(path)] + strict) == 13
+    assert json.loads((tmp_path / "out" / "verification.json").read_text())["passed"] is False
+    assert _verify(path, tmp_path / "out" / "solution", tmp_path / "v") == 0
+    args = ["verify", str(path), "--solution", str(tmp_path / "out" / "solution")]
+    assert main(args + strict + ["--set", f"output_dir={tmp_path / 'v2'}"]) == 13
+    assert json.loads((tmp_path / "v2" / "verification.json").read_text())["passed"] is False
+
+
+def test_cmd_evolve_warns_without_positivity_certificate(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    write_config(path, domain={"n_cells": [8]}, time={"n_steps": 8, "scheme": "crank-nicolson"})
+    grid = make_grid(1, [0.0], [1.0], [8])
+    DensityField(grid, np.ones(grid.n)).to_csv(tmp_path / "rho.csv")
+    assert main(["evolve", str(path), "--rho", str(tmp_path / "rho.csv")]) == 0
+    assert "warning: positivity not certified" in capsys.readouterr().out
+    traj = json.loads((tmp_path / "out" / "trajectory" / "trajectory.json").read_text())
+    assert traj["positivity_certified"] is False

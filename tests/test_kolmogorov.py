@@ -9,6 +9,7 @@ from scipy.sparse.linalg import splu
 
 from decrem import (
     DensityField,
+    EllipticityViolation,
     LinearSolveFailure,
     SolverConfig,
     constant_model,
@@ -637,3 +638,66 @@ def test_trajectory_fields_are_its_states(heat):
     assert traj.states.shape == (6, grid.n)
     assert not traj.states.flags.writeable
     assert [f.values.tobytes() for f in traj.fields] == [v.tobytes() for v in traj.states]
+
+
+@pytest.mark.parametrize(
+    "beta, smallest",
+    [
+        ([[1.0]], 1.0),
+        ([[1.0, 0.0], [0.0, 2.0]], 1.0),  # beta beta^T = diag(1, 4)
+        ([[1.0, 1.0], [0.0, 0.0]], 0.0),  # singular
+        ([[1e200]], np.inf),  # beta beta^T overflows to inf
+        (1e200 * np.eye(2), np.nan),  # eigvalsh of the overflow gives NaN
+    ],
+    ids=["unit-1d", "diag-2d", "singular-2d", "overflow-1d", "overflow-2d"],
+)
+def test_build_stencil_certifies_ellipticity(beta, smallest):
+    dim = len(beta)
+    grid = make_grid(dim, [0.0] * dim, [1.0] * dim, [8] * dim)
+    model = constant_model([0.0] * dim, beta)
+    if 0.0 < smallest < np.inf:
+        assert build_stencil(model, grid, 0.0)[0].shape == (grid.n, grid.n)
+        return
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        EllipticityViolation
+    ) as err:
+        _Stepper(model, grid, SolverConfig(n_steps=4), 0.0, 1.0)
+    eig = err.value.eigenvalue
+    assert eig <= 0.0 if np.isfinite(smallest) else not np.isfinite(eig)
+    assert err.value.t == 0.0 and err.value.x.shape == (dim,)
+    assert model.generator is None  # no A_h is kept without a certificate
+
+
+def _series(where):
+    """A tabulated series over [0, 0.5] sampled at 0, 0.25 and 0.5 whose
+    beta is 0 at the sample ``where`` and 1 at the others."""
+    grid = make_grid(1, [0.0], [1.0], [8])
+    samples = [(np.zeros((8, 1)), np.full((8, 1, 1), float(t != where))) for t in (0.0, 0.25, 0.5)]
+    return tabulated_model(grid, None, None, times=[0.0, 0.25, 0.5], series=samples), grid
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("where", [0.0, 0.5])
+def test_stepper_certifies_series_ends(monkeypatch, scheme, where):
+    # no step of either scheme evaluates the coefficients at s, and the
+    # crank-nicolson steps not at T either: the stepper certifies both
+    # when it is built, before any A_h
+    table, grid = _series(where)
+    calls = _count_builds(monkeypatch)
+    with pytest.raises(EllipticityViolation) as err:
+        _Stepper(table, grid, SolverConfig(n_steps=8, scheme=scheme), 0.0, 0.5)
+    assert err.value.t == where and err.value.eigenvalue == 0.0
+    assert calls == []
+
+
+def test_series_degenerate_inside_fails_at_the_step_that_reads_it():
+    # implicit euler with 8 steps evaluates t = 0.0625 k, so step 3
+    # builds A_h at the degenerate sample t = 0.25
+    table, grid = _series(0.25)
+    step = _Stepper(table, grid, SolverConfig(n_steps=8), 0.0, 0.5)
+    p = np.ones(grid.n)
+    for k in range(3):
+        p = step(k, p)
+    with pytest.raises(EllipticityViolation) as err:
+        step(3, p)
+    assert err.value.t == 0.25

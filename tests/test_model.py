@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from decrem import (
-    EllipticityViolation,
     ShapeMismatch,
-    check_ellipticity,
     constant_model,
     eval_a,
     load_tabulated,
@@ -16,41 +14,6 @@ from decrem import (
     tabulated_model,
 )
 from conftest import write_coefficient_csv
-
-
-def test_delta_unit_beta():
-    grid = make_grid(1, [0.0], [1.0], [64])
-    model = constant_model([0.0], [[1.0]])
-    delta = check_ellipticity(model, grid)
-    assert delta == pytest.approx(1.0, abs=1e-14)
-    assert model.delta == delta
-
-
-def test_delta_diag_beta_2d():
-    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [8, 8])
-    model = constant_model([0.0, 0.0], [[1.0, 0.0], [0.0, 2.0]])
-    # beta beta^T = diag(1, 4), smallest eigenvalue 1
-    assert check_ellipticity(model, grid) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_singular_beta_rejected():
-    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [8, 8])
-    model = constant_model([0.0, 0.0], [[1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(EllipticityViolation) as err:
-        check_ellipticity(model, grid)
-    assert err.value.eigenvalue <= 0.0
-    assert model.delta is None
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_overflowing_beta_rejected(dim):
-    # beta beta^T overflows to inf (1-D) or eigvalsh gives NaN (2-D)
-    grid = make_grid(dim, [0.0] * dim, [1.0] * dim, [8] * dim)
-    model = constant_model([0.0] * dim, 1e200 * np.eye(dim))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EllipticityViolation) as err:
-        check_ellipticity(model, grid)
-    assert not np.isfinite(err.value.eigenvalue)
-    assert model.delta is None
 
 
 def test_eval_a_scalar_beta():
@@ -146,21 +109,3 @@ def test_tabulated_refined_query_grid():
     assert np.array_equal(b[::2], b[1::2])
     assert np.array_equal(b[::2], 1.0 + x)
 
-
-def test_check_ellipticity_scans_times():
-    grid = make_grid(1, [0.0], [1.0], [8])
-    # beta shrinks to zero at t=1: only visible if that time is sampled
-    model = tabulated_model(
-        grid,
-        None,
-        None,
-        times=[0.0, 1.0],
-        series=[
-            (np.zeros((8, 1)), np.ones((8, 1, 1))),
-            (np.zeros((8, 1)), np.zeros((8, 1, 1))),
-        ],
-    )
-    assert check_ellipticity(model, grid, times=(0.0,)) == pytest.approx(1.0)
-    with pytest.raises(EllipticityViolation) as err:
-        check_ellipticity(model, grid, times=(0.0, 1.0))
-    assert err.value.t == 1.0

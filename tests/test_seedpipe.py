@@ -63,6 +63,10 @@ def test_realize_rejects_negative_and_zero(grid128):
         realize_gamma(grid128, {"kind": "tiles", "shape": [4], "values": [0, 0, 0, 0]})
     with pytest.raises(ValueError):
         realize_gamma(grid128, {"kind": "wavelet"})
+    # a tile count below 1 is a bad value (exit 2), not an internal error
+    for shape, values in (([0], []), ([-3], [1.0, 2.0, 3.0])):
+        with pytest.raises(ValueError, match="entries >= 1"):
+            realize_gamma(grid128, {"kind": "tiles", "shape": shape, "values": values})
 
 
 def test_run_seed_eigenmode_closed_form(heat, grid128):
