@@ -32,6 +32,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import secrets
 import sys
@@ -163,15 +164,21 @@ def load_config(path, overrides=()):
     return merged
 
 
+_MAX_COUNT = 10**8  # above any run that fits in memory
+
+
 def _count(value, name):
-    """The config setting ``value`` as an int >= 1; a whole float such as
-    1e5 is accepted.  Every integer setting goes through here."""
+    """The config setting ``value`` as an int in [1, _MAX_COUNT]; a whole
+    float such as 1e5 is accepted.  Every integer setting goes through here,
+    so no size is allocated before it is checked."""
     if (
         isinstance(value, bool)
         or not (isinstance(value, int) or isinstance(value, float) and value.is_integer())
         or value < 1
     ):
         raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    if value > _MAX_COUNT:
+        raise ConfigError(f"{name} must be at most {_MAX_COUNT}, got {value!r}")
     return int(value)
 
 
@@ -180,6 +187,7 @@ def _build_grid(cfg):
     try:
         cells = d["n_cells"] if isinstance(d["n_cells"], list) else [d["n_cells"]]
         cells = [_count(c, "domain.n_cells") for c in cells]
+        _count(math.prod(cells), "the node count of domain.n_cells")
         return make_grid(d["dim"], d["lo"], d["hi"], cells)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad domain block: {exc}") from exc
@@ -416,9 +424,11 @@ def cmd_mc(cfg, base_dir, rho_path):
     dt = mc["dt"]
     dt = float(dt) if dt is not None else default_dt(model, grid, T)
     ensemble = sample_initial(rho, n, int(seed))
+    # the march certifies every step's coefficients, so a model degenerate
+    # inside (0, T) fails before the particles run
+    final = act(rho.values)
     ensemble = simulate(model, grid, ensemble, T, dt=dt)
     estimate = estimate_density(ensemble, grid)
-    final = act(rho.values)
     q = _coarsen(final, grid, bins)
     counts = _coarsen(estimate.histogram.values, grid, bins) * n
     qc = np.clip(q, 1e-12, 1.0)

@@ -25,7 +25,10 @@ class DiffusionModel:
     """Vectorized coefficient evaluation for one of the supported families.
 
     ``drift_fn(points, t)`` maps an (N, dim) array to (N, dim);
-    ``beta_fn(points, t)`` maps it to (N, dim, dim).  ``generator`` is None
+    ``beta_fn(points, t)`` maps it to (N, dim, dim).  The arrays that
+    ``drift_at`` and ``beta_at`` return may be read-only views (a constant
+    coefficient is broadcast, not copied), so callers must not write into
+    them.  ``generator`` is None
     or, for a time-homogeneous model, the ``(grid, A_h, mixed)`` that the
     stepping core of :mod:`decrem.kolmogorov` last assembled (and so
     certified), kept so that the steppers of one command share it.
@@ -74,8 +77,8 @@ def constant_model(drift, beta):
     beta = _as_beta_matrix(beta, dim)
     return DiffusionModel(
         dim,
-        lambda pts, t: np.broadcast_to(drift, (pts.shape[0], dim)).copy(),
-        lambda pts, t: np.broadcast_to(beta, (pts.shape[0], dim, dim)).copy(),
+        lambda pts, t: np.broadcast_to(drift, (pts.shape[0], dim)),
+        lambda pts, t: np.broadcast_to(beta, (pts.shape[0], dim, dim)),
         family="constant",
     )
 
@@ -91,7 +94,7 @@ def ou_model(rate, center, beta):
     return DiffusionModel(
         dim,
         lambda pts, t: -rate * (pts - center),
-        lambda pts, t: np.broadcast_to(beta, (pts.shape[0], dim, dim)).copy(),
+        lambda pts, t: np.broadcast_to(beta, (pts.shape[0], dim, dim)),
         family="linear-drift",
     )
 

@@ -2,21 +2,26 @@
 
 Randomness comes from counter-based Philox streams keyed by the master
 seed: step k draws its normal increments from the counter block k << 128,
-inside which particle i reads slots [i*dim, (i+1)*dim).  Every variate is
-therefore a pure function of (seed, step, particle), so results do not
-depend on execution order or thread count, and two runs to different
+inside which particle i reads the 64-bit words [i*dim, (i+1)*dim).  Every
+variate is therefore a pure function of (seed, step, particle), so results
+do not depend on execution order or thread count, and two runs to different
 horizons agree on their common steps: the step count is fixed up front,
 so extending a run past T continues exactly where a direct run would be,
-for any dt.  Normals are produced by applying the inverse normal CDF
-(scipy.special.ndtri) to Philox uniforms; that choice is part of the
+for any dt.  A word w becomes the uniform (w >> 11) * 2**-53, the value
+``Generator.random`` gives for it, and the normal is the inverse normal CDF
+(scipy.special.ndtri) of that uniform; that choice is part of the
 reproducibility contract of this release.
 
+One Philox bit generator serves a whole ``simulate`` call.  At each step it
+draws raw words only up to the last survivor's slot, and is then advanced to
+the next step's block.  Absorbed particles keep their slots but turn no
+words into normals, evaluate no coefficients and are not stepped; each step
+works on the survivors only.
+
 Absorption uses end-of-step exit detection: a particle found outside the
-open box after a step is frozen there and never moves again.  Absorbed
-particles keep their counter slots, but draw no normals, evaluate no
-coefficients and are not stepped; each step works on the survivors only.
-Discrete exit checks carry the usual O(sqrt(dt)) survival bias, which the
-package absorbs into its statistical tolerances.
+open box after a step is frozen there and never moves again.  Discrete exit
+checks carry the usual O(sqrt(dt)) survival bias, which the package absorbs
+into its statistical tolerances.
 """
 
 from __future__ import annotations
@@ -35,19 +40,7 @@ from .model import eval_a
 
 _STEP_STRIDE = 1 << 128  # counter block per time step
 _INIT_BLOCK = 1 << 200  # far above any reachable step block
-
-
-def _normals(seed, step, n, dim, rows):
-    """Normal increments of particles ``rows`` at ``step``.
-
-    The whole (n, dim) block of uniforms is drawn so that particle i always
-    reads slots [i*dim, (i+1)*dim) of counter block ``step << 128``; only the
-    requested rows go through ndtri.
-    """
-    bg = Philox(key=int(seed) & ((1 << 128) - 1), counter=step * _STEP_STRIDE)
-    u = Generator(bg).random((n, dim))[rows]
-    # random() can return exactly 0, which ndtri maps to -inf
-    return ndtri(np.maximum(u, 5e-324))
+_KEY_MASK = (1 << 128) - 1
 
 
 @dataclass
@@ -69,10 +62,14 @@ class ParticleEnsemble:
 def sample_initial(rho, n, seed):
     """Draw n particles from a density field: cell choice then uniform in cell.
 
-    Raises NotADensity unless ``rho`` is nonnegative with unit mass to 1e-9.
+    Raises NotADensity unless ``rho`` is finite and nonnegative with unit
+    mass to 1e-9.
     """
     grid = rho.grid
     v = rho.values
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise NotADensity(f"density is not finite at cell {bad[0]}")
     if np.any(v < 0.0):
         raise NotADensity(f"density has negative value {v.min():.6g}")
     total = mass(rho)
@@ -80,7 +77,7 @@ def sample_initial(rho, n, seed):
         raise NotADensity(f"density mass {total!r} differs from 1 by more than 1e-9")
     weights = v * grid.cell_volume
     weights = weights / weights.sum()
-    rng = Generator(Philox(key=int(seed) & ((1 << 128) - 1), counter=_INIT_BLOCK))
+    rng = Generator(Philox(key=int(seed) & _KEY_MASK, counter=_INIT_BLOCK))
     cells = rng.choice(grid.n, size=n, p=weights)
     offsets = rng.random((n, grid.dim))
     h = np.asarray(grid.h)
@@ -130,14 +127,19 @@ def simulate(model, grid, ensemble, T, dt=None):
     pos = ensemble.positions.copy()
     n, dim = pos.shape
     live = np.flatnonzero(ensemble.alive)  # rows still inside the box
-    x = pos[live]
+    x = pos.take(live, axis=0)
     t = ensemble.t
     k0 = ensemble.step_offset
+    bg = Philox(key=int(ensemble.seed) & _KEY_MASK, counter=k0 * _STEP_STRIDE)
     for k in range(k0, k0 + n_steps):
         if live.size == 0:
             break
         step = min(dt, T - t)
-        z = _normals(ensemble.seed, k, n, dim, live)
+        words = (int(live[-1]) + 1) * dim  # up to the last survivor's slot
+        u = bg.random_raw(words).reshape(-1, dim).take(live, axis=0) >> np.uint64(11)
+        bg.advance(_STEP_STRIDE - (words + 3) // 4)  # the counter moved 1 per 4 words
+        # Generator.random's double; it can be exactly 0, which ndtri maps to -inf
+        z = ndtri(np.maximum(u * 2.0**-53, 5e-324))
         f = model.drift_at(x, t)
         b = model.beta_at(x, t)
         if dim == 1:  # (b * sqrt(step)) * z rounds unlike einsum's sqrt(step) * (b z)
@@ -145,9 +147,11 @@ def simulate(model, grid, ensemble, T, dt=None):
         else:
             x = x + (f * step + np.sqrt(step) * np.einsum("nij,nj->ni", b, z))
         inside = _strictly_inside(x, grid)
-        pos[live[~inside]] = x[~inside]  # absorbed: frozen where they exited
-        live = live[inside]
-        x = x[inside]
+        if not inside.all():
+            gone = np.flatnonzero(~inside)
+            pos[live.take(gone)] = x.take(gone, axis=0)  # frozen where they exited
+            live = live.compress(inside)
+            x = x.compress(inside, axis=0)
         t += step
     pos[live] = x
     alive = np.zeros(n, dtype=bool)

@@ -391,6 +391,50 @@ def test_integer_settings_reject_non_integers(tmp_path, capsys, command, key, va
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["1e18", "100000001"])
+@pytest.mark.parametrize(
+    "command, key",
+    [("seed", "time.n_steps"), ("seed", "domain.n_cells"), ("mc", "mc.n_particles")],
+)
+def test_integer_settings_reject_huge_counts(tmp_path, capsys, command, key, value):
+    # refused before anything is allocated: n_steps=1e18 used to exit 1
+    # with a MemoryError from the step-time array
+    path = tmp_path / "run.json"
+    write_config(path)
+    override = f"{key}=[{value}]" if key == "domain.n_cells" else f"{key}={value}"
+    args = [command, str(path), "--set", override]
+    if command == "mc":
+        rho = tmp_path / "rho.csv"
+        DensityField(make_grid(1, [0.0], [1.0], [64]), np.ones(64)).to_csv(rho)
+        args += ["--rho", str(rho), "--set", "mc.seed=1"]
+    assert main(args) == 2
+    assert f"ConfigError: {key} must be at most 100000000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_node_count_has_the_same_ceiling(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    write_config(path, domain={"dim": 2, "lo": [0, 0], "hi": [1, 1], "n_cells": [20000, 20000]})
+    assert main(["seed", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "the node count of domain.n_cells must be at most 100000000" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cmd_mc_rejects_non_finite_density(tmp_path, capsys, bad):
+    # a NaN used to pass the density checks and exit 2 from numpy's choice
+    path = tmp_path / "run.json"
+    write_config(path)
+    rho = tmp_path / "rho.csv"
+    DensityField(make_grid(1, [0.0], [1.0], [64]), np.ones(64)).to_csv(rho)
+    lines = rho.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].split(",")[0] + f",{bad}\n"
+    rho.write_text("".join(lines))
+    assert main(["mc", str(path), "--rho", str(rho), "--set", "mc.seed=1"]) == 12
+    assert "NotADensity: density is not finite at cell 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integer_settings_accept_whole_floats(tmp_path):
     path = tmp_path / "run.json"
     write_config(path, domain={"n_cells": 16}, time={"n_steps": 64.0})
@@ -627,10 +671,11 @@ DEGENERATE = {
 
 @pytest.mark.parametrize("command", ["seed", "evolve", "mc", "spectrum"])
 @pytest.mark.parametrize("case", sorted(DEGENERATE))
-def test_degenerate_coefficients_exit_3(tmp_path, capsys, case, command):
+def test_degenerate_coefficients_exit_3(tmp_path, capsys, monkeypatch, case, command):
     # every time a march evaluates the coefficients is certified: a series
     # degenerate only at its interior sample t = 0.25, which the implicit
-    # euler steps t = 0.0625 k read, fails like one degenerate at s or T
+    # euler steps t = 0.0625 k read, fails like one degenerate at s or T;
+    # decrem mc marches the field first, so its particles never run
     dim = 2 if case == "overflow-2d" else 1
     grid = make_grid(dim, [0.0] * dim, [1.0] * dim, [8] * dim)
     path = tmp_path / "run.json"
@@ -645,6 +690,11 @@ def test_degenerate_coefficients_exit_3(tmp_path, capsys, case, command):
     args = [command, str(path)]
     if command in ("evolve", "mc"):
         args += ["--rho", str(tmp_path / "rho.csv")]
+
+    def no_particles(*args, **kwargs):
+        raise AssertionError("the particles ran on a degenerate model")
+
+    monkeypatch.setattr("decrem.cli.simulate", no_particles)
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(args) == 3
     assert "EllipticityViolation" in capsys.readouterr().err

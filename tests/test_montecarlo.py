@@ -1,5 +1,11 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
 
 from decrem import (
     DensityField,
@@ -14,7 +20,7 @@ from decrem import (
     simulate,
     tabulated_model,
 )
-from decrem.montecarlo import ParticleEnsemble, _normals, _strictly_inside
+from decrem.montecarlo import ParticleEnsemble, _strictly_inside
 from conftest import sampled_sine
 
 
@@ -27,6 +33,14 @@ def uniform_density(grid):
     return DensityField(grid, np.full(grid.n, 1.0 / (grid.n * grid.cell_volume)))
 
 
+def reference_normals(seed, step, n, dim):
+    """The stream contract written out: uniforms of counter block
+    ``step << 128``, particle i in slots [i*dim, (i+1)*dim), through ndtri."""
+    bg = Philox(key=seed & ((1 << 128) - 1), counter=step << 128)
+    u = Generator(bg).random((n, dim))
+    return ndtri(np.maximum(u, 5e-324))
+
+
 def simulate_all_particles(model, grid, ensemble, T, dt):
     """Reference stepper: every particle draws, evaluates and moves at every
     step, and only the alive mask decides who keeps the move."""
@@ -37,7 +51,7 @@ def simulate_all_particles(model, grid, ensemble, T, dt):
     k = ensemble.step_offset
     while t < T - 1e-14 * max(1.0, abs(T)):
         step = min(dt, T - t)
-        z = _normals(ensemble.seed, k, n, dim, slice(None))
+        z = reference_normals(ensemble.seed, k, n, dim)
         f = model.drift_at(pos, t)
         b = model.beta_at(pos, t)
         if dim == 1:
@@ -71,6 +85,14 @@ def test_sample_initial_rejects_non_density(grid64):
         sample_initial(DensityField(grid64, np.full(64, 2.0)), 10, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_initial_rejects_non_finite_density(grid64, bad):
+    values = np.full(64, 1.0)
+    values[5] = bad
+    with pytest.raises(NotADensity, match="not finite at cell 5"):
+        sample_initial(DensityField(grid64, values), 10, seed=0)
+
+
 def test_sample_initial_uniform_binomial(grid64):
     n = 100000
     rho = DensityField(grid64, np.ones(64))
@@ -101,18 +123,22 @@ def test_sampling_deterministic(grid64):
     assert not np.array_equal(a.positions, c.positions)
 
 
-def test_normals_are_pure_function_of_seed_and_step():
-    a = _normals(123, step=5, n=100, dim=2, rows=slice(None))
-    b = _normals(123, step=5, n=100, dim=2, rows=slice(None))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, _normals(123, step=6, n=100, dim=2, rows=slice(None)))
-    assert not np.array_equal(a, _normals(124, step=5, n=100, dim=2, rows=slice(None)))
+def test_normals_are_pure_function_of_seed_and_step(grid64, heat):
+    pos = np.linspace(0.02, 0.98, 200).reshape(-1, 1)
+    ens = ParticleEnsemble(pos, np.ones(200, dtype=bool), seed=123, t=0.0, step_offset=5)
+    a = simulate(heat, grid64, ens, 2e-3, dt=1e-3)
+    assert np.array_equal(a.positions, simulate(heat, grid64, ens, 2e-3, dt=1e-3).positions)
+    for other in (replace(ens, seed=124), replace(ens, step_offset=6)):
+        assert not np.array_equal(a.positions, simulate(heat, grid64, other, 2e-3, dt=1e-3).positions)
     # particle streams are prefixes: more particles extend, not reshuffle
-    wide = _normals(123, step=5, n=200, dim=2, rows=slice(None))
-    assert np.array_equal(wide[:100], a)
-    # a subset of rows reads the same normals as the full draw
-    rows = np.array([0, 3, 4, 57, 99])
-    assert np.array_equal(_normals(123, step=5, n=100, dim=2, rows=rows), a[rows])
+    head = replace(ens, positions=pos[:100], alive=ens.alive[:100])
+    assert np.array_equal(simulate(heat, grid64, head, 2e-3, dt=1e-3).positions, a.positions[:100])
+    # absorbed rows keep their slots: the survivors read the same normals
+    alive = np.zeros(200, dtype=bool)
+    alive[[0, 3, 4, 57, 99]] = True
+    sparse = simulate(heat, grid64, replace(ens, alive=alive), 2e-3, dt=1e-3)
+    assert np.array_equal(sparse.positions[alive], a.positions[alive])
+    assert np.array_equal(sparse.positions[~alive], pos[~alive])
 
 
 def _time_dependent_table():
@@ -161,6 +187,69 @@ def test_simulate_matches_all_particle_stepper(case):
     assert later.step_offset == k == 2 * steps
     assert np.array_equal(later.positions, pos)
     assert np.array_equal(later.alive, alive)
+
+
+def _digest(ensemble):
+    return hashlib.sha256(ensemble.positions.tobytes() + ensemble.alive.tobytes()).hexdigest()
+
+
+# SHA-256 of positions and alive after T and after continuing to 2T; they pin
+# the particle stream and the step arithmetic, whatever the implementation
+_GOLDEN = {
+    "heat-1d": (
+        "cae8675c154d1061d9ea7f80bbdf512392195104c48be5d3dec6b59b450065a0",
+        "1ce0b89235e8cbc3ec425e7349df8de7531898811aa0763cb00cacb29a2884fe",
+    ),
+    "heat-1d-short-last-step": (
+        "84016994154e150e68fa19cc5dcd931f4108c35c1e944ea835206bba783f2daf",
+        "4d4f58246c7af4c2aee9140d3ae56006859175eb630cced4554f274356ae294c",
+    ),
+    "ou-2d-offdiag-beta": (
+        "520731aa4401cbd2851ff04b556a1ee30a2edb0756d34533163792cc223122ef",
+        "03c1b83954fbd8e426c8413d338958b80642e6523ffac0cdfa0213c0644dfa7e",
+    ),
+    "tabulated-series-2d": (
+        "f97537e995dfc10a90ab5d400868fa627280460c0780ca4335546b173cab12c0",
+        "09da41b59508efe9f47005b2f920123f0acbfed1e92b428921d1743dca92139f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_simulate_golden_digests(case):
+    model, grid, n, T, dt, _ = _surviving_steps_cases()[case]
+    ens = sample_initial(uniform_density(grid), n, seed=17)
+    first = simulate(model, grid, ens, T, dt=dt)
+    later = simulate(model, grid, first, 2 * T, dt=dt)
+    assert (_digest(first), _digest(later)) == _GOLDEN[case]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**130),
+    n=st.integers(1, 500),
+    dim=st.sampled_from([1, 2]),
+    step_offset=st.integers(0, 2**40),
+    steps=st.integers(1, 12),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_equals_reference_stepper(seed, n, dim, step_offset, steps, data_seed):
+    if dim == 1:
+        grid = make_grid(1, [0.0], [1.0], [16])
+        model = constant_model([0.4], [[1.3]])
+    else:
+        grid = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
+        model = ou_model([1.5, 0.7], [0.4, 0.6], [[0.9, 0.3], [-0.2, 0.6]])
+    rng = np.random.default_rng(data_seed)
+    pos = rng.uniform(grid.lo, grid.hi, (n, dim))
+    absorbed = rng.random(n) < rng.random()  # a random share is absorbed up front
+    ens = ParticleEnsemble(pos, ~absorbed, seed=seed, t=0.0, step_offset=step_offset)
+    dt = 2e-3
+    out = simulate(model, grid, ens, steps * dt, dt=dt)
+    ref_pos, ref_alive, k = simulate_all_particles(model, grid, ens, steps * dt, dt)
+    assert out.step_offset == k == step_offset + steps
+    assert np.array_equal(out.positions, ref_pos)
+    assert np.array_equal(out.alive, ref_alive)
 
 
 def test_simulate_fully_absorbed_ensemble(grid64, heat):
