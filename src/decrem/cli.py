@@ -54,9 +54,9 @@ from .errors import (
     ToolkitError,
     VerificationFailed,
 )
-from .fredholm import assemble_Q, propagator_action, singular_values, spectral_radius
+from .fredholm import _check_cap, assemble_Q, propagator_action, singular_values, spectral_radius
 from .grid import DensityField, _write_json, _write_rows, make_grid, mass
-from .kolmogorov import SolverConfig, evolve, save_trajectory
+from .kolmogorov import SolverConfig, _Stepper, evolve, save_trajectory
 from .model import constant_model, load_tabulated, load_tabulated_series, ou_model
 from .montecarlo import default_dt, estimate_density, sample_initial, simulate
 from .seedpipe import (
@@ -360,11 +360,15 @@ def cmd_spectrum(cfg, base_dir):
     spec = cfg["spectrum"]
     max_iter = _count(spec["max_iter"], "spectrum.max_iter")
     cap = _count(spec["cap"], "spectrum.cap")
-    act = propagator_action(model, grid, config, T)
+    # one stepper, so one factor of a time-homogeneous model, for both uses
+    step = _Stepper(model, grid, config, 0.0, T)
     # checked after the certificate, so a degenerate model still exits 3
     tol = _finite(spec["tol"], "spectrum.tol")
     if not isinstance(spec["assemble"], bool):
         raise ConfigError(f"spectrum.assemble must be true or false: {spec['assemble']!r}")
+    if spec["assemble"]:
+        _check_cap(grid, cap)  # before any march or output
+    act = propagator_action(model, grid, config, T, step=step)
     est = spectral_radius(act, n=grid.n, tol=tol, max_iter=max_iter)
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -375,7 +379,7 @@ def cmd_spectrum(cfg, base_dir):
     }
     names = []
     if spec["assemble"]:
-        opmat = assemble_Q(model, grid, config, T, cap=cap)
+        opmat = assemble_Q(model, grid, config, T, cap=cap, step=step)
         sv = singular_values(opmat)
         payload["singular_value_head"] = [float(s) for s in sv[:8]]
         masses = opmat.column_masses()

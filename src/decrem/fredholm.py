@@ -106,18 +106,23 @@ def propagator_action(model, grid, config, T, step=None):
     return lambda v: _march(model, grid, config, v, 0.0, T, record=False, step=step)[1]
 
 
-def assemble_Q(model, grid, config, T, cap=4096):
+def _check_cap(grid, cap):
+    """CapExceeded unless the dense assembly on ``grid`` fits in ``cap`` nodes."""
+    if grid.n > cap:
+        raise CapExceeded(f"grid has {grid.n} nodes, dense assembly capped at {cap}")
+
+
+def assemble_Q(model, grid, config, T, cap=4096, step=None):
     """Dense diagnostic assembly of Q, one column per unit-mass cell density.
 
     Applies :func:`propagator_action` to the unit masses ``PANEL`` cells at
     a time, all panels through one stepper, and writes each panel's columns
     into the N x N result, which is column-major as :meth:`OperatorMatrix.save`
-    writes it.
+    writes it.  ``step`` is passed on to :func:`propagator_action`.
     """
+    _check_cap(grid, cap)
     n = grid.n
-    if n > cap:
-        raise CapExceeded(f"grid has {n} nodes, dense assembly capped at {cap}")
-    act = propagator_action(model, grid, config, T)
+    act = propagator_action(model, grid, config, T, step=step)
     Q = np.empty((n, n), order="F")
     for j in range(0, n, PANEL):
         m = min(PANEL, n - j)
@@ -165,8 +170,9 @@ def resolvent_dense(opmat, gamma):
 
 
 def singular_values(opmat):
-    """Singular values of the coefficient action, largest first."""
-    return np.linalg.svd(opmat.coefficient_action(), compute_uv=False)
+    """Singular values of the coefficient action, largest first: those of
+    the kernel matrix scaled by the cell volume, with no scaled N x N copy."""
+    return opmat.grid.cell_volume * np.linalg.svd(opmat.matrix, compute_uv=False)
 
 
 def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200, step=None):

@@ -7,6 +7,7 @@ import pytest
 from decrem import DensityField, make_grid
 from decrem.cli import load_config, main
 from decrem.errors import ConfigError
+from decrem.kolmogorov import DENSE_MAX_N
 from conftest import write_coefficient_csv
 
 
@@ -759,6 +760,45 @@ def test_cmd_spectrum_unconverged_exits_7_after_writing(tmp_path):
     assert payload["converged"] is False and payload["iterations"] == 1
     names = {e["name"] for e in json.loads((out / "manifest.json").read_text())["files"]}
     assert names == {"spectrum.json", "config.echo.json"}
+
+
+def test_cmd_spectrum_over_cap_exits_10_before_any_work(tmp_path, capsys, monkeypatch):
+    # 65 x 65 = 4225 nodes, over the default cap of 4096
+    path = tmp_path / "run.json"
+    write_config(
+        path,
+        domain={"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.0], "n_cells": [65, 65]},
+        model={"family": "constant", "drift": [0.0, 0.0], "beta": [[1.0, 0.0], [0.0, 1.0]]},
+        spectrum={"assemble": True},
+    )
+
+    def no_power_iteration(*args, **kwargs):
+        raise AssertionError("the power iteration ran over the cap")
+
+    monkeypatch.setattr("decrem.cli.spectral_radius", no_power_iteration)
+    assert main(["spectrum", str(path)]) == 10
+    assert "CapExceeded: grid has 4225 nodes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_cells", [64, DENSE_MAX_N + 32])
+def test_cmd_spectrum_factors_once(tmp_path, monkeypatch, n_cells):
+    # the power iteration and the assembly share one stepper, on the dense
+    # path and above it
+    from decrem import kolmogorov
+
+    calls = []
+    splu = kolmogorov.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(kolmogorov, "splu", counted)
+    path = tmp_path / "run.json"
+    write_config(path, domain={"n_cells": [n_cells]}, spectrum={"assemble": True})
+    assert main(["spectrum", str(path)]) == 0
+    assert len(calls) == 1
 
 
 def test_failed_verification_exits_13_after_writing(tmp_path):

@@ -404,26 +404,37 @@ def test_2d_product_eigenmode_decay():
     assert ratio.std() <= 1e-6 * ratio.mean()  # still an exact eigenvector
 
 
-def _reference_march(model, grid, config, values, s, T):
-    """The per-step sparse march: back-substitution through a SuperLU factor
-    of I - dt_eff*A_h, formed once for a time-homogeneous model and at every
-    step for a tabulated series, then the positivity clamp."""
+def _splu_solve(M):
+    """The solve of the stepper's factor: SuperLU in the symmetric ordering."""
+    return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).solve
+
+
+def _dense_solve(M):
+    """A solve that shares nothing with the stepper's factor: LAPACK's dense LU."""
+    dense = M.toarray()
+    return lambda rhs: np.linalg.solve(dense, rhs)
+
+
+def _reference_march(model, grid, config, values, s, T, factor=_splu_solve):
+    """The per-step sparse march: solves through ``factor`` of I - dt_eff*A_h,
+    formed once for a time-homogeneous model and at every step for a
+    tabulated series, then the positivity clamp."""
     implicit = config.scheme == "implicit-euler"
     dt = (T - s) / config.n_steps
     times = s + dt * np.arange(config.n_steps + 1)
     dt_eff = dt if implicit else 0.5 * dt
     clamp = implicit and bool(np.all(values >= 0.0))
     mixed = False
-    lu = None
+    solve = None
     p = np.array(values, dtype=float)
     for k in range(config.n_steps):
-        if lu is None or model.time_dependent:
+        if solve is None or model.time_dependent:
             t = times[k + 1] if implicit else times[k] + 0.5 * dt
             A, m = build_stencil(model, grid, t)
             mixed |= m
-            lu = splu((identity(grid.n, format="csr") - dt_eff * A).tocsc())
+            solve = factor(identity(grid.n, format="csr") - dt_eff * A)
         rhs = p if implicit else p + 0.5 * dt * (A @ p)
-        p = lu.solve(rhs)
+        p = solve(rhs)
         if clamp and not mixed:
             np.maximum(p, 0.0, out=p)
     return p
@@ -460,6 +471,19 @@ def test_dense_march_matches_sparse_reference(case, scheme, sign):
     assert np.linalg.norm(d) <= config.linear_solver_tol * np.linalg.norm(rhs)
 
 
+def _random_series(grid, rng, cross):
+    """A 3-sample tabulated series over [0, 0.2] with random drift and a
+    beta near the identity, with an a12 term only when ``cross``."""
+    samples = []
+    for _ in range(3):
+        drift = rng.normal(size=(grid.n, 2))
+        beta = np.eye(2) + 0.3 * rng.normal(size=(grid.n, 2, 2))
+        if not cross:
+            beta[:, 0, 1] = beta[:, 1, 0] = 0.0
+        samples.append((drift, beta))
+    return tabulated_model(grid, None, None, times=[0.0, 0.1, 0.2], series=samples)
+
+
 def test_sparse_path_is_unchanged(monkeypatch):
     # a tabulated series and a grid above the cap never form the inverse,
     # and march bit for bit as the per-step sparse reference
@@ -469,11 +493,7 @@ def test_sparse_path_is_unchanged(monkeypatch):
     monkeypatch.setattr(_Stepper, "_certified_inverse", no_inverse)
     rng = np.random.default_rng(43)
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [6, 7])
-    series = [
-        (rng.normal(size=(grid.n, 2)), np.eye(2) + 0.3 * rng.normal(size=(grid.n, 2, 2)))
-        for _ in range(3)
-    ]
-    table = tabulated_model(grid, None, None, times=[0.0, 0.1, 0.2], series=series)
+    table = _random_series(grid, rng, cross=True)
     big = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 1])
     drifted = constant_model([0.3], [[1.0]])
     for model, g in ((table, grid), (drifted, big)):
@@ -484,6 +504,32 @@ def test_sparse_path_is_unchanged(monkeypatch):
                 out = _march(model, g, config, v, 0.0, 0.25, record=False)[1]
                 ref = _reference_march(model, g, config, v, 0.0, 0.25)
                 assert np.array_equal(out, ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(["constant-1d", "series-2d", "series-2d-a12"]),
+    scheme=st.sampled_from(SCHEMES),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.sampled_from([0.0, 0.5]),
+)
+def test_sparse_march_matches_dense_solves(case, scheme, seed, shift):
+    # the factored steps against a march whose every step is a dense
+    # LAPACK solve: nothing of the ordering or of SuperLU is shared
+    rng = np.random.default_rng(seed)
+    if case == "constant-1d":
+        grid = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 1 + int(rng.integers(64))])
+        model = constant_model([rng.normal()], [[0.5 + rng.random()]])
+    else:
+        grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [6, 7])
+        model = _random_series(grid, rng, cross=case.endswith("a12"))
+    config = SolverConfig(n_steps=16, scheme=scheme)
+    values = rng.random(grid.n) - shift
+    step = _Stepper(model, grid, config, 0.0, 0.2)
+    out = _march(model, grid, config, values, 0.0, 0.2, record=False, step=step)[1]
+    assert step.lu is not None and step.inverse is None
+    ref = _reference_march(model, grid, config, values, 0.0, 0.2, factor=_dense_solve)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_uncertified_inverse_falls_back(heat):
