@@ -56,7 +56,7 @@ from .errors import (
 )
 from .fredholm import _check_cap, assemble_Q, propagator_action, singular_values, spectral_radius
 from .grid import DensityField, _write_json, _write_rows, make_grid, mass
-from .kolmogorov import SolverConfig, _Stepper, evolve, save_trajectory
+from .kolmogorov import SCHEME, SolverConfig, _Stepper, evolve, save_trajectory
 from .model import constant_model, load_tabulated, load_tabulated_series, ou_model
 from .montecarlo import default_dt, estimate_density, sample_initial, simulate
 from .seedpipe import (
@@ -98,7 +98,7 @@ _DEFAULTS = {
 _ALLOWED = {
     "domain": {"dim", "lo", "hi", "n_cells"},
     "model": {"family", "drift", "beta", "rate", "center", "file", "manifest"},
-    "time": {"T", "n_steps", "scheme"},
+    "time": {"T", "n_steps"},
     "gamma": {"kind", "lo", "hi", "value", "shape", "values", "file"},
     "tolerances": set(_DEFAULTS["tolerances"]),
     "spectrum": set(_DEFAULTS["spectrum"]),
@@ -218,7 +218,6 @@ def _build_solver(cfg):
     try:
         config = SolverConfig(
             n_steps=_count(t["n_steps"], "time.n_steps"),
-            scheme=t.get("scheme", "implicit-euler"),
             linear_solver_tol=float(tol["linear_solver_tol"]),
         )
         T = float(t["T"])
@@ -346,10 +345,10 @@ def cmd_evolve(cfg, base_dir, rho_path):
     names = [os.path.join("trajectory", n) for n in save_trajectory(traj, traj_dir)]
     names.append(_save_json(out_dir, "config.echo.json", cfg))
     _write_manifest(out_dir, names)
-    print(f"evolved to T={T:g} in {config.n_steps} steps ({config.scheme})")
+    print(f"evolved to T={T:g} in {config.n_steps} steps ({SCHEME})")
     print(f"final mass {traj.masses[-1]:.12g}")
     if not traj.positivity_certified:
-        print("warning: positivity not certified for this scheme/model")
+        print("warning: positivity not certified: the model has an a12 (cross-diffusion) term")
     return 0
 
 

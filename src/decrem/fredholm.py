@@ -23,7 +23,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CapExceeded, NoConvergence
 from .grid import DensityField, _write_json
-from .kolmogorov import PANEL, _march, _Stepper
+from .kolmogorov import PANEL, SCHEME, _march, _Stepper
 
 
 @dataclass
@@ -37,7 +37,6 @@ class OperatorMatrix:
 
     matrix: np.ndarray
     grid: object
-    scheme: str
     T: float
     n_steps: int
 
@@ -63,7 +62,7 @@ class OperatorMatrix:
                 "hi": list(self.grid.hi),
                 "n_cells": list(self.grid.n_cells),
             },
-            "scheme": self.scheme,
+            "scheme": SCHEME,
             "T": self.T,
             "n_steps": self.n_steps,
         }
@@ -129,9 +128,7 @@ def assemble_Q(model, grid, config, T, cap=4096, step=None):
         units = np.zeros((n, m))
         units[j + np.arange(m), np.arange(m)] = 1.0 / grid.cell_volume
         Q[:, j : j + m] = act(units)
-    return OperatorMatrix(
-        matrix=Q, grid=grid, scheme=config.scheme, T=float(T), n_steps=config.n_steps
-    )
+    return OperatorMatrix(matrix=Q, grid=grid, T=float(T), n_steps=config.n_steps)
 
 
 def spectral_radius(act, n, tol=1e-6, max_iter=200):

@@ -4,21 +4,22 @@ Discretizes A p = sum_ij d2(a_ij p)/dx_i dx_j - sum_i d(f_i p)/dx_i on the
 cell-centered grid.  Diffusion terms use central second differences of the
 product a*p with odd reflection across the boundary faces, which pins the
 zero Dirichlet value on the faces themselves.  Drift terms use first-order
-upwind flux splitting with no inflow through the faces.  With the
-implicit-euler scheme the step matrix I - dt*A_h is an M-matrix (columnwise
-diagonally dominant, nonpositive off-diagonal), so the exact step preserves
-nonnegativity and strictly loses mass; mixed-derivative terms in 2-d break
-that structure and are flagged.
+upwind flux splitting with no inflow through the faces.  Time is stepped by
+implicit Euler, the one scheme: its step matrix I - dt*A_h is an M-matrix
+(columnwise diagonally dominant, nonpositive off-diagonal), so the exact
+step preserves nonnegativity and strictly loses mass.  A scheme that keeps
+positivity for every dt is at most first order (Bolley & Crouzeix 1978), so
+no higher-order scheme is offered.  Mixed-derivative terms in 2-d break the
+M-matrix structure and are flagged.
 
 Every assembly of A_h first certifies that 2a = beta beta^T is finite and
 positive definite at every node, and a stepper certifies its ends s and T
-too, so a march is certified wherever the scheme reads the coefficients.
+too, so a march is certified wherever a step reads the coefficients.
 
-Every time step solves M p_new = rhs with the step matrix
-M = I - dt_eff*A_h: implicit Euler takes dt_eff = dt and rhs = p,
-Crank-Nicolson dt_eff = dt/2 and rhs = p + dt/2 * A_h p.  The sparse
-generator is assembled straight from the coefficient arrays, one grid-shaped
-array of entries per stencil offset, and M gets a sparse LU factorization
+Every time step from t_k to t_{k+1} solves M p_new = p with the step
+matrix M = I - dt*A_h(t_{k+1}).  The sparse generator is assembled straight
+from the coefficient arrays, one grid-shaped array of entries per stencil
+offset, and M gets a sparse LU factorization
 once per operator for time-homogeneous models, however many marches go
 through it (``decrem spectrum`` shares one stepper between its power
 iteration and its assembly), and once per step for tabulated series.  M is
@@ -32,7 +33,7 @@ A time-homogeneous operator on at most ``DENSE_MAX_N`` nodes steps through
 the dense inverse S = M^-1, formed once from the factor, so every step is
 one matrix-vector product instead of a back-substitution and a residual
 check.  S is kept only under a certificate that bounds the relative residual
-of every product S @ rhs, round-off included, by ``linear_solver_tol``;
+of every product S @ p, round-off included, by ``linear_solver_tol``;
 otherwise, for tabulated series and on larger grids the steps go through the
 factor as above.  A march of a vector, or of an (n, m) block of them,
 through S fills a (steps, n) or (steps, n, m) buffer and checks its
@@ -40,7 +41,7 @@ finiteness once per chunk of steps (see
 :meth:`_Stepper.march_dense`); :func:`evolve` keeps that buffer, read-only,
 as the trajectory's states and takes the mass curve from one row sum over
 it.  Negative round-off from the solve is projected out only when the march
-input is nonnegative and the scheme is monotone, where the exact solution
+input is nonnegative and no step has an a12 term, where the exact solution
 is provably nonnegative.
 
 A time-homogeneous model keeps the generator A_h of its latest grid
@@ -63,7 +64,8 @@ from .errors import EllipticityViolation, LinearSolveFailure
 from .grid import DensityField, _write_json, _write_rows
 from .model import eval_a
 
-SCHEMES = ("implicit-euler", "crank-nicolson")
+#: The time scheme, as ``operator.json`` and ``trajectory.json`` record it.
+SCHEME = "implicit-euler"
 
 #: Largest node count that steps through a dense inverse.  Measured on one
 #: CPU: at n = 100 a dense step takes about a third of a sparse one and
@@ -93,14 +95,11 @@ class SolverConfig:
     """Time-stepping parameters shared by every operator in the package."""
 
     n_steps: int
-    scheme: str = "implicit-euler"
     linear_solver_tol: float = 1e-10
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected {SCHEMES}")
         if not 0.0 < self.linear_solver_tol < 1.0:
             raise ValueError("linear_solver_tol must be in (0, 1)")
 
@@ -117,7 +116,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     masses: np.ndarray  # mass(fields[k]), bit for bit
-    scheme: str
     positivity_certified: bool
 
     @property
@@ -225,17 +223,19 @@ def build_stencil(model, grid, t):
 
 class _Stepper:
     """The stepping core: ``step(k, p)`` advances a flat field vector, or an
-    n-by-m block of them, from ``times[k]`` to ``times[k + 1]`` through the
-    sparse factor with a residual check, and :meth:`march_dense` runs a
-    whole march of either through the certified dense inverse.
+    n-by-m block of them, by one implicit-Euler step from ``times[k]`` to
+    ``times[k + 1]`` through the sparse factor with a residual check, and
+    :meth:`march_dense` runs a whole march of either through the certified
+    dense inverse.
 
     One stepper serves any number of marches over its times and keeps its
     factor, and on small grids its certified dense inverse, between them for
-    time-homogeneous models.  :meth:`start` begins a march: with the
-    monotone scheme, nonnegative data arm the positivity clamp, which stays
-    off while a factored step has had an a12 term.  Construction certifies
-    ellipticity at s and T: a time-homogeneous model by fetching its kept
-    A_h, a time-dependent one directly.
+    time-homogeneous models.  :meth:`start` begins a march: nonnegative data
+    arm the positivity clamp, which stays off while a factored step has had
+    an a12 term.  Construction certifies ellipticity at s and T: a
+    time-homogeneous model by fetching its kept A_h, a time-dependent one
+    directly; the steps read the coefficients at ``times[1:]`` only, so s
+    is certified here or nowhere.
     """
 
     def __init__(self, model, grid, config, s, T):
@@ -245,7 +245,6 @@ class _Stepper:
         self.grid = grid
         self.dt = (T - s) / config.n_steps
         self.times = s + self.dt * np.arange(config.n_steps + 1)
-        self.implicit = config.scheme == "implicit-euler"
         self.tol = config.linear_solver_tol
         self.clamp = False
         self.mixed = False
@@ -259,7 +258,7 @@ class _Stepper:
             self._generator(s)
 
     def start(self, nonnegative):
-        self.clamp = self.implicit and nonnegative
+        self.clamp = nonnegative
         if self.model.time_dependent:
             self.mixed = False  # every step of the march is factored anew
 
@@ -275,11 +274,10 @@ class _Stepper:
         return kept[1:]
 
     def _factor(self, k):
-        t = self.times[k + 1] if self.implicit else self.times[k] + 0.5 * self.dt
-        self.A, mixed = self._generator(t)
+        t = self.times[k + 1]
+        A, mixed = self._generator(t)
         self.mixed |= mixed
-        dt_eff = self.dt if self.implicit else 0.5 * self.dt
-        self.M = identity(self.grid.n, format="csr") - dt_eff * self.A
+        self.M = identity(self.grid.n, format="csr") - self.dt * A
         try:
             # M is structurally symmetric; default partial pivoting
             self.lu = splu(
@@ -295,9 +293,9 @@ class _Stepper:
     def _certified_inverse(self):
         """S = M^-1 from the factor, or None if S cannot be certified.
 
-        A computed x = S @ rhs has the residual rhs - M x = (I - M S) rhs
+        A computed x = S @ p has the residual p - M x = (I - M S) p
         minus M times the product's round-off, which is at most
-        gamma_n |S| |rhs| entrywise.  The computed I - M S is off by the
+        gamma_n |S| |p| entrywise.  The computed I - M S is off by the
         same amount again, and Frobenius norms bound 2-norms, so the bound
         below caps the relative residual of every dense step.
         """
@@ -325,11 +323,10 @@ class _Stepper:
     def __call__(self, k, p):
         if self.lu is None or self.model.time_dependent:
             self._factor(k)
-        rhs = p if self.implicit else p + 0.5 * self.dt * (self.A @ p)
         # SuperLU returns F-ordered blocks, which every later csr @ would
         # convert; one C-ordered copy serves the check and the next step
-        x = np.ascontiguousarray(self.lu.solve(rhs))
-        self._check(rhs, x, k)
+        x = np.ascontiguousarray(self.lu.solve(p))
+        self._check(p, x, k)
         if self.clamp and not self.mixed:
             # The exact M-matrix step maps nonnegative to nonnegative, so
             # any negative entry is round-off of the solve.
@@ -340,7 +337,7 @@ class _Stepper:
         """March the flat vector, or (n, m) block, ``p`` over every step
         through the dense inverse; call only when :meth:`dense` holds.
 
-        Step k writes S @ rhs into a row of a buffer and clamps it into the
+        Step k writes S @ p into a row of a buffer and clamps it into the
         next state, with no check of its own: the finiteness of the products,
         taken before the clamp so that a -inf it would zero still counts, is
         checked once per chunk of at most ``_CHUNK`` steps and raises
@@ -351,8 +348,7 @@ class _Stepper:
         """
         K = len(self.times) - 1
         chunk = min(K, _CHUNK)
-        implicit, clamp = self.implicit, self.clamp and not self.mixed
-        S, A, half = self.inverse, self.A, 0.5 * self.dt
+        S, clamp = self.inverse, self.clamp and not self.mixed
         states = np.empty((K + 1 if record else chunk + 1,) + p.shape)
         raw = np.empty((chunk,) + p.shape) if clamp else None
         states[0] = p
@@ -366,7 +362,7 @@ class _Stepper:
                 block = states[: m + 1]
             products = raw[:m] if clamp else block[1:]
             for x, out, nxt in zip(block[:-1], products, block[1:]):
-                np.dot(S, x if implicit else x + half * (A @ x), out=out)
+                np.dot(S, x, out=out)
                 if clamp:
                     np.maximum(out, 0.0, out=nxt)
             _check_finite(products, k0)
@@ -422,8 +418,7 @@ def evolve(model, grid, config, rho, s, T, step=None):
     and its mass; ``step`` passes on a stepper over [s, T] as in
     :func:`_march`.
 
-    Positivity is certified when the scheme is implicit-euler and no
-    factored step had an a12 term."""
+    Positivity is certified when no factored step had an a12 term."""
     if rho.grid is not grid and rho.grid != grid:
         raise ValueError("field does not live on the given grid")
     if not np.all(np.isfinite(rho.values)):
@@ -437,8 +432,7 @@ def evolve(model, grid, config, rho, s, T, step=None):
         times=times,
         states=states,
         masses=states.sum(axis=1) * grid.cell_volume,
-        scheme=config.scheme,
-        positivity_certified=step.implicit and not step.mixed,
+        positivity_certified=not step.mixed,
     )
 
 
@@ -461,7 +455,7 @@ def save_trajectory(traj, directory):
     manifest = {
         "times": [float(t) for t in traj.times],
         "files": names,
-        "scheme": traj.scheme,
+        "scheme": SCHEME,
         "positivity_certified": traj.positivity_certified,
     }
     _write_json(os.path.join(directory, "trajectory.json"), manifest)

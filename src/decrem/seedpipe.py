@@ -165,10 +165,6 @@ def run_seed(
     """
     if isinstance(gamma, DensityField):
         gamma = _validate_gamma("csv", gamma)
-    if config.scheme != "implicit-euler":
-        raise ValueError(
-            "seed construction requires the positivity-certified implicit-euler scheme"
-        )
     gamma = TargetProfile(gamma.kind, _unit_sup(gamma.field))
     if resolvent_tol is None:
         resolvent_tol = min(1e-9, tol * 1e-3)
@@ -187,7 +183,7 @@ def run_seed(
     if worst < -eps_neg:
         raise NegativityViolation(
             f"u(., 0) reaches {worst:.3e} < -eps_neg = {-eps_neg:.3e}; "
-            "refine the grid or use the monotone scheme"
+            "refine the grid"
         )
     u0[(u0 < 0.0)] = 0.0
     u0_field = DensityField(grid, u0)
@@ -261,9 +257,9 @@ def verify_seed(model, grid, config, rho, alpha, gamma, T, tol=5e-3):
     The refined march does not share the construction's time grid, so its
     residual floor is the first-order-in-dt difference between the two
     discrete operators rather than the resolvent tolerance; ``tol`` must
-    sit above that floor (about 3e-3 for 64 implicit-euler steps over
-    T=0.5, shrinking linearly in dt).  A tampered rho or alpha shows up as
-    a residual an order of magnitude beyond it.  The mass curve of the
+    sit above that floor (about 3e-3 for 64 steps over T=0.5, shrinking
+    linearly in dt).  A tampered rho or alpha shows up as a residual an
+    order of magnitude beyond it.  The mass curve of the
     refined trajectory must decrease strictly.
     """
     refined = replace(config, n_steps=2 * config.n_steps)

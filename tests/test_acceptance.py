@@ -54,7 +54,7 @@ def heat_model():
 
 def test_criterion_1_eigenmode_decay():
     grid = make_grid(1, [0.0], [1.0], [256])
-    config = SolverConfig(n_steps=512, scheme="crank-nicolson")
+    config = SolverConfig(n_steps=2048)
     rho = sampled_sine(grid)
     start = time.perf_counter()
     traj = evolve(heat_model(), grid, config, rho, 0.0, 1.0)
@@ -72,12 +72,12 @@ def test_criterion_2_spectral_contraction():
     grid = make_grid(1, [0.0], [1.0], [128])
     model = heat_model()
     est1 = spectral_radius(
-        propagator_action(model, grid, SolverConfig(n_steps=256, scheme="crank-nicolson"), 1.0),
+        propagator_action(model, grid, SolverConfig(n_steps=2048), 1.0),
         n=grid.n,
     )
     err1 = abs(est1.value - LAMBDA_T1) / LAMBDA_T1
     est2 = spectral_radius(
-        propagator_action(model, grid, SolverConfig(n_steps=64, scheme="crank-nicolson"), 0.1),
+        propagator_action(model, grid, SolverConfig(n_steps=64), 0.1),
         n=grid.n,
     )
     err2 = abs(est2.value - LAMBDA_T01) / LAMBDA_T01
@@ -263,7 +263,7 @@ def test_criterion_9_determinism_across_threads(tmp_path):
     cfg = {
         "domain": {"dim": 1, "lo": [0.0], "hi": [1.0], "n_cells": [64]},
         "model": {"family": "constant", "drift": [0.0], "beta": [[1.0]]},
-        "time": {"T": 0.25, "n_steps": 64, "scheme": "implicit-euler"},
+        "time": {"T": 0.25, "n_steps": 64},
         "gamma": {"kind": "eigenmode"},
         "mc": {"n_particles": 20000, "dt": 5e-4, "seed": 424242},
         "output_dir": "out",

@@ -15,7 +15,7 @@ def write_config(path, **patches):
     cfg = {
         "domain": {"dim": 1, "lo": [0.0], "hi": [1.0], "n_cells": [64]},
         "model": {"family": "constant", "drift": [0.0], "beta": [[1.0]]},
-        "time": {"T": 0.5, "n_steps": 64, "scheme": "implicit-euler"},
+        "time": {"T": 0.5, "n_steps": 64},
         "gamma": {"kind": "eigenmode"},
         "output_dir": str(path.parent / "out"),
     }
@@ -36,6 +36,12 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     write_config(path, time={"T": 0.5, "n_steps": 64, "step": 1})
     with pytest.raises(ConfigError):
         load_config(path)
+    # one time scheme: time.scheme is no option, whatever its value
+    for scheme in ("implicit-euler", "crank-nicolson"):
+        write_config(path, time={"scheme": scheme})
+        with pytest.raises(ConfigError, match="scheme"):
+            load_config(path)
+        assert main(["seed", str(path)]) == 2
 
 
 def test_load_config_fills_defaults(tmp_path):
@@ -50,10 +56,10 @@ def test_load_config_fills_defaults(tmp_path):
 def test_set_overrides_parse_json_literals(tmp_path):
     path = tmp_path / "run.json"
     write_config(path)
-    cfg = load_config(path, ["time.T=0.25", "mc.seed=7", "time.scheme=crank-nicolson"])
+    cfg = load_config(path, ["time.T=0.25", "mc.seed=7", "gamma.kind=bump"])
     assert cfg["time"]["T"] == 0.25
     assert cfg["mc"]["seed"] == 7
-    assert cfg["time"]["scheme"] == "crank-nicolson"
+    assert cfg["gamma"]["kind"] == "bump"
     with pytest.raises(ConfigError):
         load_config(path, ["no_equals_sign"])
     with pytest.raises(ConfigError):
@@ -108,7 +114,7 @@ def test_cmd_seed_alpha_matches_closed_form(tmp_path):
     write_config(
         path,
         domain={"dim": 1, "lo": [0.0], "hi": [1.0], "n_cells": [128]},
-        time={"T": 1.0, "n_steps": 256, "scheme": "implicit-euler"},
+        time={"T": 1.0, "n_steps": 256},
     )
     assert main(["seed", str(path)]) == 0
     report = json.loads((tmp_path / "out" / "solution" / "report.json").read_text())
@@ -251,6 +257,7 @@ def test_cmd_evolve(tmp_path):
     )
     traj = json.loads((tmp_path / "ev" / "trajectory" / "trajectory.json").read_text())
     assert traj["positivity_certified"] is True
+    assert traj["scheme"] == "implicit-euler"  # a constant, kept for readers
     assert len(traj["files"]) == 65
     # shape-mismatched rho file
     bad = tmp_path / "bad.csv"
@@ -278,7 +285,7 @@ def test_cmd_spectrum(tmp_path):
     path = tmp_path / "run.json"
     write_config(
         path,
-        time={"T": 1.0, "n_steps": 128, "scheme": "crank-nicolson"},
+        time={"T": 1.0, "n_steps": 2048},
         spectrum={"assemble": True},
     )
     assert main(["spectrum", str(path)]) == 0
@@ -286,6 +293,8 @@ def test_cmd_spectrum(tmp_path):
     assert payload["radius"] == pytest.approx(np.exp(-np.pi**2 / 2), rel=2e-2)
     assert payload["converged"] is True
     assert (tmp_path / "out" / "operator.bin").exists()
+    sidecar = json.loads((tmp_path / "out" / "operator.json").read_text())
+    assert sidecar["scheme"] == "implicit-euler"
     assert (tmp_path / "out" / "singular_values.csv").exists()
 
 
@@ -816,11 +825,19 @@ def test_failed_verification_exits_13_after_writing(tmp_path):
 
 
 def test_cmd_evolve_warns_without_positivity_certificate(tmp_path, capsys):
+    # the central cross stencil of an a12 term is no M-matrix
     path = tmp_path / "run.json"
-    write_config(path, domain={"n_cells": [8]}, time={"n_steps": 8, "scheme": "crank-nicolson"})
-    grid = make_grid(1, [0.0], [1.0], [8])
+    write_config(
+        path,
+        domain={"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.0], "n_cells": [8, 8]},
+        model={"drift": [0.0, 0.0], "beta": [[1.0, 0.0], [0.9, 0.436]]},
+        time={"n_steps": 8},
+    )
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [8, 8])
     DensityField(grid, np.ones(grid.n)).to_csv(tmp_path / "rho.csv")
     assert main(["evolve", str(path), "--rho", str(tmp_path / "rho.csv")]) == 0
-    assert "warning: positivity not certified" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "steps (implicit-euler)" in out
+    assert "warning: positivity not certified" in out and "a12" in out
     traj = json.loads((tmp_path / "out" / "trajectory" / "trajectory.json").read_text())
     assert traj["positivity_certified"] is False

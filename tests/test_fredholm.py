@@ -40,7 +40,7 @@ def test_apply_Q_zero(grid64, heat):
 
 def test_apply_Q_eigen_decay(heat):
     grid = make_grid(1, [0.0], [1.0], [256])
-    config = SolverConfig(n_steps=512, scheme="crank-nicolson")
+    config = SolverConfig(n_steps=2048)
     xi = sampled_sine(grid)
     out = apply_Q(heat, grid, config, xi, 1.0)
     err = np.linalg.norm(out.values - DECAY_1 * xi.values)
@@ -128,18 +128,18 @@ def test_operator_matrix_save_load_round_trip(tmp_path, qhat128, grid128):
     assert (sidecar["dtype"], sidecar["order"]) == ("<f8", "column-major")
     loaded = np.fromfile(base + ".bin", dtype="<f8").reshape((n, n), order="F")
     assert np.array_equal(loaded, qhat128.matrix)
-    assert sidecar["scheme"] == qhat128.scheme
+    assert sidecar["scheme"] == "implicit-euler"
     assert sidecar["T"] == qhat128.T
     assert sidecar["n_steps"] == qhat128.n_steps
 
 
 def test_spectral_radius_decay_oracles(heat, grid128):
-    config = SolverConfig(n_steps=256, scheme="crank-nicolson")
+    config = SolverConfig(n_steps=2048)
     est = spectral_radius(propagator_action(heat, grid128, config, 1.0), n=grid128.n)
     assert est.converged
     assert est.value == pytest.approx(DECAY_1, rel=2e-2)
 
-    config = SolverConfig(n_steps=64, scheme="crank-nicolson")
+    config = SolverConfig(n_steps=64)
     est = spectral_radius(propagator_action(heat, grid128, config, 0.1), n=grid128.n)
     assert est.converged
     assert est.value == pytest.approx(np.exp(-np.pi**2 / 20), rel=2e-2)
@@ -296,7 +296,7 @@ def test_short_horizon_seed_converges(heat, T):
 
 def _property_cases():
     """(model, grid, config, T): monotone 1-D with and without drift, a
-    time-dependent table, Crank-Nicolson, and a 2-D mixed term."""
+    time-dependent table, and a 2-D mixed term."""
     g1 = make_grid(1, [0.0], [1.0], [12])
     g2 = make_grid(2, [0.0, 0.0], [1.0, 1.0], [5, 4])
     ramp = tabulated_model(
@@ -310,7 +310,6 @@ def _property_cases():
         (constant_model([0.0], [[1.0]]), g1, SolverConfig(n_steps=6), 0.05),
         (constant_model([2.0], [[0.5]]), g1, SolverConfig(n_steps=5), 0.3),
         (ramp, g1, SolverConfig(n_steps=4), 0.2),
-        (constant_model([0.0], [[1.0]]), g1, SolverConfig(n_steps=4, scheme="crank-nicolson"), 0.1),
         (constant_model([0.3, -0.2], [[1.0, 0.4], [0.0, 0.8]]), g2, SolverConfig(n_steps=3), 0.1),
     ]
 

@@ -24,7 +24,6 @@ from decrem import (
 from decrem.kolmogorov import (
     _CHUNK,
     DENSE_MAX_N,
-    SCHEMES,
     _march,
     _Stepper,
     build_stencil,
@@ -161,9 +160,9 @@ def test_evolve_zero_is_zero(grid64, heat):
         assert not np.any(f.values)
 
 
-def test_eigenmode_decay_crank_nicolson(heat):
+def test_eigenmode_decay(heat):
     grid = make_grid(1, [0.0], [1.0], [256])
-    config = SolverConfig(n_steps=512, scheme="crank-nicolson")
+    config = SolverConfig(n_steps=2048)
     rho = sampled_sine(grid)
     traj = evolve(heat, grid, config, rho, 0.0, 1.0)
     expected = DECAY_1 * rho.values
@@ -204,23 +203,19 @@ def test_convergence_order_in_dt(heat):
     lam = 2.0 * 0.5 * (1.0 - np.cos(np.pi * grid.h[0])) / grid.h[0] ** 2
     exact = np.exp(-lam * 0.5) * rho.values
 
-    def error(scheme, n_steps):
-        config = SolverConfig(n_steps=n_steps, scheme=scheme, linear_solver_tol=1e-13)
+    def error(n_steps):
+        config = SolverConfig(n_steps=n_steps, linear_solver_tol=1e-13)
         final = evolve(heat, grid, config, rho, 0.0, 0.5).fields[-1]
         return np.abs(final.values - exact).max()
 
-    e_cn = [error("crank-nicolson", k) for k in (16, 32, 64)]
-    ratios = [e_cn[i] / e_cn[i + 1] for i in range(2)]
-    assert all(3.0 <= r <= 5.5 for r in ratios)  # second order: ratio ~ 4
-
-    e_ie = [error("implicit-euler", k) for k in (16, 32, 64)]
+    e_ie = [error(k) for k in (16, 32, 64)]
     ratios = [e_ie[i] / e_ie[i + 1] for i in range(2)]
     assert all(1.7 <= r <= 2.4 for r in ratios)  # first order: ratio ~ 2
 
 
 def test_mass_curve_of_eigenmode(heat):
     grid = make_grid(1, [0.0], [1.0], [256])
-    config = SolverConfig(n_steps=512, scheme="crank-nicolson")
+    config = SolverConfig(n_steps=2048)
     traj = evolve(heat, grid, config, sampled_sine(grid), 0.0, 1.0)
     curve = mass_curve(traj)
     for t, m in curve[:: len(curve) // 16]:
@@ -281,7 +276,7 @@ def test_evolve_rejects_bad_input(grid64, heat):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n_steps=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # one time scheme: there is no option
         SolverConfig(n_steps=4, scheme="explicit-euler")
     with pytest.raises(ValueError):
         SolverConfig(n_steps=4, linear_solver_tol=2.0)
@@ -394,7 +389,7 @@ def test_mixed_term_voids_certificate():
 def test_2d_product_eigenmode_decay():
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [24, 24])
     model = constant_model([0.0, 0.0], np.eye(2))
-    config = SolverConfig(n_steps=96, scheme="crank-nicolson")
+    config = SolverConfig(n_steps=3072)
     rho = DensityField.from_function(
         grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     )
@@ -416,25 +411,21 @@ def _dense_solve(M):
 
 
 def _reference_march(model, grid, config, values, s, T, factor=_splu_solve):
-    """The per-step sparse march: solves through ``factor`` of I - dt_eff*A_h,
+    """The per-step sparse march: solves through ``factor`` of I - dt*A_h,
     formed once for a time-homogeneous model and at every step for a
     tabulated series, then the positivity clamp."""
-    implicit = config.scheme == "implicit-euler"
     dt = (T - s) / config.n_steps
     times = s + dt * np.arange(config.n_steps + 1)
-    dt_eff = dt if implicit else 0.5 * dt
-    clamp = implicit and bool(np.all(values >= 0.0))
+    clamp = bool(np.all(values >= 0.0))
     mixed = False
     solve = None
     p = np.array(values, dtype=float)
     for k in range(config.n_steps):
         if solve is None or model.time_dependent:
-            t = times[k + 1] if implicit else times[k] + 0.5 * dt
-            A, m = build_stencil(model, grid, t)
+            A, m = build_stencil(model, grid, times[k + 1])
             mixed |= m
-            solve = factor(identity(grid.n, format="csr") - dt_eff * A)
-        rhs = p if implicit else p + 0.5 * dt * (A @ p)
-        p = solve(rhs)
+            solve = factor(identity(grid.n, format="csr") - dt * A)
+        p = solve(p)
         if clamp and not mixed:
             np.maximum(p, 0.0, out=p)
     return p
@@ -452,11 +443,10 @@ def _dense_cases():
 
 
 @pytest.mark.parametrize("sign", ["nonnegative", "mixed-sign"])
-@pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
 @pytest.mark.parametrize("case", sorted(_dense_cases()))
-def test_dense_march_matches_sparse_reference(case, scheme, sign):
+def test_dense_march_matches_sparse_reference(case, sign):
     model, grid = _dense_cases()[case]
-    config = SolverConfig(n_steps=32, scheme=scheme)
+    config = SolverConfig(n_steps=32)
     values = np.random.default_rng(7).random(grid.n)
     if sign == "mixed-sign":
         values -= 0.4
@@ -466,9 +456,8 @@ def test_dense_march_matches_sparse_reference(case, scheme, sign):
     ref = _reference_march(model, grid, config, values, 0.0, 0.3)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
     # the certificate bounds the relative residual of every dense step
-    rhs = values if step.implicit else values + 0.5 * step.dt * (step.A @ values)
-    d = rhs - step.M @ (step.inverse @ rhs)
-    assert np.linalg.norm(d) <= config.linear_solver_tol * np.linalg.norm(rhs)
+    d = values - step.M @ (step.inverse @ values)
+    assert np.linalg.norm(d) <= config.linear_solver_tol * np.linalg.norm(values)
 
 
 def _random_series(grid, rng, cross):
@@ -497,23 +486,21 @@ def test_sparse_path_is_unchanged(monkeypatch):
     big = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 1])
     drifted = constant_model([0.3], [[1.0]])
     for model, g in ((table, grid), (drifted, big)):
-        for scheme in SCHEMES:
-            config = SolverConfig(n_steps=16, scheme=scheme)
-            values = rng.random(g.n)
-            for v in (values, values - 0.5):
-                out = _march(model, g, config, v, 0.0, 0.25, record=False)[1]
-                ref = _reference_march(model, g, config, v, 0.0, 0.25)
-                assert np.array_equal(out, ref)
+        config = SolverConfig(n_steps=16)
+        values = rng.random(g.n)
+        for v in (values, values - 0.5):
+            out = _march(model, g, config, v, 0.0, 0.25, record=False)[1]
+            ref = _reference_march(model, g, config, v, 0.0, 0.25)
+            assert np.array_equal(out, ref)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     case=st.sampled_from(["constant-1d", "series-2d", "series-2d-a12"]),
-    scheme=st.sampled_from(SCHEMES),
     seed=st.integers(0, 2**32 - 1),
     shift=st.sampled_from([0.0, 0.5]),
 )
-def test_sparse_march_matches_dense_solves(case, scheme, seed, shift):
+def test_sparse_march_matches_dense_solves(case, seed, shift):
     # the factored steps against a march whose every step is a dense
     # LAPACK solve: nothing of the ordering or of SuperLU is shared
     rng = np.random.default_rng(seed)
@@ -523,7 +510,7 @@ def test_sparse_march_matches_dense_solves(case, scheme, seed, shift):
     else:
         grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [6, 7])
         model = _random_series(grid, rng, cross=case.endswith("a12"))
-    config = SolverConfig(n_steps=16, scheme=scheme)
+    config = SolverConfig(n_steps=16)
     values = rng.random(grid.n) - shift
     step = _Stepper(model, grid, config, 0.0, 0.2)
     out = _march(model, grid, config, values, 0.0, 0.2, record=False, step=step)[1]
@@ -549,12 +536,11 @@ def test_uncertified_inverse_falls_back(heat):
 
 def _dense_reference(step, values):
     """Every state of the per-step dense march on a started, factored
-    stepper: S @ rhs, then the positivity clamp."""
+    stepper: S @ p, then the positivity clamp."""
     p = np.array(values, dtype=float)
     rows = [p]
     for _ in range(len(step.times) - 1):
-        rhs = p if step.implicit else p + 0.5 * step.dt * (step.A @ p)
-        p = step.inverse @ rhs
+        p = step.inverse @ p
         if step.clamp and not step.mixed:
             np.maximum(p, 0.0, out=p)
         rows.append(p)
@@ -563,12 +549,11 @@ def _dense_reference(step, values):
 
 @pytest.mark.parametrize("record", [True, False])
 @pytest.mark.parametrize("sign", ["nonnegative", "mixed-sign"])
-@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("case", sorted(_dense_cases()))
-def test_buffered_march_matches_per_step_dense(case, scheme, sign, record):
+def test_buffered_march_matches_per_step_dense(case, sign, record):
     # more steps than one chunk, and not a multiple of it
     model, grid = _dense_cases()[case]
-    config = SolverConfig(n_steps=2 * _CHUNK + 5, scheme=scheme)
+    config = SolverConfig(n_steps=2 * _CHUNK + 5)
     values = np.random.default_rng(11).random(grid.n)
     if sign == "mixed-sign":
         values -= 0.4
@@ -722,16 +707,14 @@ def _series(where):
     return tabulated_model(grid, None, None, times=[0.0, 0.25, 0.5], series=samples), grid
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("where", [0.0, 0.5])
-def test_stepper_certifies_series_ends(monkeypatch, scheme, where):
-    # no step of either scheme evaluates the coefficients at s, and the
-    # crank-nicolson steps not at T either: the stepper certifies both
-    # when it is built, before any A_h
+def test_stepper_certifies_series_ends(monkeypatch, where):
+    # no step evaluates the coefficients at s: the stepper certifies both
+    # ends when it is built, before any A_h
     table, grid = _series(where)
     calls = _count_builds(monkeypatch)
     with pytest.raises(EllipticityViolation) as err:
-        _Stepper(table, grid, SolverConfig(n_steps=8, scheme=scheme), 0.0, 0.5)
+        _Stepper(table, grid, SolverConfig(n_steps=8), 0.0, 0.5)
     assert err.value.t == where and err.value.eigenvalue == 0.0
     assert calls == []
 

@@ -118,13 +118,6 @@ def test_run_seed_rejects_zero_and_negative(heat, grid128):
         run_seed(heat, grid128, config, bad, 0.5)
 
 
-def test_run_seed_requires_monotone_scheme(heat, grid128):
-    config = SolverConfig(n_steps=64, scheme="crank-nicolson")
-    gamma = realize_gamma(grid128, {"kind": "eigenmode"})
-    with pytest.raises(ValueError):
-        run_seed(heat, grid128, config, gamma, 0.5)
-
-
 def test_mass_loss_inequality_split_fields(heat, grid64):
     # Q is an L1 contraction with strict mass loss: applied to the positive
     # and negative parts of a signed field separately, it keeps strictly
