@@ -549,11 +549,17 @@ def _dense_reference(step, values):
 
 @pytest.mark.parametrize("record", [True, False])
 @pytest.mark.parametrize("sign", ["nonnegative", "mixed-sign"])
+@pytest.mark.parametrize(
+    "n_steps",
+    [_CHUNK - 3, 2 * _CHUNK, 2 * _CHUNK + 5],
+    ids=["part-chunk", "whole-chunks", "chunks-and-tail"],
+)
 @pytest.mark.parametrize("case", sorted(_dense_cases()))
-def test_buffered_march_matches_per_step_dense(case, sign, record):
-    # more steps than one chunk, and not a multiple of it
+def test_buffered_march_matches_per_step_dense(case, n_steps, sign, record):
+    # fewer steps than one chunk, a multiple of it, and more steps than a
+    # multiple: every way the chunk loop can end
     model, grid = _dense_cases()[case]
-    config = SolverConfig(n_steps=2 * _CHUNK + 5)
+    config = SolverConfig(n_steps=n_steps)
     values = np.random.default_rng(11).random(grid.n)
     if sign == "mixed-sign":
         values -= 0.4
