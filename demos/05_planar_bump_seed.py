@@ -20,18 +20,20 @@ from decrem import (
 
 grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [32, 32])
 model = constant_model([0.2, -0.1], [[1.0, 0.0], [0.0, 0.7]])
-# enough steps that the doubled-step verification floor sits below tol
+# enough steps that the verification floor, half the time error, sits below tol
 config = SolverConfig(n_steps=128)
 T = 0.3
 
 gamma = realize_gamma(grid, {"kind": "bump", "lo": [0.55, 0.25], "hi": [0.85, 0.55]})
 sol = run_seed(model, grid, config, gamma, T)
-check = verify_seed(model, grid, config, sol.rho, sol.alpha, gamma.field, T)
+check = verify_seed(model, grid, config, sol.rho, sol.alpha, gamma.field, T,
+                    decrement=sol.decrement)
 
 print(f"alpha = {sol.alpha:.6f}")
 print(f"construction residual (sup) = {sol.residual:.2e}")
 print(f"rho: min = {sol.rho.values.min():.2e}, mass = {mass(sol.rho):.12f}")
 print(f"refined-step residual = {check.residual_refined:.2e} (passed: {check.passed})")
+print(f"estimated time error = {check.time_error_est:.2e}")
 
 print("mass curve (first five snapshots):")
 for t, m in sol.mass_curve[:5]:

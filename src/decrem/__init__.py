@@ -10,7 +10,8 @@ density p satisfies
 The construction solves (I - Q) zeta = gamma where Q is the absorbed
 transition operator over [0, T], then normalizes: alpha = 1 / mass(zeta),
 rho = alpha * zeta.  Everything is verified a posteriori by re-evolving
-rho with a refined time step.
+rho with half the time steps and extrapolating to a refined step, which
+also estimates the seed's time error.
 """
 
 from .errors import (

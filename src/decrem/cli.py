@@ -293,10 +293,19 @@ def _tolerances(cfg):
     return tol
 
 
+def _verifiable(config):
+    """Refuse K = 1, which has no coarser grid for :func:`verify_seed`."""
+    if config.n_steps < 2:
+        raise ConfigError(
+            "time.n_steps must be at least 2: verification marches n_steps // 2 steps"
+        )
+
+
 def cmd_seed(cfg, base_dir):
     grid = _build_grid(cfg)
     model = _build_model(cfg, grid, base_dir)
     config, T = _build_solver(cfg)
+    _verifiable(config)
     gamma = _build_gamma(cfg, grid, base_dir)
     tol = _tolerances(cfg)
     solution = run_seed(
@@ -312,7 +321,7 @@ def cmd_seed(cfg, base_dir):
     )
     verification = verify_seed(
         model, grid, config, solution.rho, solution.alpha, solution.gamma.field, T,
-        tol=tol["verify_tol"],
+        tol=tol["verify_tol"], decrement=solution.decrement,
     )
     out_dir = cfg["output_dir"]
     os.makedirs(os.path.join(out_dir, "solution"), exist_ok=True)
@@ -325,6 +334,7 @@ def cmd_seed(cfg, base_dir):
     print(f"residual  {solution.residual:.3e} ({solution.resolvent.method}, "
           f"{solution.resolvent.iterations} operator applications)")
     print(f"verify    refined residual {verification.residual_refined:.3e}, "
+          f"time error {verification.time_error_est:.3e}, "
           f"mass decreasing: {verification.mass_decreasing}")
     if not verification.passed:
         raise VerificationFailed(
@@ -460,6 +470,7 @@ def cmd_verify(cfg, base_dir, solution_dir):
     grid = _build_grid(cfg)
     model = _build_model(cfg, grid, base_dir)
     config, T = _build_solver(cfg)
+    _verifiable(config)
     gamma = _build_gamma(cfg, grid, base_dir)
     tol = _tolerances(cfg)
     rho, u0, report = load_solution(grid, solution_dir)
@@ -475,9 +486,12 @@ def cmd_verify(cfg, base_dir, solution_dir):
         )
     if not (np.all(rho.values >= 0.0) and abs(mass(rho) - 1.0) <= 1e-9):
         raise VerificationFailed("stored rho is not a probability density")
-    check_contract(model, grid, config, rho, alpha, gamma.field, T, tol["residual_tol"])
+    decrement = check_contract(
+        model, grid, config, rho, alpha, gamma.field, T, tol["residual_tol"]
+    )
     verification = verify_seed(
-        model, grid, config, rho, alpha, gamma.field, T, tol=tol["verify_tol"]
+        model, grid, config, rho, alpha, gamma.field, T,
+        tol=tol["verify_tol"], decrement=decrement,
     )
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -486,7 +500,8 @@ def cmd_verify(cfg, base_dir, solution_dir):
     names.append(_save_json(out_dir, "config.echo.json", cfg))
     _write_manifest(out_dir, names)
     print(f"refined residual {verification.residual_refined:.3e} "
-          f"(stored {stored_residual:.3e})")
+          f"(stored {stored_residual:.3e}), "
+          f"time error {verification.time_error_est:.3e}")
     print(f"mass decreasing: {verification.mass_decreasing}")
     if not verification.passed:
         raise VerificationFailed(

@@ -170,7 +170,7 @@ def run_seed(
         resolvent_tol = min(1e-9, tol * 1e-3)
     # the construction march below goes through the same operator, so it
     # reuses the factor the resolvent's applications made; the stepper dies
-    # with this call, before any refined check allocates its own
+    # with this call, before the coarse check march allocates its own
     step = _Stepper(model, grid, config, 0.0, T)
     report = solve_resolvent(
         model, grid, config, gamma.field, T,
@@ -218,14 +218,16 @@ def check_contract(model, grid, config, rho, alpha, gamma, T, tol):
     """Re-measure the decrement of a stored solution on the construction's
     own time grid, as :func:`run_seed` measured it, and raise
     :class:`VerificationFailed` when its residual exceeds ``tol`` (or is not
-    finite).  The refined check of :func:`verify_seed` cannot see a
-    residual under its O(dt) floor; this one can."""
-    residual = _decrement(model, grid, config, rho, alpha, _unit_sup(gamma), T)[0]
+    finite).  The Richardson check of :func:`verify_seed` cannot see a
+    residual under its O(dt) floor; this one can.  Returns the K-grid
+    decrement, which :func:`verify_seed` takes as ``decrement``."""
+    residual, decrement, _ = _decrement(model, grid, config, rho, alpha, _unit_sup(gamma), T)
     if not residual <= tol:
         raise VerificationFailed(
             f"stored rho and alpha miss the decrement on the {config.n_steps}-step "
             f"grid by {residual:.3e} > residual_tol {tol:g}"
         )
+    return decrement
 
 
 @dataclass
@@ -233,41 +235,60 @@ class VerificationReport:
     """Outcome of independently re-evolving a seed density."""
 
     residual_refined: float
+    time_error_est: float
     mass_decreasing: bool
     mass_curve: list
     passed: bool
 
     def to_json_dict(self, residual_stored):
-        """verification.json: the refined check beside the residual that
+        """verification.json: the Richardson check beside the residual that
         the construction stored."""
         return {
             "residual_stored": residual_stored,
             "residual_refined": self.residual_refined,
+            "time_error_est": self.time_error_est,
             "mass_decreasing": self.mass_decreasing,
             "mass_curve": [[t, m] for t, m in self.mass_curve],
             "passed": self.passed,
         }
 
 
-def verify_seed(model, grid, config, rho, alpha, gamma, T, tol=5e-3):
-    """Re-evolve rho over [0, T] with doubled n_steps and re-measure the
-    decrement against ``alpha`` times ``gamma`` rescaled to unit sup, as
-    :func:`run_seed` measures it.
+def verify_seed(model, grid, config, rho, alpha, gamma, T, tol=5e-3, decrement=None):
+    """Check a seed against the continuous-time contract by Richardson
+    extrapolation from one coarser march.
 
-    The refined march does not share the construction's time grid, so its
-    residual floor is the first-order-in-dt difference between the two
-    discrete operators rather than the resolvent tolerance; ``tol`` must
-    sit above that floor (about 3e-3 for 64 steps over T=0.5, shrinking
-    linearly in dt).  A tampered rho or alpha shows up as a residual an
-    order of magnitude beyond it.  The mass curve of the
-    refined trajectory must decrease strictly.
+    ``decrement`` is the decrement ``d_K`` of ``rho`` on the construction's
+    K-step grid (marched here when not given).  Re-evolving ``rho`` with
+    ``K' = K // 2`` steps gives ``d_K'``; implicit Euler is first order, so
+    ``e = (d_K' - d_K) K' / (K - K')`` estimates the K grid's time error
+    ``d_K - d``, and ``time_error_est = max|e|`` reports it.  The gated
+    ``residual_refined = max|d_K - e/2 - alpha gamma|``, with ``gamma``
+    rescaled to unit sup as :func:`run_seed` measures it, predicts the
+    residual of a march with ``2K`` steps.  It keeps the K-grid contract
+    residual too, so a tampered rho or alpha shows up an order of magnitude
+    beyond its O(dt) floor; ``tol`` must sit above that floor (about 3e-3
+    for 64 steps over T=0.5, shrinking linearly in dt).  The mass curve of
+    the coarse trajectory must decrease strictly.
+
+    K = 1 has no coarser grid: ValueError.
     """
-    refined = replace(config, n_steps=2 * config.n_steps)
-    residual, _, curve = _decrement(model, grid, refined, rho, alpha, _unit_sup(gamma), T)
+    coarse = config.n_steps // 2
+    if coarse < 1:
+        raise ValueError("verification needs n_steps >= 2: its coarse march takes n_steps // 2")
+    gamma = _unit_sup(gamma)
+    if decrement is None:
+        decrement = _decrement(model, grid, config, rho, alpha, gamma, T)[1]
+    d_K = decrement.values
+    _, d_coarse, curve = _decrement(
+        model, grid, replace(config, n_steps=coarse), rho, alpha, gamma, T
+    )
+    e = (d_coarse.values - d_K) * (coarse / (config.n_steps - coarse))
+    residual = float(np.abs(d_K - 0.5 * e - alpha * gamma.values).max())
     masses = np.array([m for _, m in curve])
     decreasing = bool(np.all(np.diff(masses) < 0.0))
     return VerificationReport(
         residual_refined=residual,
+        time_error_est=float(np.abs(e).max()),
         mass_decreasing=decreasing,
         mass_curve=curve,
         passed=residual <= tol and decreasing,

@@ -1,8 +1,14 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decrem import DensityField, make_grid
 from decrem.cli import load_config, main
@@ -107,6 +113,29 @@ def test_cmd_seed_factors_each_operator_once(tmp_path, monkeypatch):
     write_config(path)
     assert main(["seed", str(path)]) == 0
     assert calls == {"splu": 2, "build_stencil": 1}
+
+
+def _loads_scipy_special(statement):
+    """Whether a fresh interpreter that runs ``statement`` has loaded
+    scipy.special; the decrem tree these tests import goes first on its path."""
+    import decrem
+
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(decrem.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    code = f"{statement}\nimport sys\nprint('scipy.special' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.split()[-1] == "True"
+
+
+def test_cli_import_leaves_scipy_special_to_the_particles():
+    # only montecarlo.simulate needs ndtri, so seed, verify, evolve and
+    # spectrum run without loading scipy.special
+    if _loads_scipy_special("import scipy.sparse.linalg"):
+        pytest.skip("scipy.sparse.linalg loads scipy.special by itself")
+    assert not _loads_scipy_special("import decrem.cli")
 
 
 def test_cmd_seed_alpha_matches_closed_form(tmp_path):
@@ -568,6 +597,97 @@ def test_cmd_verify_reproduces_seed_verification(tmp_path, patches):
     assert _verify(path, tmp_path / "out" / "solution", tmp_path / "v") == 0
     seeded = (tmp_path / "out" / "verification.json").read_bytes()
     assert (tmp_path / "v" / "verification.json").read_bytes() == seeded
+
+
+def _count_steps(monkeypatch):
+    """A list that gathers the step count of every march, through a wrapper
+    on ``_march`` in each module that calls it."""
+    from decrem import fredholm, kolmogorov
+
+    steps = []
+    march = kolmogorov._march
+
+    def counted(model, grid, config, *args, **kwargs):
+        steps.append(config.n_steps)
+        return march(model, grid, config, *args, **kwargs)
+
+    for module in (kolmogorov, fredholm):
+        monkeypatch.setattr(module, "_march", counted)
+    return steps
+
+
+def test_seed_and_verify_step_counts(tmp_path, monkeypatch):
+    # seed-2d's shape: K steps per Q application and for the construction
+    # march, then K // 2 for the Richardson check; verify marches K + K // 2
+    path = tmp_path / "run.json"
+    write_config(path, **BUMP_2D)
+    steps = _count_steps(monkeypatch)
+    assert main(["seed", str(path)]) == 0
+    report = json.loads((tmp_path / "out" / "solution" / "report.json").read_text())
+    assert report["iterations"] == 5
+    assert sum(steps) == 832 == 128 * (report["iterations"] + 1) + 64
+    steps.clear()
+    assert _verify(path, tmp_path / "out" / "solution", tmp_path / "v") == 0
+    assert steps == [128, 64]
+
+
+@pytest.mark.parametrize("n_steps", [64, 65])
+def test_verification_json_holds_the_coarse_march(tmp_path, n_steps):
+    # the mass curve is the K // 2 march's; the construction meets the
+    # contract to round-off, so the gated residual is half the time error
+    path = tmp_path / "run.json"
+    write_config(path, time={"n_steps": n_steps})
+    assert main(["seed", str(path)]) == 0
+    ver = json.loads((tmp_path / "out" / "verification.json").read_text())
+    assert len(ver["mass_curve"]) == 32 + 1
+    assert ver["mass_curve"][-1][0] == 0.5
+    assert ver["residual_stored"] < 1e-12
+    assert ver["time_error_est"] == pytest.approx(2 * ver["residual_refined"], abs=1e-12)
+    assert ver["residual_refined"] <= 5e-3 < ver["time_error_est"]
+
+
+def test_one_step_has_no_coarser_grid_exit_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    write_config(path)
+    one = ["--set", "time.n_steps=1"]
+    assert main(["seed", str(path)] + one) == 2
+    assert "ConfigError: time.n_steps must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["seed", str(path)]) == 0
+    args = ["verify", str(path), "--solution", str(tmp_path / "out" / "solution")]
+    assert main(args + one + ["--set", f"output_dir={tmp_path / 'v'}"]) == 2
+    assert "ConfigError: time.n_steps must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.fixture(scope="module")
+def seeded(tmp_path_factory):
+    """A seed output of the default config: its run config and solution."""
+    tmp = tmp_path_factory.mktemp("seeded")
+    path = tmp / "run.json"
+    write_config(path)
+    assert main(["seed", str(path)]) == 0
+    return path, tmp / "out" / "solution"
+
+
+@settings(max_examples=20, deadline=None)
+@given(cell=st.integers(0, 63), step=st.sampled_from([-1, 1]), share=st.floats(0.0, 1.0))
+def test_moving_density_to_a_neighbour_fails_verify(seeded, cell, step, share):
+    # move at least 10 * residual_tol of density from one cell to a
+    # neighbour: mass and sign stay, the decrement contract breaks
+    path, solution = seeded
+    grid = make_grid(1, [0.0], [1.0], [64])
+    rho = DensityField.from_csv(grid, solution / "rho.csv").values.copy()
+    to = cell + step if 0 <= cell + step < 64 else cell - step
+    least = 10 * load_config(path)["tolerances"]["residual_tol"]
+    moved = least + share * (rho[cell] - least)
+    rho[cell] -= moved
+    rho[to] += moved
+    with tempfile.TemporaryDirectory() as tmp:
+        tampered = os.path.join(tmp, "solution")
+        shutil.copytree(solution, tampered)
+        DensityField(grid, rho).to_csv(os.path.join(tampered, "rho.csv"))
+        assert _verify(path, tampered, os.path.join(tmp, "v")) == 13
 
 
 @pytest.mark.parametrize(

@@ -285,6 +285,44 @@ def test_node_table_bytes_match_csv_writer(n_cells, lo, width, n_columns, data):
         assert (Path(tmp) / "t.csv").read_bytes() == (Path(tmp) / "r.csv").read_bytes()
 
 
+SPECIALS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, -1e-310, 1e-300]
+
+
+@pytest.mark.parametrize(
+    "n_cells, n_columns",
+    [((7,), 1), ((7,), 2), ((4, 5), 1), ((5, 4), 2)],
+)
+def test_node_table_bytes_with_special_values(tmp_path, n_cells, n_columns):
+    # NaN, infinities, negative zero and subnormals in every column, cycled
+    # so that each row mixes them
+    dim = len(n_cells)
+    grid = make_grid(dim, [-1.0] * dim, [0.3] * dim, list(n_cells))
+    columns = [np.resize(np.roll(SPECIALS, k), grid.n) for k in range(n_columns)]
+    names = [f"c{k}" for k in range(n_columns)]
+    _write_table(grid, tmp_path / "t.csv", names, columns)
+    _reference_table(grid, tmp_path / "r.csv", names, columns)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_cells", [(6,), (4, 6)])
+def test_mc_density_bytes_match_csv_writer(tmp_path, n_cells):
+    # mc/density.csv: the density and stderr columns of a 1-D and a 2-D grid
+    dim = len(n_cells)
+    grid = make_grid(dim, [0.0] * dim, [1.0] * dim, list(n_cells))
+    density = np.resize([0.0, 1 / 3, 2.5, -0.0, 5e-324, 1e17], grid.n)
+    stderr = np.resize([0.1, 0.0, 1e-17, 0.2, 7.0], grid.n)
+    MCEstimate(
+        histogram=DensityField(grid, density),
+        stderr=DensityField(grid, stderr),
+        survival=0.5,
+        n=10,
+        seed=1,
+        dt=0.01,
+    ).save(tmp_path)
+    _reference_table(grid, tmp_path / "r.csv", ["density", "stderr"], [density, stderr])
+    assert (tmp_path / "density.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+
+
 def _json_values():
     floats = st.one_of(
         st.floats(), st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), -float("inf")])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from decrem import seedpipe
 from decrem import (
@@ -16,6 +17,7 @@ from decrem import (
     run_seed,
     verify_seed,
 )
+from decrem.kolmogorov import build_stencil
 from conftest import apply_Q, sampled_sine
 
 ALPHA_ORACLE = (1.0 - np.exp(-np.pi**2 / 2)) * np.pi / 2  # ~1.5595
@@ -153,6 +155,40 @@ def test_verify_seed_passes_and_detects_tamper(heat, grid128):
     bad = verify_seed(heat, grid128, config, tampered, sol.alpha, gamma, 1.0, tol=1e-3)
     assert bad.residual_refined > report.residual_refined
     assert not bad.passed
+
+
+@pytest.mark.parametrize(
+    "n_cells, T, n_steps", [(16, 0.05, 16), (32, 0.5, 32), (64, 0.05, 15), (32, 0.5, 15)]
+)
+def test_time_error_estimate_matches_exact_semi_discrete_gap(heat, n_cells, T, n_steps):
+    # the exact semi-discrete decrement of rho is rho - exp(T A_h) rho; the
+    # Richardson estimate from the K // 2 march must be within 10 % of the
+    # K grid's gap to it, for even and odd K
+    grid = make_grid(1, [0.0], [1.0], [n_cells])
+    config = SolverConfig(n_steps=n_steps)
+    sol = run_seed(heat, grid, config, realize_gamma(grid, {"kind": "eigenmode"}), T)
+    report = verify_seed(
+        heat, grid, config, sol.rho, sol.alpha, sol.gamma.field, T, decrement=sol.decrement
+    )
+    A = build_stencil(heat, grid, 0.0)[0].toarray()
+    exact = sol.rho.values - expm(T * A) @ sol.rho.values
+    gap = float(np.abs(sol.decrement.values - exact).max())
+    assert report.time_error_est == pytest.approx(gap, rel=0.1)
+    assert len(report.mass_curve) == n_steps // 2 + 1
+
+
+def test_verify_seed_marches_the_construction_grid_when_not_given(heat, grid64):
+    # the Python API without ``decrement`` marches it: the same report
+    config = SolverConfig(n_steps=33)
+    sol = run_seed(heat, grid64, config, realize_gamma(grid64, {"kind": "eigenmode"}), 0.3)
+    args = (heat, grid64, config, sol.rho, sol.alpha, sol.gamma.field, 0.3)
+    assert verify_seed(*args) == verify_seed(*args, decrement=sol.decrement)
+
+
+def test_verify_seed_needs_a_coarser_grid(heat, grid64):
+    rho = DensityField(grid64, np.ones(64))
+    with pytest.raises(ValueError, match="n_steps >= 2"):
+        verify_seed(heat, grid64, SolverConfig(n_steps=1), rho, 1.0, rho, 0.5)
 
 
 def test_solution_save_load_round_trip(tmp_path, heat, grid128):
