@@ -1,10 +1,10 @@
 """Command line driver: seed | evolve | spectrum | mc | verify.
 
-Each subcommand reads one JSON config, optionally patched by repeated
-``--set dotted.path=value`` overrides, resolves defaults, echoes the
-effective config into the output directory and writes a manifest with a
-SHA-256 per produced file.  Reports contain no timestamps or absolute
-paths, so a rerun with the same config (and seed) is byte-identical.
+One parser reads the command, its JSON config, repeated ``--set
+dotted.path=value`` overrides and ``--rho`` (evolve, mc) or ``--solution``
+(verify); a missing or unwanted one exits 2.  The command resolves defaults,
+echoes the effective config and writes a SHA-256 manifest; with no timestamps
+or absolute paths in reports, a rerun of one config and seed is identical.
 
 Every failure mode maps to a stable exit code:
 
@@ -324,7 +324,6 @@ def cmd_seed(cfg, base_dir):
         tol=tol["verify_tol"], decrement=solution.decrement,
     )
     out_dir = cfg["output_dir"]
-    os.makedirs(os.path.join(out_dir, "solution"), exist_ok=True)
     names = [os.path.join("solution", n) for n in solution.save(os.path.join(out_dir, "solution"))]
     names.append(_save_json(out_dir, "verification.json",
                             verification.to_json_dict(solution.residual)))
@@ -513,69 +512,53 @@ def cmd_verify(cfg, base_dir, solution_dir):
     return 0
 
 
+# command -> (runner, the one option it needs, help); the option goes to the runner
+_COMMANDS = {
+    "seed": (cmd_seed, None, "construct, verify and export a seed density"),
+    "evolve": (cmd_evolve, "rho", "evolve a density and export the trajectory"),
+    "spectrum": (cmd_spectrum, None, "operator diagnostics"),
+    "mc": (cmd_mc, "rho", "particle simulation cross-check"),
+    "verify": (cmd_verify, "solution", "re-check a stored solution directory"),
+}
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="decrem",
-        description="Seed densities with programmed decrement profiles "
-        "for absorbed diffusions.",
+        description="Seed densities with programmed decrement profiles for absorbed diffusions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("config", help="path to JSON run config")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="PATH=VALUE",
-            help="override a config entry, e.g. --set time.T=0.5",
-        )
-
-    common(sub.add_parser("seed", help="construct, verify and export a seed density"))
-    p = sub.add_parser("evolve", help="evolve a density and export the trajectory")
-    common(p)
-    p.add_argument("--rho", required=True, help="CSV of the initial density")
-    common(sub.add_parser("spectrum", help="operator diagnostics"))
-    p = sub.add_parser("mc", help="particle simulation cross-check")
-    common(p)
-    p.add_argument("--rho", required=True, help="CSV of the initial density")
-    p = sub.add_parser("verify", help="re-check a stored solution directory")
-    common(p)
-    p.add_argument("--solution", required=True, help="solution directory from seed")
+    commands = "; ".join(f"{name}: {text}" for name, (_, _, text) in _COMMANDS.items())
+    parser.add_argument("command", choices=_COMMANDS, help=commands)
+    parser.add_argument("config", help="path to JSON run config")
+    parser.add_argument(
+        "--set", dest="overrides", action="append", default=[], metavar="PATH=VALUE",
+        help="override a config entry, e.g. --set time.T=0.5",
+    )
+    parser.add_argument("--rho", help="CSV of the initial density (evolve, mc)")
+    parser.add_argument("--solution", help="solution directory from seed (verify)")
     return parser
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    run, needs, _ = _COMMANDS[args.command]
+    for option in ("rho", "solution"):
+        given = getattr(args, option) is not None
+        if given != (option == needs):
+            parser.error(f"{args.command} {'takes no' if given else 'needs'} --{option}")
     try:
         cfg = load_config(args.config, args.overrides)
         base_dir = os.path.dirname(os.path.abspath(args.config))
-        if args.command == "seed":
-            return cmd_seed(cfg, base_dir)
-        if args.command == "evolve":
-            return cmd_evolve(cfg, base_dir, args.rho)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, base_dir)
-        if args.command == "mc":
-            return cmd_mc(cfg, base_dir, args.rho)
-        if args.command == "verify":
-            return cmd_verify(cfg, base_dir, args.solution)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if needs is None:
+            return run(cfg, base_dir)
+        return run(cfg, base_dir, getattr(args, needs))
     except ToolkitError as exc:
-        for klass, code in EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-                return code
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return next((code for klass, code in EXIT_CODES if isinstance(exc, klass)), 1)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - last resort
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

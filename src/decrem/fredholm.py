@@ -78,7 +78,9 @@ class ResolventReport:
     iterations: int
     residual_norm: float
     method: str
-    q_zeta: DensityField  # Q zeta, from the application that checked the residual
+    # of the application that checked the residual: Q zeta, its march's K + 1 masses
+    q_zeta: DensityField
+    masses: np.ndarray
 
 
 @dataclass
@@ -90,7 +92,7 @@ class SpectralEstimate:
     iterations: int
 
 
-def propagator_action(model, grid, config, T, step=None):
+def propagator_action(model, grid, config, T, step=None, record=False):
     """Q over [0, T] as a callable on flat vectors or (n, m) blocks of them,
     for power and Krylov iterations and the dense assembly.
 
@@ -98,11 +100,12 @@ def propagator_action(model, grid, config, T, step=None):
     factored once for all of them; each call still arms the positivity
     clamp from the sign of its own input, so it returns the bits of a
     march on a fresh stepper.  ``step`` passes in a stepper over [0, T]
-    that a caller keeps for later marches.
+    that a caller keeps for later marches.  With ``record`` a call returns
+    every state of its march, the last row being Q v.
     """
     if step is None:
         step = _Stepper(model, grid, config, 0.0, T)
-    return lambda v: _march(model, grid, config, v, 0.0, T, record=False, step=step)[1]
+    return lambda v: _march(model, grid, config, v, 0.0, T, record=record, step=step)[1]
 
 
 def _check_cap(grid, cap):
@@ -179,20 +182,22 @@ def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200, step
     final relative L2 residual included, and never exceeds ``max_iter``:
     a GMRES cycle of restart length m applies Q m + 1 times, so m is capped
     to fit the budget.  A final residual above ``tol`` raises NoConvergence.
-    ``step`` is passed on to :func:`propagator_action`.
+    ``step`` is passed on to :func:`propagator_action`.  Each application
+    keeps the states of its march until the next, for the report's masses.
     """
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2: one Krylov step and its check")
-    act = propagator_action(model, grid, config, T, step=step)
+    act = propagator_action(model, grid, config, T, step=step, record=True)
     g = np.array(gamma.values, dtype=float)
     n = g.size
-    applies, last = 0, None  # last: (v, Q v) of the latest application
+    applies, last = 0, None  # last: (v, the states of its march) of the latest application
 
     def apply(v):
         nonlocal applies, last
         applies += 1
+        last = None  # one march's states alive at a time
         last = (v.copy(), act(v))
-        return last[1]
+        return last[1][-1]
 
     restart = min(30, n, max_iter - 1)
     zeta, _ = gmres(
@@ -205,7 +210,10 @@ def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200, step
     )
     # every GMRES cycle ends by applying I - Q to its iterate: that last
     # application is the residual check; gamma = 0 returns before any
-    qz = last[1] if last is not None and np.array_equal(last[0], zeta) else apply(zeta)
+    if last is None or not np.array_equal(last[0], zeta):
+        apply(zeta)
+    states = last[1]
+    qz = states[-1]
     final_res = float(np.linalg.norm(zeta - qz - g)) / max(float(np.linalg.norm(g)), 1e-300)
     if final_res > tol:
         raise NoConvergence(
@@ -218,4 +226,5 @@ def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200, step
         residual_norm=final_res,
         method="krylov",
         q_zeta=DensityField(grid, qz),
+        masses=states.sum(axis=1) * grid.cell_volume,
     )

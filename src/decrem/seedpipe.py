@@ -160,17 +160,20 @@ def run_seed(
 
     ``tol`` bounds the end-to-end sup residual of p(., 0) - p(., T) =
     alpha * gamma, measured on the sup-normalized profile.  The resolvent
-    is solved tighter (default ``min(1e-9, tol * 1e-3)``) so the recomputed
-    trajectory stays within budget.
+    is solved tighter (default ``min(1e-9, tol * 1e-3)``) so that residual
+    stays within budget.
+
+    When the clamp of u0 removes nothing, rho = alpha * zeta and the
+    resolvent's last application marched zeta: the decrement is
+    rho - alpha * Q zeta, the mass curve alpha times that march's masses.
+    Otherwise rho is marched once, through the resolvent's stepper.
     """
     if isinstance(gamma, DensityField):
         gamma = _validate_gamma("csv", gamma)
     gamma = TargetProfile(gamma.kind, _unit_sup(gamma.field))
     if resolvent_tol is None:
         resolvent_tol = min(1e-9, tol * 1e-3)
-    # the construction march below goes through the same operator, so it
-    # reuses the factor the resolvent's applications made; the stepper dies
-    # with this call, before the coarse check march allocates its own
+    # the mass curve's times, and the factor for the march of a clamped seed
     step = _Stepper(model, grid, config, 0.0, T)
     report = solve_resolvent(
         model, grid, config, gamma.field, T,
@@ -192,9 +195,14 @@ def run_seed(
         raise NegativityViolation("u(., 0) carries no mass after clamping")
     alpha = 1.0 / total
     rho = DensityField(grid, alpha * u0)
-    residual, decrement, curve = _decrement(
-        model, grid, config, rho, alpha, gamma.field, T, step
-    )
+    if worst == 0.0:
+        decrement = DensityField(grid, rho.values - alpha * report.q_zeta.values)
+        residual = float(np.abs(decrement.values - alpha * gamma.field.values).max())
+        curve = list(zip(step.times.tolist(), (alpha * report.masses).tolist()))
+    else:
+        residual, decrement, curve = _decrement(
+            model, grid, config, rho, alpha, gamma.field, T, step
+        )
     if residual > tol:
         raise ResidualTooLarge(
             f"decrement residual {residual:.3e} exceeds tol {tol:g}",

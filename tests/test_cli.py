@@ -91,9 +91,8 @@ def test_cmd_seed_happy_path(tmp_path, capsys):
 
 
 def test_cmd_seed_factors_each_operator_once(tmp_path, monkeypatch):
-    # the construction march reuses the factor of the resolvent's
-    # applications; only the refined check factors its own operator, and
-    # all three share the constant model's A_h
+    # the resolvent's applications share one factor; only the coarse check
+    # factors its own operator, and both share the constant model's A_h
     from decrem import kolmogorov
 
     calls = {"splu": 0, "build_stencil": 0}
@@ -115,19 +114,66 @@ def test_cmd_seed_factors_each_operator_once(tmp_path, monkeypatch):
     assert calls == {"splu": 2, "build_stencil": 1}
 
 
-def _loads_scipy_special(statement):
-    """Whether a fresh interpreter that runs ``statement`` has loaded
-    scipy.special; the decrem tree these tests import goes first on its path."""
+def _python(*args, **kwargs):
+    """Run a fresh interpreter on ``args``; the decrem tree these tests
+    import goes first on its path."""
     import decrem
 
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(decrem.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    code = f"{statement}\nimport sys\nprint('scipy.special' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
     )
-    return proc.stdout.split()[-1] == "True"
+
+
+def _loads_scipy_special(statement):
+    """Whether a fresh interpreter that runs ``statement`` has loaded
+    scipy.special."""
+    code = f"{statement}\nimport sys\nprint('scipy.special' in sys.modules)"
+    return _python("-c", code, check=True).stdout.split()[-1] == "True"
+
+
+# argv that the parser refuses: "{cfg}" stands for a valid config
+BAD_ARGV = {
+    "evolve-without-rho": ["evolve", "{cfg}"],
+    "mc-without-rho": ["mc", "{cfg}"],
+    "verify-without-solution": ["verify", "{cfg}"],
+    "seed-with-rho": ["seed", "{cfg}", "--rho", "rho.csv"],
+    "seed-with-solution": ["seed", "{cfg}", "--solution", "out/solution"],
+    "spectrum-with-rho": ["spectrum", "{cfg}", "--rho", "rho.csv"],
+    "spectrum-with-solution": ["spectrum", "{cfg}", "--solution", "out/solution"],
+    "unknown-command": ["sample", "{cfg}"],
+    "no-command": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGV))
+def test_bad_argv_exits_2_before_any_work(tmp_path, capsys, case):
+    path = tmp_path / "run.json"
+    write_config(path)
+    argv = [str(path) if a == "{cfg}" else a for a in BAD_ARGV[case]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: decrem" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_python_m_decrem_exits_2_on_bad_argv(tmp_path):
+    path = tmp_path / "run.json"
+    write_config(path)
+    proc = _python("-m", "decrem", "evolve", str(path))
+    assert proc.returncode == 2
+    assert "--rho" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "{seed,evolve,spectrum,mc,verify}" in capsys.readouterr().out
 
 
 def test_cli_import_leaves_scipy_special_to_the_particles():
@@ -590,13 +636,21 @@ BUMP_2D = {
 def test_cmd_verify_reproduces_seed_verification(tmp_path, patches):
     # verify rebuilds the check from the stored rho and alpha and the config's
     # raw gamma (sup 3.5 for the bump), so it must normalize the profile as
-    # seed did and write the same verification.json, byte for byte
+    # seed did and write the same verification.json.  Seed's d_K is the
+    # resolvent's rho - alpha * Q zeta, verify's a march of rho: the two
+    # keys built on d_K may differ in their last bits, every other is exact
     path = tmp_path / "run.json"
     write_config(path, **patches)
     assert main(["seed", str(path)]) == 0
     assert _verify(path, tmp_path / "out" / "solution", tmp_path / "v") == 0
-    seeded = (tmp_path / "out" / "verification.json").read_bytes()
-    assert (tmp_path / "v" / "verification.json").read_bytes() == seeded
+    seeded = json.loads((tmp_path / "out" / "verification.json").read_text())
+    verified = json.loads((tmp_path / "v" / "verification.json").read_text())
+    assert verified.keys() == seeded.keys()
+    for key in seeded:
+        if key in ("residual_refined", "time_error_est"):
+            assert verified[key] == pytest.approx(seeded[key], rel=1e-12, abs=0.0)
+        else:
+            assert verified[key] == seeded[key]
 
 
 def _count_steps(monkeypatch):
@@ -617,15 +671,27 @@ def _count_steps(monkeypatch):
 
 
 def test_seed_and_verify_step_counts(tmp_path, monkeypatch):
-    # seed-2d's shape: K steps per Q application and for the construction
-    # march, then K // 2 for the Richardson check; verify marches K + K // 2
+    # seed-2d's shape: K steps per Q application, the last of which gives
+    # the decrement, then K // 2 for the Richardson check, the one evolve;
+    # verify marches K + K // 2
+    from decrem import seedpipe
+
     path = tmp_path / "run.json"
     write_config(path, **BUMP_2D)
     steps = _count_steps(monkeypatch)
+    evolves = []
+    evolve = seedpipe.evolve
+
+    def counted(*args, **kwargs):
+        evolves.append(args[2].n_steps)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(seedpipe, "evolve", counted)
     assert main(["seed", str(path)]) == 0
     report = json.loads((tmp_path / "out" / "solution" / "report.json").read_text())
     assert report["iterations"] == 5
-    assert sum(steps) == 832 == 128 * (report["iterations"] + 1) + 64
+    assert sum(steps) == 704 == 128 * report["iterations"] + 64
+    assert evolves == [64]
     steps.clear()
     assert _verify(path, tmp_path / "out" / "solution", tmp_path / "v") == 0
     assert steps == [128, 64]

@@ -209,27 +209,78 @@ def test_solution_save_load_round_trip(tmp_path, heat, grid128):
     assert len(report["mass_curve"]) == config.n_steps + 1
 
 
+def _count_evolves(monkeypatch):
+    """The step counts of the marches that seedpipe makes through evolve."""
+    evolves = []
+    evolve = seedpipe.evolve
+
+    def counted(model, grid, config, *args, **kwargs):
+        evolves.append(config.n_steps)
+        return evolve(model, grid, config, *args, **kwargs)
+
+    monkeypatch.setattr(seedpipe, "evolve", counted)
+    return evolves
+
+
 @pytest.mark.parametrize("n_cells", [[10, 10], [160]])
-def test_construction_march_reuses_resolvent_stepper(tmp_path, monkeypatch, n_cells):
-    # the construction march goes through the resolvent's stepper; every
-    # saved byte equals that of a march on a fresh stepper, on the dense
-    # path (100 nodes) and on the sparse one (160)
+def test_unclamped_seed_takes_its_decrement_from_the_resolvent(monkeypatch, n_cells):
+    # nothing is clamped, so run_seed marches nothing after the resolvent:
+    # rho, alpha, u0 and uT have the bits of a solve whose applications
+    # march without recording their states, on the dense path (100 nodes)
+    # and on the sparse one (160); the decrement, its residual and the mass
+    # curve agree with a march of rho on a fresh stepper to round-off
+    # (measured: 2.7e-16 of max|decrement|, masses 4.5e-16)
+    from decrem import fredholm
+
     dim = len(n_cells)
     grid = make_grid(dim, [0.0] * dim, [1.0] * dim, n_cells)
     model = constant_model([0.2, -0.1][:dim], np.diag([1.0, 0.7][:dim]))
     gamma = realize_gamma(grid, {"kind": "bump", "lo": [0.2] * dim, "hi": [0.65] * dim})
     config = SolverConfig(n_steps=48)
-    shared = run_seed(model, grid, config, gamma, 0.3)
-    names = shared.save(tmp_path / "shared")
-    decrement = seedpipe._decrement
-    monkeypatch.setattr(seedpipe, "_decrement", lambda *args: decrement(*args[:7]))
-    fresh = run_seed(model, grid, config, gamma, 0.3)
-    fresh.save(tmp_path / "fresh")
-    assert shared.alpha == fresh.alpha
-    for name in names:
-        assert (tmp_path / "shared" / name).read_bytes() == (
-            tmp_path / "fresh" / name
-        ).read_bytes()
+    evolves = _count_evolves(monkeypatch)
+    sol = run_seed(model, grid, config, gamma, 0.3)
+    assert sol.negativity == 0.0 and evolves == []
+    march = fredholm._march
+
+    def unrecorded(model, grid, config, values, s, T, record, step=None):
+        times, final = march(model, grid, config, values, s, T, record=False, step=step)
+        return times, final[None]
+
+    monkeypatch.setattr(fredholm, "_march", unrecorded)
+    ref = run_seed(model, grid, config, gamma, 0.3)
+    assert sol.alpha == ref.alpha
+    for name in ("rho", "u0", "uT"):
+        assert getattr(sol, name).values.tobytes() == getattr(ref, name).values.tobytes()
+    residual, decrement, curve = seedpipe._decrement(
+        model, grid, config, sol.rho, sol.alpha, sol.gamma.field, 0.3
+    )
+    assert evolves == [48]
+    scale = 1e-15 * np.abs(decrement.values).max()
+    assert np.abs(sol.decrement.values - decrement.values).max() <= scale
+    assert abs(sol.residual - residual) <= scale
+    assert [t for t, _ in sol.mass_curve] == [t for t, _ in curve]
+    assert np.abs(np.subtract(sol.mass_curve, curve)[:, 1]).max() <= 1e-15
+
+
+def test_clamped_seed_marches_rho_once(monkeypatch):
+    # the a12 term breaks the M-matrix and zeta dips below zero near a
+    # corner; the clamped rho is no longer alpha * zeta, so run_seed marches
+    # it once, and gets the bits of that march on a fresh stepper
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [8, 8])
+    model = constant_model([0.0, 0.0], np.array([[1.0, 0.0], [0.9, 0.436]]))
+    gamma = realize_gamma(grid, {"kind": "bump", "lo": [0.1, 0.1], "hi": [0.3, 0.3]})
+    config = SolverConfig(n_steps=64)
+    evolves = _count_evolves(monkeypatch)
+    sol = run_seed(model, grid, config, gamma, 0.5, tol=1e-3, eps_neg=1e-4)
+    assert evolves == [64]
+    assert -6e-6 < sol.negativity < -5.8e-6
+    assert 3.6e-4 < sol.residual < 3.8e-4
+    residual, decrement, curve = seedpipe._decrement(
+        model, grid, config, sol.rho, sol.alpha, sol.gamma.field, 0.5
+    )
+    assert sol.residual == residual
+    assert sol.decrement.values.tobytes() == decrement.values.tobytes()
+    assert sol.mass_curve == curve
 
 
 @pytest.mark.parametrize("n_cells", [[10, 10], [160]])
