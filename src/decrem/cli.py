@@ -220,11 +220,9 @@ def _build_solver(cfg):
             n_steps=_count(t["n_steps"], "time.n_steps"),
             linear_solver_tol=float(tol["linear_solver_tol"]),
         )
-        T = float(t["T"])
+        T = _finite(t["T"], "time.T")
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad time block: {exc}") from exc
-    if not T > 0.0:
-        raise ConfigError(f"time.T must be positive, got {T}")
     return config, T
 
 
@@ -268,7 +266,8 @@ def _write_manifest(out_dir, names):
 
 def _finite(value, name, zero=False):
     """The config setting ``value`` as a float, finite and > 0 (>= 0 with
-    ``zero``): the rule of ``spectrum.tol`` and the tolerances block."""
+    ``zero``): the rule of ``time.T``, ``spectrum.tol`` and the tolerances
+    block."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))

@@ -107,7 +107,12 @@ def make_grid(dim, lo, hi, n_cells):
             raise ValueError(f"axis {k}: need lo < hi, got [{lo[k]}, {hi[k]}]")
         if n_cells[k] < 4:
             raise ValueError(f"axis {k}: need at least 4 cells, got {n_cells[k]}")
-    return DomainGrid(dim=dim, lo=lo, hi=hi, n_cells=n_cells)
+    grid = DomainGrid(dim=dim, lo=lo, hi=hi, n_cells=n_cells)
+    # an infinite lo or hi, or a box wider than the float range, has infinite
+    # widths; a box too narrow for its cells has zero widths
+    if not all(0.0 < h < math.inf for h in grid.h):
+        raise ValueError(f"cell widths {grid.h} are not finite and positive")
+    return grid
 
 
 class DensityField:

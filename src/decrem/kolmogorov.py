@@ -35,12 +35,13 @@ one matrix-vector product instead of a back-substitution and a residual
 check.  S is kept only under a certificate that bounds the relative residual
 of every product S @ p, round-off included, by ``linear_solver_tol``;
 otherwise, for tabulated series and on larger grids the steps go through the
-factor as above.  A march of a vector, or of an (n, m) block of them,
-through S fills a (steps, n) or (steps, n, m) buffer and checks its
-finiteness once per chunk of steps (see
-:meth:`_Stepper.march_dense`); :func:`evolve` keeps that buffer, read-only,
-as the trajectory's states and takes the mass curve from one row sum over
-it.  Negative round-off from the solve is projected out only when the march
+factor as above.  Either way one loop, :meth:`_Stepper.march`, takes every
+step of a march of a vector or of an (n, m) block of them: it fills a
+(steps, n) or (steps, n, m) buffer a chunk of steps at a time, checking the
+finiteness of a chunk of dense products once at its end and each factored
+step, a chunk of one, by its residual.  :func:`evolve` keeps that buffer,
+read-only, as the trajectory's states and takes the mass curve from one
+row sum over it.  Negative round-off is projected out only when the march
 input is nonnegative and no step has an a12 term, where the exact solution
 is provably nonnegative.
 
@@ -222,18 +223,15 @@ def build_stencil(model, grid, t):
 
 
 class _Stepper:
-    """The stepping core: ``step(k, p)`` advances a flat field vector, or an
-    n-by-m block of them, by one implicit-Euler step from ``times[k]`` to
-    ``times[k + 1]`` through the sparse factor with a residual check, and
-    :meth:`march_dense` runs a whole march of either through the certified
-    dense inverse.
+    """The stepping core: :meth:`march` advances a flat field vector, or an
+    n-by-m block of them, over every implicit-Euler step from ``times[0]``
+    to ``times[-1]``, through the certified dense inverse where there is one
+    and through the sparse factor with a residual check otherwise.
 
     One stepper serves any number of marches over its times and keeps its
     factor, and on small grids its certified dense inverse, between them for
-    time-homogeneous models.  :meth:`start` begins a march: nonnegative data
-    arm the positivity clamp, which stays off while a factored step has had
-    an a12 term.  Construction certifies ellipticity at s and T: a
-    time-homogeneous model by fetching its kept A_h, a time-dependent one
+    time-homogeneous models.  Construction certifies ellipticity at s and T:
+    a time-homogeneous model by fetching its kept A_h, a time-dependent one
     directly; the steps read the coefficients at ``times[1:]`` only, so s
     is certified here or nowhere.
     """
@@ -246,7 +244,6 @@ class _Stepper:
         self.dt = (T - s) / config.n_steps
         self.times = s + self.dt * np.arange(config.n_steps + 1)
         self.tol = config.linear_solver_tol
-        self.clamp = False
         self.mixed = False
         self.lu = None
         self.inverse = None
@@ -256,11 +253,6 @@ class _Stepper:
                 _certify(eval_a(model, pts, t), pts, t)
         else:
             self._generator(s)
-
-    def start(self, nonnegative):
-        self.clamp = nonnegative
-        if self.model.time_dependent:
-            self.mixed = False  # every step of the march is factored anew
 
     def _generator(self, t):
         """A_h at time t and whether it has an a12 term; a time-homogeneous
@@ -311,47 +303,35 @@ class _Stepper:
         # written so that a NaN bound fails too
         return S if bound <= self.tol else None
 
-    def dense(self):
-        """Factor a time-homogeneous operator on first use; True when its
-        steps go through the certified dense inverse."""
-        if self.model.time_dependent:
-            return False
-        if self.lu is None:
-            self._factor(0)
-        return self.inverse is not None
+    def march(self, values, record):
+        """March the flat vector, or (n, m) block, ``values`` over every step.
 
-    def __call__(self, k, p):
-        if self.lu is None or self.model.time_dependent:
-            self._factor(k)
-        # SuperLU returns F-ordered blocks, which every later csr @ would
-        # convert; one C-ordered copy serves the check and the next step
-        x = np.ascontiguousarray(self.lu.solve(p))
-        self._check(p, x, k)
-        if self.clamp and not self.mixed:
-            # The exact M-matrix step maps nonnegative to nonnegative, so
-            # any negative entry is round-off of the solve.
-            np.maximum(x, 0.0, out=x)
-        return x
-
-    def march_dense(self, p, record):
-        """March the flat vector, or (n, m) block, ``p`` over every step
-        through the dense inverse; call only when :meth:`dense` holds.
-
-        Step k writes S @ p into a row of a buffer and clamps it into the
-        next state, with no check of its own: the finiteness of the products,
+        The states go through one buffer, a chunk of steps at a time: with
+        ``record`` it holds all K + 1 states and is returned; otherwise it
+        holds one chunk, restarted from its last state, and the final state
+        is returned.  Under the certified dense inverse step k writes S @ p
+        with no check of its own, and the finiteness of a chunk's products,
         taken before the clamp so that a -inf it would zero still counts, is
-        checked once per chunk of at most ``_CHUNK`` steps and raises
-        :class:`LinearSolveFailure` naming the first bad step.  With
-        ``record`` the buffer holds all K + 1 states and is returned;
-        otherwise it holds one chunk, restarted from its last state, and
-        the final state is returned.
+        checked once per chunk of at most ``_CHUNK`` steps; a bad product
+        raises :class:`LinearSolveFailure` naming the first bad step.
+        Otherwise every chunk is one step: factored anew when the model is
+        time-dependent, solved through the factor and checked by
+        :meth:`_check`.  Negative round-off is clamped only when ``values``
+        is nonnegative and no step so far had an a12 term, where the exact
+        solution is provably nonnegative.
         """
+        if self.model.time_dependent:
+            self.mixed = False  # every step of the march is factored anew
+        elif self.lu is None:
+            self._factor(0)
+        S = self.inverse
         K = len(self.times) - 1
-        chunk = min(K, _CHUNK)
-        S, clamp = self.inverse, self.clamp and not self.mixed
-        states = np.empty((K + 1 if record else chunk + 1,) + p.shape)
-        raw = np.empty((chunk,) + p.shape) if clamp else None
-        states[0] = p
+        chunk = 1 if S is None else min(K, _CHUNK)
+        states = np.empty((K + 1 if record else chunk + 1,) + np.shape(values))
+        states[0] = values
+        clamp = bool(np.all(states[0] >= 0.0)) and not self.mixed
+        # a dense step's products before the clamp, for the finiteness check
+        raw = np.empty((chunk,) + states.shape[1:]) if clamp and S is not None else None
         last = 0
         for k0 in range(0, K, chunk):
             m = min(chunk, K - k0)
@@ -360,12 +340,23 @@ class _Stepper:
             else:
                 states[0] = states[last]
                 block = states[: m + 1]
-            products = raw[:m] if clamp else block[1:]
+            products = block[1:] if raw is None else raw[:m]
             for x, out, nxt in zip(block[:-1], products, block[1:]):
-                np.dot(S, x, out=out)
+                if S is not None:
+                    np.dot(S, x, out=out)
+                else:  # a chunk of one: this is step k0
+                    if self.model.time_dependent:
+                        self._factor(k0)
+                        clamp = clamp and not self.mixed
+                    # SuperLU returns F-ordered blocks; the row takes a C-ordered copy
+                    out[...] = self.lu.solve(x)
+                    self._check(x, out, k0)
                 if clamp:
+                    # The exact M-matrix step maps nonnegative to nonnegative,
+                    # so any negative entry is round-off of the solve.
                     np.maximum(out, 0.0, out=nxt)
-            _check_finite(products, k0)
+            if S is not None:
+                _check_finite(products, k0)
             last = m
         return states if record else states[last].copy()
 
@@ -392,25 +383,14 @@ class _Stepper:
 
 def _march(model, grid, config, values, s, T, record, step=None):
     """Advance a flat field vector, or an (n, m) block of them, from s to T
-    through the stepping core; ``step`` passes a stepper, and so its factor,
+    by :meth:`_Stepper.march`; ``step`` passes a stepper, and so its factor,
     on from an earlier march.
 
-    Returns the times and, with ``record``, the (K + 1,) + ``values.shape``
+    Returns the stepper and, with ``record``, the (K + 1,) + ``values.shape``
     array of every state, else the final state."""
     if step is None:
         step = _Stepper(model, grid, config, s, T)
-    step.start(bool(np.all(values >= 0.0)))
-    p = np.array(values, dtype=float)
-    if step.dense():
-        return step.times, step.march_dense(p, record)
-    rows = np.empty((config.n_steps + 1,) + p.shape) if record else None
-    if record:
-        rows[0] = p
-    for k in range(config.n_steps):
-        p = step(k, p)
-        if record:
-            rows[k + 1] = p
-    return step.times, rows if record else p
+    return step, step.march(values, record)
 
 
 def evolve(model, grid, config, rho, s, T, step=None):
@@ -418,18 +398,16 @@ def evolve(model, grid, config, rho, s, T, step=None):
     and its mass; ``step`` passes on a stepper over [s, T] as in
     :func:`_march`.
 
-    Positivity is certified when no factored step had an a12 term."""
+    Positivity is certified when no step had an a12 term."""
     if rho.grid is not grid and rho.grid != grid:
         raise ValueError("field does not live on the given grid")
     if not np.all(np.isfinite(rho.values)):
         raise ValueError("initial field has non-finite values")
-    if step is None:
-        step = _Stepper(model, grid, config, s, T)
-    times, states = _march(model, grid, config, rho.values, s, T, record=True, step=step)
+    step, states = _march(model, grid, config, rho.values, s, T, record=True, step=step)
     states.setflags(write=False)
     return Trajectory(
         grid=grid,
-        times=times,
+        times=step.times,
         states=states,
         masses=states.sum(axis=1) * grid.cell_volume,
         positivity_certified=not step.mixed,

@@ -18,11 +18,9 @@ import numpy as np
 from .errors import ShapeMismatch
 from .grid import _read_table
 
-FAMILIES = ("constant", "linear-drift", "tabulated")
-
 
 class DiffusionModel:
-    """Vectorized coefficient evaluation for one of the supported families.
+    """Vectorized coefficient evaluation.
 
     ``drift_fn(points, t)`` maps an (N, dim) array to (N, dim);
     ``beta_fn(points, t)`` maps it to (N, dim, dim).  The arrays that
@@ -34,13 +32,10 @@ class DiffusionModel:
     certified), kept so that the steppers of one command share it.
     """
 
-    def __init__(self, dim, drift_fn, beta_fn, family, time_dependent=False):
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    def __init__(self, dim, drift_fn, beta_fn, time_dependent=False):
         self.dim = int(dim)
         self._drift_fn = drift_fn
         self._beta_fn = beta_fn
-        self.family = family
         self.time_dependent = bool(time_dependent)
         self.generator = None
 
@@ -79,7 +74,6 @@ def constant_model(drift, beta):
         dim,
         lambda pts, t: np.broadcast_to(drift, (pts.shape[0], dim)),
         lambda pts, t: np.broadcast_to(beta, (pts.shape[0], dim, dim)),
-        family="constant",
     )
 
 
@@ -95,7 +89,6 @@ def ou_model(rate, center, beta):
         dim,
         lambda pts, t: -rate * (pts - center),
         lambda pts, t: np.broadcast_to(beta, (pts.shape[0], dim, dim)),
-        family="linear-drift",
     )
 
 
@@ -169,13 +162,7 @@ def tabulated_model(grid, drift_values, beta_values, times=None, series=None):
             out = (1.0 - w) * out + w * tables[j1].beta(points)
         return out
 
-    return DiffusionModel(
-        grid.dim,
-        drift_fn,
-        beta_fn,
-        family="tabulated",
-        time_dependent=len(tables) > 1,
-    )
+    return DiffusionModel(grid.dim, drift_fn, beta_fn, time_dependent=len(tables) > 1)
 
 
 def _read_coefficients(grid, path):

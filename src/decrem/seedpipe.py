@@ -34,14 +34,16 @@ GAMMA_KINDS = ("eigenmode", "bump", "tiles", "csv")
 
 @dataclass(frozen=True)
 class TargetProfile:
-    """A validated decrement profile: nonnegative, not identically zero."""
+    """A validated decrement profile: finite, nonnegative, not identically zero."""
 
-    kind: str
     field: DensityField
 
 
-def _validate_gamma(kind, field):
+def _validate_gamma(field):
     v = field.values
+    if not np.all(np.isfinite(v)):
+        i = int(np.argmin(np.isfinite(v)))
+        raise ValueError(f"gamma takes value {v[i]} at node {i}; it must be finite")
     if np.any(v < 0.0):
         i = int(np.argmin(v))
         raise GammaNegative(
@@ -50,7 +52,7 @@ def _validate_gamma(kind, field):
         )
     if not np.any(v > 0.0):
         raise GammaZero("gamma is identically zero")
-    return TargetProfile(kind=kind, field=field)
+    return TargetProfile(field)
 
 
 def realize_gamma(grid, spec):
@@ -78,6 +80,10 @@ def realize_gamma(grid, spec):
     elif kind == "bump":
         lo = np.asarray(spec["lo"], dtype=float)
         hi = np.asarray(spec["hi"], dtype=float)
+        if lo.shape != (grid.dim,) or hi.shape != (grid.dim,):
+            raise ValueError(
+                f"bump lo {lo.tolist()} and hi {hi.tolist()} need {grid.dim} entries each"
+            )
         value = float(spec.get("value", 1.0))
         pts = grid.nodes()
         inside = np.all((pts >= lo) & (pts < hi), axis=1)
@@ -92,7 +98,7 @@ def realize_gamma(grid, spec):
         field = DensityField(grid, values.ravel()[tiles.cell_index(grid.nodes())])
     else:
         field = DensityField.from_csv(grid, spec["file"])
-    return _validate_gamma(kind, field)
+    return _validate_gamma(field)
 
 
 @dataclass
@@ -169,8 +175,8 @@ def run_seed(
     Otherwise rho is marched once, through the resolvent's stepper.
     """
     if isinstance(gamma, DensityField):
-        gamma = _validate_gamma("csv", gamma)
-    gamma = TargetProfile(gamma.kind, _unit_sup(gamma.field))
+        gamma = _validate_gamma(gamma)
+    gamma = TargetProfile(_unit_sup(gamma.field))
     if resolvent_tol is None:
         resolvent_tol = min(1e-9, tol * 1e-3)
     # the mass curve's times, and the factor for the march of a clamped seed

@@ -313,7 +313,7 @@ def test_seed_dense_steps_determinism_across_threads(tmp_path):
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 10])
     model = constant_model(cfg["model"]["drift"], cfg["model"]["beta"])
     step = _Stepper(model, grid, SolverConfig(n_steps=128), 0.0, 0.3)
-    step(0, np.ones(grid.n))
+    step.march(np.ones(grid.n), record=False)
     assert step.inverse is not None
     outputs = []
     for threads in ("1", "4"):

@@ -530,9 +530,9 @@ def test_integer_settings_accept_whole_floats(tmp_path):
     assert len(report["mass_curve"]) == 65
 
 
-def _verify(path, solution, out_dir):
+def _verify(path, solution, out_dir, *extra):
     args = ["verify", str(path), "--solution", str(solution)]
-    return main(args + ["--set", f"output_dir={out_dir}"])
+    return main(args + ["--set", f"output_dir={out_dir}", *extra])
 
 
 def _nan_in_row(path, row):
@@ -563,6 +563,17 @@ def test_cmd_verify_detects_tampered_alpha(tmp_path):
         assert _verify(path, solution, tmp_path / f"v-{name}") == 13, name
         stored.write_text(kept)
     assert _verify(path, solution, tmp_path / "v3") == 0
+
+
+def test_cmd_verify_rejects_non_finite_gamma(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    write_config(path, gamma={"kind": "bump", "lo": [0.2], "hi": [0.7]})
+    assert main(["seed", str(path)]) == 0
+    capsys.readouterr()
+    args = ["--set", "gamma.value=NaN"]
+    assert _verify(path, tmp_path / "out" / "solution", tmp_path / "v", *args) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 def test_cmd_verify_checks_the_construction_grid(tmp_path, capsys):
@@ -772,6 +783,18 @@ def test_moving_density_to_a_neighbour_fails_verify(seeded, cell, step, share):
         ["model.family=linear-drift", "model.rate=1.0", "model.center=[Infinity]"],
         ["model.family=bogus"],
         ["time.T=0"],
+        ["time.T=Infinity"],
+        ["time.T=NaN"],
+        ["domain.hi=[Infinity]"],
+        ["domain.lo=[-1e308]", "domain.hi=[1e308]"],
+        ["gamma.kind=tiles", "gamma.shape=[4]", "gamma.values=[1,NaN,1,1]"],
+        ["gamma.kind=tiles", "gamma.shape=[4]", "gamma.values=[1,Infinity,1,1]"],
+        ["gamma.kind=bump", "gamma.lo=[0.2]", "gamma.hi=[0.7]", "gamma.value=Infinity"],
+        ["gamma.kind=bump", "gamma.lo=[0.2]", "gamma.hi=[0.7]", "gamma.value=NaN"],
+        ["gamma.kind=bump", "gamma.lo=[0.2,0.2]", "gamma.hi=[0.7,0.7]"],
+        ["domain.dim=2", "domain.lo=[0,0]", "domain.hi=[1,1]", "domain.n_cells=[8,8]",
+         "model.drift=[0,0]", "model.beta=[[1,0],[0,1]]", "gamma.kind=bump",
+         "gamma.lo=[0.2]", "gamma.hi=[0.7]"],
     ],
     ids=" ".join,
 )

@@ -217,13 +217,14 @@ def test_assembly_marches_panels_through_Q(heat, monkeypatch):
     config = SolverConfig(n_steps=6)
     applied = _count_Q(monkeypatch)
     steps = []
-    sparse_step = _Stepper.__call__
+    check = _Stepper._check
 
-    def counted_step(self, k, p):
+    def counted_check(self, rhs, x, k):
         steps.append(k)
-        return sparse_step(self, k, p)
+        return check(self, rhs, x, k)
 
-    monkeypatch.setattr(_Stepper, "__call__", counted_step)
+    # every factored step checks its residual once
+    monkeypatch.setattr(_Stepper, "_check", counted_check)
     opmat = assemble_Q(heat, grid, config, 0.2)
     assert len(applied) == -(-grid.n // PANEL) == 3
     assert steps == 3 * list(range(config.n_steps))

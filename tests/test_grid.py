@@ -44,6 +44,12 @@ def test_make_grid_rejects_bad_input():
         make_grid(1, [1.0], [0.0], [8])
     with pytest.raises(ValueError):
         make_grid(2, [0.0], [1.0, 1.0], [4, 4])
+    # a box must be finite, and so must its cell widths
+    for lo, hi in (([0.0], [np.inf]), ([-np.inf], [1.0]), ([np.nan], [1.0]), ([-1e308], [1e308])):
+        with pytest.raises(ValueError):
+            make_grid(1, lo, hi, [8])
+    with pytest.raises(ValueError):
+        make_grid(1, [0.0], [5e-324], [8])  # the widths underflow to 0
 
 
 def test_nodes_match_flat_order():

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -368,10 +369,12 @@ def test_axis_aligned_generator_is_monotone(case, dt, seed):
     values[values < 0.3] = 0.0
     config = SolverConfig(n_steps=1)
     assert np.all(_march(model, grid, config, values, 0.0, dt, record=False)[1] >= 0.0)
-    # the clamp of the march only removes round-off of the solve
+    # the clamp of the march only removes round-off of the solve: the
+    # unclamped step through the factor is nonnegative to the solver tolerance
     step = _Stepper(model, grid, config, 0.0, dt)
-    step.start(False)
-    raw = step(0, values)
+    step._factor(0)
+    raw = step.lu.solve(values)
+    step._check(values, raw, 0)
     assert raw.min() >= -config.linear_solver_tol * np.abs(raw).max()
 
 
@@ -494,6 +497,41 @@ def test_sparse_path_is_unchanged(monkeypatch):
             assert np.array_equal(out, ref)
 
 
+def _shifted(solve):
+    """``solve`` with its result moved down by 1e-13 of its largest entry,
+    well inside the residual check of a factored step."""
+    def shifted(rhs):
+        x = solve(rhs)
+        return x - 1e-13 * np.abs(x).max()
+    return shifted
+
+
+@pytest.mark.parametrize("sign", ["nonnegative", "mixed-sign"])
+def test_factored_clamp_bites_wherever_armed(monkeypatch, sign):
+    # the exact factored step rarely leaves round-off to clamp; a shifted
+    # solve leaves some wherever a unit mass at one end has not yet spread
+    grid = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 1])
+    model = constant_model([0.3], [[1.0]])
+    config = SolverConfig(n_steps=4)
+    values = np.zeros(grid.n)
+    values[0] = 1.0
+    if sign == "mixed-sign":
+        values[-1] = -1e-3
+    factor = _Stepper._factor
+
+    def shifted_factor(self, k):
+        factor(self, k)
+        self.lu = SimpleNamespace(solve=_shifted(self.lu.solve))
+
+    monkeypatch.setattr(_Stepper, "_factor", shifted_factor)
+    out = _march(model, grid, config, values, 0.0, 0.001, record=False)[1]
+    ref = _reference_march(
+        model, grid, config, values, 0.0, 0.001, factor=lambda M: _shifted(_splu_solve(M))
+    )
+    assert np.array_equal(out, ref)
+    assert (out.min() == 0.0) == (sign == "nonnegative")
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     case=st.sampled_from(["constant-1d", "series-2d", "series-2d-a12"]),
@@ -523,25 +561,27 @@ def test_uncertified_inverse_falls_back(heat):
     grid = make_grid(1, [0.0], [1.0], [32])
     values = sampled_sine(grid).values
     step = _Stepper(heat, grid, SolverConfig(n_steps=8), 0.0, 0.5)
-    step(0, values)
+    step.march(values, record=False)
     assert step.inverse is not None
     # no inverse meets a relative residual of 1e-20: the steps go through
     # the sparse factor and its check, which raises
     config = SolverConfig(n_steps=8, linear_solver_tol=1e-20)
     step = _Stepper(heat, grid, config, 0.0, 0.5)
     with pytest.raises(LinearSolveFailure, match="step 0"):
-        step(0, values)
+        step.march(values, record=False)
     assert step.lu is not None and step.inverse is None
 
 
 def _dense_reference(step, values):
-    """Every state of the per-step dense march on a started, factored
-    stepper: S @ p, then the positivity clamp."""
+    """Every state of the per-step dense march on a factored stepper: S @ p,
+    then the positivity clamp, armed when ``values`` is nonnegative and the
+    step has no a12 term."""
+    clamp = bool(np.all(values >= 0.0))
     p = np.array(values, dtype=float)
     rows = [p]
     for _ in range(len(step.times) - 1):
         p = step.inverse @ p
-        if step.clamp and not step.mixed:
+        if clamp and not step.mixed:
             np.maximum(p, 0.0, out=p)
         rows.append(p)
     return np.array(rows)
@@ -607,15 +647,21 @@ def test_dense_step_rejects_non_finite(heat):
     # of the input fails step 0; -inf is what the clamp of the
     # nonnegative march would have turned into 0
     k = _CHUNK + 7
+    # the clamp is armed on this input: over the k finite steps of the
+    # negative poison, row 0 of every state is clamped to 0
+    step = _Stepper(heat, grid, SolverConfig(n_steps=k), 0.0, 0.5)
+    step.march(ones, record=False)
+    step.inverse = _poisoned(step, k, -1.0)
+    assert not step.march(ones, record=True)[1:, 0].any()
     for sign, record in itertools.product((-1.0, 1.0), (True, False)):
         step = _Stepper(heat, grid, config, 0.0, 0.5)
-        assert step.dense()
+        step.march(ones, record=False)
+        assert step.inverse is not None
         step.inverse = _poisoned(step, k, sign)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             LinearSolveFailure, match=f"solve at step {k} is not"
         ):
             _march(heat, grid, config, ones, 0.0, 0.5, record=record, step=step)
-        assert step.clamp  # the march ran with the clamp armed
     bad = ones.copy()
     bad[3] = np.nan
     with pytest.raises(LinearSolveFailure, match="solve at step 0 is not"):
@@ -725,14 +771,13 @@ def test_stepper_certifies_series_ends(monkeypatch, where):
     assert calls == []
 
 
-def test_series_degenerate_inside_fails_at_the_step_that_reads_it():
+def test_series_degenerate_inside_fails_at_the_step_that_reads_it(monkeypatch):
     # implicit euler with 8 steps evaluates t = 0.0625 k, so step 3
-    # builds A_h at the degenerate sample t = 0.25
+    # builds A_h at the degenerate sample t = 0.25, after three steps
     table, grid = _series(0.25)
     step = _Stepper(table, grid, SolverConfig(n_steps=8), 0.0, 0.5)
-    p = np.ones(grid.n)
-    for k in range(3):
-        p = step(k, p)
+    calls = _count_builds(monkeypatch)
     with pytest.raises(EllipticityViolation) as err:
-        step(3, p)
+        step.march(np.ones(grid.n), record=False)
     assert err.value.t == 0.25
+    assert calls == [0.0625, 0.125, 0.1875, 0.25]
