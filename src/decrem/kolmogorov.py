@@ -314,11 +314,11 @@ class _Stepper:
         taken before the clamp so that a -inf it would zero still counts, is
         checked once per chunk of at most ``_CHUNK`` steps; a bad product
         raises :class:`LinearSolveFailure` naming the first bad step.
-        Otherwise every chunk is one step: factored anew when the model is
-        time-dependent, solved through the factor and checked by
-        :meth:`_check`.  Negative round-off is clamped only when ``values``
-        is nonnegative and no step so far had an a12 term, where the exact
-        solution is provably nonnegative.
+        Otherwise every chunk is one step, whose two rows swap instead of
+        restarting: factored anew for a time-dependent model, solved through
+        the factor and checked by :meth:`_check`.  Negative round-off is
+        clamped only when ``values`` is nonnegative and no step so far had an
+        a12 term, where the exact solution is provably nonnegative.
         """
         if self.model.time_dependent:
             self.mixed = False  # every step of the march is factored anew
@@ -337,6 +337,8 @@ class _Stepper:
             m = min(chunk, K - k0)
             if record:
                 block = states[k0 : k0 + m + 1]
+            elif chunk == 1:  # the two rows take turns, so no state is copied
+                block = states[::-1] if k0 % 2 else states
             else:
                 states[0] = states[last]
                 block = states[: m + 1]
@@ -358,7 +360,7 @@ class _Stepper:
             if S is not None:
                 _check_finite(products, k0)
             last = m
-        return states if record else states[last].copy()
+        return states if record else states[K % 2 if chunk == 1 else last].copy()
 
     def _check(self, rhs, x, k):
         """Relative 2-norm residual of the solve, column by column; a block

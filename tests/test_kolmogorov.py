@@ -478,7 +478,8 @@ def _random_series(grid, rng, cross):
 
 def test_sparse_path_is_unchanged(monkeypatch):
     # a tabulated series and a grid above the cap never form the inverse,
-    # and march bit for bit as the per-step sparse reference
+    # and march bit for bit as the per-step sparse reference, ending in
+    # either row of the two-row buffer
     def no_inverse(self):
         raise AssertionError("dense inverse formed")
 
@@ -488,8 +489,8 @@ def test_sparse_path_is_unchanged(monkeypatch):
     table = _random_series(grid, rng, cross=True)
     big = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 1])
     drifted = constant_model([0.3], [[1.0]])
-    for model, g in ((table, grid), (drifted, big)):
-        config = SolverConfig(n_steps=16)
+    for (model, g), n_steps in itertools.product(((table, grid), (drifted, big)), (15, 16)):
+        config = SolverConfig(n_steps=n_steps)
         values = rng.random(g.n)
         for v in (values, values - 0.5):
             out = _march(model, g, config, v, 0.0, 0.25, record=False)[1]

@@ -2,13 +2,14 @@
 
 Usage (from the repository root)::
 
-    python3 tools/compare_outputs.py BASE HEAD [--seeds 1 2 3] [--work DIR]
+    python3 tools/compare_outputs.py BASE HEAD [--work DIR]
 
 BASE and HEAD are checkouts of the repository.  The inputs are the
-benchmark's: ``perfbench/workloads.py`` of this repository draws the inputs
-of every workload from each seed, as ``perfbench/run.py`` does, and writes
-each as a config file (and, for ``mc``, a density CSV).  The import writes
-no bytecode, so the benchmark directory is left as it was.  Each input runs
+benchmark's: ``perfbench/workloads.py`` of this repository draws the
+``run.VARIANTS`` inputs of every workload from each of ``SEEDS``, as
+``perfbench/run.py`` does, and writes each as a config file (and, for
+``mc``, a density CSV).  The imports write no bytecode, so the benchmark
+directory is left as it was.  Each input runs
 through ``python -m decrem`` of both trees, from a directory of its own
 holding the same files and with the same relative ``output_dir``, so
 ``config.echo.json`` and ``manifest.json`` compare as well.  Every ``seed``
@@ -32,18 +33,19 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-VARIANTS = 4  # inputs per seed and workload, as perfbench/run.py draws them
+SEEDS = (1, 2, 3)
 
 
-def write_inputs(work, seeds):
+def write_inputs(work):
     """Write every input into ``work/inputs/<case>``; returns (case, argv) pairs."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     import numpy as np
+    from run import VARIANTS
     from workloads import WORKLOADS
 
     cases = []
-    for seed in seeds:
+    for seed in SEEDS:
         for name, cls in WORKLOADS.items():
             wl = cls()
             rng = np.random.default_rng(seed)
@@ -90,9 +92,9 @@ def files(top):
     return sorted(p.relative_to(top) for p in top.rglob("*") if p.is_file())
 
 
-def compare(base_tree, head_tree, work, seeds):
+def compare(base_tree, head_tree, work):
     """Run every input through both trees in ``work`` and print what differs."""
-    cases = write_inputs(work, seeds)
+    cases = write_inputs(work)
     base = run_tree(base_tree, "base", work, cases)
     head = run_tree(head_tree, "head", work, cases)
     runs = sorted(set(base) | set(head))
@@ -122,15 +124,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="checkout of the base tree")
     parser.add_argument("head", help="checkout of the tree under comparison")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--work", help="directory for inputs and outputs, emptied first and "
+    parser.add_argument("--work", help="new or empty directory for inputs and outputs, "
                         "kept (default: a temporary one, removed)")
     args = parser.parse_args(argv)
+    work = args.work and Path(args.work)
+    if work and work.exists() and (not work.is_dir() or any(work.iterdir())):
+        parser.error(f"--work {work} exists and is not an empty directory")
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(args.work or tmp)
-        if args.work:
-            shutil.rmtree(work, ignore_errors=True)
-        compare(args.base, args.head, work, args.seeds)
+        compare(args.base, args.head, work or Path(tmp))
     return 0
 
 
