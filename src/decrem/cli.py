@@ -56,7 +56,7 @@ from .errors import (
 )
 from .fredholm import _check_cap, assemble_Q, propagator_action, singular_values, spectral_radius
 from .grid import DensityField, _write_json, _write_rows, make_grid, mass
-from .kolmogorov import SCHEME, SolverConfig, _Stepper, evolve, save_trajectory
+from .kolmogorov import SCHEME, SolverConfig, evolve, save_trajectory
 from .model import constant_model, load_tabulated, load_tabulated_series, ou_model
 from .montecarlo import default_dt, estimate_density, sample_initial, simulate
 from .seedpipe import (
@@ -156,6 +156,8 @@ def load_config(path, overrides=()):
     for key in _REQUIRED:
         if key not in cfg:
             raise ConfigError(f"config is missing required key {key!r}")
+    if not isinstance(cfg["output_dir"], str) or not cfg["output_dir"]:
+        raise ConfigError(f"output_dir must be a non-empty string: {cfg['output_dir']!r}")
     merged = copy.deepcopy(cfg)
     for block, defaults in _DEFAULTS.items():
         target = merged.setdefault(block, {})
@@ -167,15 +169,15 @@ def load_config(path, overrides=()):
 _MAX_COUNT = 10**8  # above any run that fits in memory
 
 
+def _whole(value):
+    """Whether ``value`` is a whole number: an int (not a bool) or a whole float like 1e5."""
+    return type(value) is int or type(value) is float and value.is_integer()
+
+
 def _count(value, name):
-    """The config setting ``value`` as an int in [1, _MAX_COUNT]; a whole
-    float such as 1e5 is accepted.  Every integer setting goes through here,
-    so no size is allocated before it is checked."""
-    if (
-        isinstance(value, bool)
-        or not (isinstance(value, int) or isinstance(value, float) and value.is_integer())
-        or value < 1
-    ):
+    """The config setting ``value`` as an int in [1, _MAX_COUNT].  Every
+    count goes through here, so no size is allocated before it is checked."""
+    if not _whole(value) or value < 1:
         raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
     if value > _MAX_COUNT:
         raise ConfigError(f"{name} must be at most {_MAX_COUNT}, got {value!r}")
@@ -251,7 +253,9 @@ def _save_json(out_dir, name, payload):
     return name
 
 
-def _write_manifest(out_dir, names):
+def _write_manifest(out_dir, names, cfg):
+    """Echo the effective config, then hash it and ``names`` into manifest.json."""
+    names = [*names, _save_json(out_dir, "config.echo.json", cfg)]
     entries = []
     for name in sorted(set(names)):
         digest = hashlib.sha256()
@@ -326,8 +330,7 @@ def cmd_seed(cfg, base_dir):
     names = [os.path.join("solution", n) for n in solution.save(os.path.join(out_dir, "solution"))]
     names.append(_save_json(out_dir, "verification.json",
                             verification.to_json_dict(solution.residual)))
-    names.append(_save_json(out_dir, "config.echo.json", cfg))
-    _write_manifest(out_dir, names)
+    _write_manifest(out_dir, names, cfg)
     print(f"alpha     {solution.alpha:.12g}")
     print(f"residual  {solution.residual:.3e} ({solution.resolvent.method}, "
           f"{solution.resolvent.iterations} operator applications)")
@@ -351,8 +354,7 @@ def cmd_evolve(cfg, base_dir, rho_path):
     out_dir = cfg["output_dir"]
     traj_dir = os.path.join(out_dir, "trajectory")
     names = [os.path.join("trajectory", n) for n in save_trajectory(traj, traj_dir)]
-    names.append(_save_json(out_dir, "config.echo.json", cfg))
-    _write_manifest(out_dir, names)
+    _write_manifest(out_dir, names, cfg)
     print(f"evolved to T={T:g} in {config.n_steps} steps ({SCHEME})")
     print(f"final mass {traj.masses[-1]:.12g}")
     if not traj.positivity_certified:
@@ -367,15 +369,13 @@ def cmd_spectrum(cfg, base_dir):
     spec = cfg["spectrum"]
     max_iter = _count(spec["max_iter"], "spectrum.max_iter")
     cap = _count(spec["cap"], "spectrum.cap")
-    # one stepper, so one factor of a time-homogeneous model, for both uses
-    step = _Stepper(model, grid, config, 0.0, T)
+    act = propagator_action(model, grid, config, T)
     # checked after the certificate, so a degenerate model still exits 3
     tol = _finite(spec["tol"], "spectrum.tol")
     if not isinstance(spec["assemble"], bool):
         raise ConfigError(f"spectrum.assemble must be true or false: {spec['assemble']!r}")
     if spec["assemble"]:
         _check_cap(grid, cap)  # before any march or output
-    act = propagator_action(model, grid, config, T, step=step)
     est = spectral_radius(act, n=grid.n, tol=tol, max_iter=max_iter)
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -386,7 +386,7 @@ def cmd_spectrum(cfg, base_dir):
     }
     names = []
     if spec["assemble"]:
-        opmat = assemble_Q(model, grid, config, T, cap=cap, step=step)
+        opmat = assemble_Q(model, grid, config, T, cap=cap)
         sv = singular_values(opmat)
         payload["singular_value_head"] = [float(s) for s in sv[:8]]
         masses = opmat.column_masses()
@@ -399,8 +399,7 @@ def cmd_spectrum(cfg, base_dir):
         )
         names.append("singular_values.csv")
     names.append(_save_json(out_dir, "spectrum.json", payload))
-    names.append(_save_json(out_dir, "config.echo.json", cfg))
-    _write_manifest(out_dir, names)
+    _write_manifest(out_dir, names, cfg)
     print(f"spectral radius {est.value:.9g} "
           f"(converged: {est.converged}, {est.iterations} iterations)")
     if not est.converged:
@@ -430,6 +429,8 @@ def cmd_mc(cfg, base_dir, rho_path):
     seed = mc["seed"]
     if seed is None:
         seed = secrets.randbits(63)
+    elif not _whole(seed):
+        raise ConfigError(f"mc.seed must be an integer, got {seed!r}")
     cfg["mc"]["seed"] = int(seed)
     rho = _read_rho(grid, rho_path)
     dt = mc["dt"]
@@ -456,8 +457,7 @@ def cmd_mc(cfg, base_dir, rho_path):
         "dt": dt,
     }
     names.append(_save_json(out_dir, "comparison.json", comparison))
-    names.append(_save_json(out_dir, "config.echo.json", cfg))
-    _write_manifest(out_dir, names)
+    _write_manifest(out_dir, names, cfg)
     print(f"master seed {int(seed)}")
     print(f"survival: mc {estimate.survival:.6f} vs pde {comparison['survival_pde']:.6f}")
     print(f"z-scores within +-4: {100.0 * comparison['frac_abs_z_le_4']:.1f}%")
@@ -495,8 +495,7 @@ def cmd_verify(cfg, base_dir, solution_dir):
     os.makedirs(out_dir, exist_ok=True)
     names = [_save_json(out_dir, "verification.json",
                         verification.to_json_dict(stored_residual))]
-    names.append(_save_json(out_dir, "config.echo.json", cfg))
-    _write_manifest(out_dir, names)
+    _write_manifest(out_dir, names, cfg)
     print(f"refined residual {verification.residual_refined:.3e} "
           f"(stored {stored_residual:.3e}), "
           f"time error {verification.time_error_est:.3e}")

@@ -10,8 +10,8 @@ strictly inside (0, 1).
 The resolvent solve is restarted GMRES (Saad & Schultz 1986) on I - Q with
 the matrix-free application.  The eigenvalues of Q are about e^{-lambda_k T}
 and cluster at 0, so a few Krylov steps reach the tolerance at any horizon,
-where the Neumann series would contract only at e^{-lambda_1 T}.  All
-applications of one solve share one step factorization.
+where the Neumann series would contract only at e^{-lambda_1 T}.  The
+applications of Q over one grid, config and T share one kept factor.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CapExceeded, NoConvergence
 from .grid import DensityField, _write_json
-from .kolmogorov import PANEL, SCHEME, _march, _Stepper
+from .kolmogorov import PANEL, SCHEME, _march, _stepper_for
 
 
 @dataclass
@@ -92,20 +92,19 @@ class SpectralEstimate:
     iterations: int
 
 
-def propagator_action(model, grid, config, T, step=None, record=False):
+def propagator_action(model, grid, config, T, record=False):
     """Q over [0, T] as a callable on flat vectors or (n, m) blocks of them,
     for power and Krylov iterations and the dense assembly.
 
-    Every call marches through one stepper, so a time-homogeneous model is
-    factored once for all of them; each call still arms the positivity
-    clamp from the sign of its own input, so it returns the bits of a
-    march on a fresh stepper.  ``step`` passes in a stepper over [0, T]
-    that a caller keeps for later marches.  With ``record`` a call returns
-    every state of its march, the last row being Q v.
+    The model is certified here, where its stepper over [0, T] is fetched or
+    built, not at the first call.  A time-homogeneous model keeps that
+    stepper, so all calls march through one factor; each call still arms the
+    positivity clamp from the sign of its own input, so it returns the bits
+    of a march on a fresh stepper.  With ``record`` a call returns every
+    state of its march, the last row being Q v.
     """
-    if step is None:
-        step = _Stepper(model, grid, config, 0.0, T)
-    return lambda v: _march(model, grid, config, v, 0.0, T, record=record, step=step)[1]
+    _stepper_for(model, grid, config, 0.0, T)
+    return lambda v: _march(model, grid, config, v, 0.0, T, record)[1]
 
 
 def _check_cap(grid, cap):
@@ -114,17 +113,17 @@ def _check_cap(grid, cap):
         raise CapExceeded(f"grid has {grid.n} nodes, dense assembly capped at {cap}")
 
 
-def assemble_Q(model, grid, config, T, cap=4096, step=None):
+def assemble_Q(model, grid, config, T, cap=4096):
     """Dense diagnostic assembly of Q, one column per unit-mass cell density.
 
     Applies :func:`propagator_action` to the unit masses ``PANEL`` cells at
-    a time, all panels through one stepper, and writes each panel's columns
-    into the N x N result, which is column-major as :meth:`OperatorMatrix.save`
-    writes it.  ``step`` is passed on to :func:`propagator_action`.
+    a time, all panels through one stepper, the one a power iteration over
+    the same T left kept, and writes each panel's columns into the N x N
+    result, which is column-major as :meth:`OperatorMatrix.save` writes it.
     """
     _check_cap(grid, cap)
     n = grid.n
-    act = propagator_action(model, grid, config, T, step=step)
+    act = propagator_action(model, grid, config, T)
     Q = np.empty((n, n), order="F")
     for j in range(0, n, PANEL):
         m = min(PANEL, n - j)
@@ -175,19 +174,19 @@ def singular_values(opmat):
     return opmat.grid.cell_volume * np.linalg.svd(opmat.matrix, compute_uv=False)
 
 
-def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200, step=None):
+def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200):
     """Solve (I - Q) zeta = gamma by restarted GMRES on I - Q.
 
     ``iterations`` counts every application of Q, the one that checks the
     final relative L2 residual included, and never exceeds ``max_iter``:
     a GMRES cycle of restart length m applies Q m + 1 times, so m is capped
     to fit the budget.  A final residual above ``tol`` raises NoConvergence.
-    ``step`` is passed on to :func:`propagator_action`.  Each application
-    keeps the states of its march until the next, for the report's masses.
+    Every application marches through the model's kept stepper, and keeps
+    its states until the next, for the report's masses.
     """
+    act = propagator_action(model, grid, config, T, record=True)  # certifies first
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2: one Krylov step and its check")
-    act = propagator_action(model, grid, config, T, step=step, record=True)
     g = np.array(gamma.values, dtype=float)
     n = g.size
     applies, last = 0, None  # last: (v, the states of its march) of the latest application

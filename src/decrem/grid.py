@@ -108,10 +108,10 @@ def make_grid(dim, lo, hi, n_cells):
         if n_cells[k] < 4:
             raise ValueError(f"axis {k}: need at least 4 cells, got {n_cells[k]}")
     grid = DomainGrid(dim=dim, lo=lo, hi=hi, n_cells=n_cells)
-    # an infinite lo or hi, or a box wider than the float range, has infinite
-    # widths; a box too narrow for its cells has zero widths
-    if not all(0.0 < h < math.inf for h in grid.h):
-        raise ValueError(f"cell widths {grid.h} are not finite and positive")
+    # the stencil divides by h * h: a normal float, whose reciprocal is finite
+    # (a box too wide squares to inf, one too narrow to a subnormal or 0)
+    if not all(np.finfo(float).tiny <= h * h < math.inf for h in grid.h):
+        raise ValueError(f"cell widths {grid.h} do not square to normal floats")
     return grid
 
 

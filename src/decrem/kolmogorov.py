@@ -19,10 +19,8 @@ too, so a march is certified wherever a step reads the coefficients.
 Every time step from t_k to t_{k+1} solves M p_new = p with the step
 matrix M = I - dt*A_h(t_{k+1}).  The sparse generator is assembled straight
 from the coefficient arrays, one grid-shaped array of entries per stencil
-offset, and M gets a sparse LU factorization
-once per operator for time-homogeneous models, however many marches go
-through it (``decrem spectrum`` shares one stepper between its power
-iteration and its assembly), and once per step for tabulated series.  M is
+offset, and M gets a sparse LU factorization once per stepper for
+time-homogeneous models and once per step for tabulated series.  M is
 structurally symmetric, so SuperLU orders it by minimum degree on M + M^T
 in symmetric mode, about a third less fill than its default.  Each solve
 is checked a posteriori: a singular factor, a non-finite solution or a
@@ -45,10 +43,11 @@ row sum over it.  Negative round-off is projected out only when the march
 input is nonnegative and no step has an a12 term, where the exact solution
 is provably nonnegative.
 
-A time-homogeneous model keeps the generator A_h of its latest grid
-(``model.generator``), so the steppers of one command on that grid share
-one assembly whatever their step counts; only A_h is kept, never a factor
-or a dense inverse, which would hold their memory across marches.
+This module alone decides which marches share a factor: a time-homogeneous
+model keeps its latest stepper (``model.stepper``) with its A_h, factor and
+certified inverse, a march over the same grid, config, s and T reuses it,
+and any other march builds a stepper that takes A_h from the kept one on
+the same grid and replaces it.  A tabulated series' steppers are not kept.
 """
 
 from __future__ import annotations
@@ -191,9 +190,9 @@ def build_stencil(model, grid, t):
         ak = a[..., k, k]
         coef = np.full(shape, -2.0)
         coef[along(k, slice(0, 1))] = coef[along(k, slice(-1, None))] = -3.0
-        w[center] += coef * ak / h[k] ** 2
-        couple(k, 1, ak / h[k] ** 2)
-        couple(k, -1, ak / h[k] ** 2)
+        w[center] += coef * ak / (h[k] * h[k])
+        couple(k, 1, ak / (h[k] * h[k]))
+        couple(k, -1, ak / (h[k] * h[k]))
     mixed = dim == 2 and bool(np.any(a[..., 0, 1] != 0.0))
     if mixed:
         # four-point cross stencil on the odd extension of a12 p; a corner
@@ -228,46 +227,42 @@ class _Stepper:
     to ``times[-1]``, through the certified dense inverse where there is one
     and through the sparse factor with a residual check otherwise.
 
-    One stepper serves any number of marches over its times and keeps its
-    factor, and on small grids its certified dense inverse, between them for
-    time-homogeneous models.  Construction certifies ellipticity at s and T:
-    a time-homogeneous model by fetching its kept A_h, a time-dependent one
-    directly; the steps read the coefficients at ``times[1:]`` only, so s
-    is certified here or nowhere.
+    One stepper serves any number of marches over its times.  For a
+    time-homogeneous model it holds A_h, built or taken from the model's
+    kept stepper on the same grid, then the factor and, on small grids, the
+    certified inverse; it takes the kept one's place and holds no reference
+    back to the model, so the two are freed without the cyclic collector.
+    Construction certifies ellipticity at s and T: through A_h, or directly
+    for a time-dependent model, which is read at every step; the steps read
+    the coefficients at ``times[1:]`` only, so s is certified here or nowhere.
     """
 
     def __init__(self, model, grid, config, s, T):
         if not T > s:
             raise ValueError(f"need s < T, got s={s}, T={T}")
-        self.model = model
+        self.key = (grid, config, s, T)
         self.grid = grid
         self.dt = (T - s) / config.n_steps
-        self.times = s + self.dt * np.arange(config.n_steps + 1)
+        self.times = _step_times(config, s, T)
         self.tol = config.linear_solver_tol
         self.mixed = False
         self.lu = None
         self.inverse = None
+        self.series = model if model.time_dependent else None  # read at every step
         if model.time_dependent:
             pts = grid.nodes()
             for t in (s, T):
                 _certify(eval_a(model, pts, t), pts, t)
-        else:
-            self._generator(s)
-
-    def _generator(self, t):
-        """A_h at time t and whether it has an a12 term; a time-homogeneous
-        model keeps them for its latest grid."""
-        model = self.model
-        if model.time_dependent:
-            return build_stencil(model, self.grid, t)
-        kept = model.generator
-        if kept is None or kept[0] != self.grid:
-            kept = model.generator = (self.grid, *build_stencil(model, self.grid, t))
-        return kept[1:]
+            return
+        kept = model.stepper  # its generator: A_h and whether it has an a12 term
+        same = kept is not None and kept.grid == grid
+        self.generator = kept.generator if same else build_stencil(model, grid, s)
+        model.stepper = self
 
     def _factor(self, k):
         t = self.times[k + 1]
-        A, mixed = self._generator(t)
+        series = self.series
+        A, mixed = self.generator if series is None else build_stencil(series, self.grid, t)
         self.mixed |= mixed
         self.M = identity(self.grid.n, format="csr") - self.dt * A
         try:
@@ -279,7 +274,7 @@ class _Stepper:
             raise LinearSolveFailure(
                 f"step matrix at t={t:g} could not be factored: {exc}"
             ) from exc
-        if not self.model.time_dependent and self.grid.n <= DENSE_MAX_N:
+        if self.series is None and self.grid.n <= DENSE_MAX_N:
             self.inverse = self._certified_inverse()
 
     def _certified_inverse(self):
@@ -320,7 +315,7 @@ class _Stepper:
         clamped only when ``values`` is nonnegative and no step so far had an
         a12 term, where the exact solution is provably nonnegative.
         """
-        if self.model.time_dependent:
+        if self.series is not None:
             self.mixed = False  # every step of the march is factored anew
         elif self.lu is None:
             self._factor(0)
@@ -347,7 +342,7 @@ class _Stepper:
                 if S is not None:
                     np.dot(S, x, out=out)
                 else:  # a chunk of one: this is step k0
-                    if self.model.time_dependent:
+                    if self.series is not None:
                         self._factor(k0)
                         clamp = clamp and not self.mixed
                     # SuperLU returns F-ordered blocks; the row takes a C-ordered copy
@@ -383,29 +378,40 @@ class _Stepper:
             )
 
 
-def _march(model, grid, config, values, s, T, record, step=None):
+def _step_times(config, s, T):
+    """t_0 = s < ... < t_K = T, the times of every march over [s, T]."""
+    return s + (T - s) / config.n_steps * np.arange(config.n_steps + 1)
+
+
+def _stepper_for(model, grid, config, s, T):
+    """The model's kept stepper if it is over ``(grid, config, s, T)``, else
+    a new one, which a time-homogeneous model keeps in its place."""
+    kept = model.stepper
+    same = kept is not None and kept.key == (grid, config, s, T)
+    return kept if same else _Stepper(model, grid, config, s, T)
+
+
+def _march(model, grid, config, values, s, T, record):
     """Advance a flat field vector, or an (n, m) block of them, from s to T
-    by :meth:`_Stepper.march`; ``step`` passes a stepper, and so its factor,
-    on from an earlier march.
+    by :meth:`_Stepper.march` on :func:`_stepper_for`'s stepper.
 
     Returns the stepper and, with ``record``, the (K + 1,) + ``values.shape``
     array of every state, else the final state."""
-    if step is None:
-        step = _Stepper(model, grid, config, s, T)
+    step = _stepper_for(model, grid, config, s, T)
     return step, step.march(values, record)
 
 
-def evolve(model, grid, config, rho, s, T, step=None):
+def evolve(model, grid, config, rho, s, T):
     """Evolve the density ``rho`` from time s to T, keeping every snapshot
-    and its mass; ``step`` passes on a stepper over [s, T] as in
-    :func:`_march`.
+    and its mass; a time-homogeneous model keeps the stepper, as every
+    :func:`_march` does.
 
     Positivity is certified when no step had an a12 term."""
     if rho.grid is not grid and rho.grid != grid:
         raise ValueError("field does not live on the given grid")
     if not np.all(np.isfinite(rho.values)):
         raise ValueError("initial field has non-finite values")
-    step, states = _march(model, grid, config, rho.values, s, T, record=True, step=step)
+    step, states = _march(model, grid, config, rho.values, s, T, record=True)
     states.setflags(write=False)
     return Trajectory(
         grid=grid,

@@ -26,10 +26,10 @@ class DiffusionModel:
     ``beta_fn(points, t)`` maps it to (N, dim, dim).  The arrays that
     ``drift_at`` and ``beta_at`` return may be read-only views (a constant
     coefficient is broadcast, not copied), so callers must not write into
-    them.  ``generator`` is None
-    or, for a time-homogeneous model, the ``(grid, A_h, mixed)`` that the
-    stepping core of :mod:`decrem.kolmogorov` last assembled (and so
-    certified), kept so that the steppers of one command share it.
+    them.  ``stepper`` is None or, for a time-homogeneous model, the latest
+    stepper of :mod:`decrem.kolmogorov` on it, with its certified A_h,
+    factor and dense inverse, kept so that the marches of one command share
+    them.
     """
 
     def __init__(self, dim, drift_fn, beta_fn, time_dependent=False):
@@ -37,7 +37,7 @@ class DiffusionModel:
         self._drift_fn = drift_fn
         self._beta_fn = beta_fn
         self.time_dependent = bool(time_dependent)
-        self.generator = None
+        self.stepper = None
 
     def drift_at(self, points, t):
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fredholm import ResolventReport, solve_resolvent
 from .grid import DensityField, DomainGrid, _write_json, mass, norm_sup
-from .kolmogorov import _Stepper, evolve, mass_curve
+from .kolmogorov import _step_times, evolve, mass_curve
 
 GAMMA_KINDS = ("eigenmode", "bump", "tiles", "csv")
 
@@ -141,11 +141,11 @@ def _unit_sup(field):
     return field.with_values(field.values / norm_sup(field))
 
 
-def _decrement(model, grid, config, rho, alpha, gamma, T, step=None):
-    """Evolve rho over [0, T] once, through ``step`` if given: the sup
-    residual of p(., 0) - p(., T) = alpha * gamma for a unit-sup ``gamma``,
-    the decrement p(., 0) - p(., T) and the mass curve."""
-    traj = evolve(model, grid, config, rho, 0.0, T, step=step)
+def _decrement(model, grid, config, rho, alpha, gamma, T):
+    """Evolve rho over [0, T] once: the sup residual of p(., 0) - p(., T) =
+    alpha * gamma for a unit-sup ``gamma``, the decrement p(., 0) - p(., T)
+    and the mass curve."""
+    traj = evolve(model, grid, config, rho, 0.0, T)
     decrement = traj.states[0] - traj.states[-1]
     residual = float(np.abs(decrement - alpha * gamma.values).max())
     return residual, DensityField(grid, decrement), mass_curve(traj)
@@ -172,18 +172,15 @@ def run_seed(
     When the clamp of u0 removes nothing, rho = alpha * zeta and the
     resolvent's last application marched zeta: the decrement is
     rho - alpha * Q zeta, the mass curve alpha times that march's masses.
-    Otherwise rho is marched once, through the resolvent's stepper.
+    Otherwise rho is marched once, through the resolvent's kept stepper.
     """
     if isinstance(gamma, DensityField):
         gamma = _validate_gamma(gamma)
     gamma = TargetProfile(_unit_sup(gamma.field))
     if resolvent_tol is None:
         resolvent_tol = min(1e-9, tol * 1e-3)
-    # the mass curve's times, and the factor for the march of a clamped seed
-    step = _Stepper(model, grid, config, 0.0, T)
     report = solve_resolvent(
-        model, grid, config, gamma.field, T,
-        tol=resolvent_tol, max_iter=resolvent_max_iter, step=step,
+        model, grid, config, gamma.field, T, tol=resolvent_tol, max_iter=resolvent_max_iter
     )
     u0 = report.zeta.values.copy()
     if eps_neg is None:
@@ -204,11 +201,9 @@ def run_seed(
     if worst == 0.0:
         decrement = DensityField(grid, rho.values - alpha * report.q_zeta.values)
         residual = float(np.abs(decrement.values - alpha * gamma.field.values).max())
-        curve = list(zip(step.times.tolist(), (alpha * report.masses).tolist()))
+        curve = list(zip(_step_times(config, 0.0, T).tolist(), (alpha * report.masses).tolist()))
     else:
-        residual, decrement, curve = _decrement(
-            model, grid, config, rho, alpha, gamma.field, T, step
-        )
+        residual, decrement, curve = _decrement(model, grid, config, rho, alpha, gamma.field, T)
     if residual > tol:
         raise ResidualTooLarge(
             f"decrement residual {residual:.3e} exceeds tol {tol:g}",

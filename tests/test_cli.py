@@ -90,11 +90,30 @@ def test_cmd_seed_happy_path(tmp_path, capsys):
     assert "alpha" in captured.out
 
 
-def test_cmd_seed_factors_each_operator_once(tmp_path, monkeypatch):
-    # the resolvent's applications share one factor; only the coarse check
-    # factors its own operator, and both share the constant model's A_h
+@pytest.mark.parametrize(
+    "command, n_cells, factors",
+    [
+        ("seed", 64, 2),
+        ("verify", 64, 2),
+        ("evolve", 64, 1),
+        ("mc", 64, 1),
+        ("spectrum", 64, 1),
+        ("spectrum", DENSE_MAX_N + 32, 1),
+    ],
+)
+def test_commands_factor_each_operator_once(tmp_path, monkeypatch, command, n_cells, factors):
+    # every command assembles the constant model's A_h once, and all its
+    # applications of Q share one factor: seed's resolvent solve, verify's
+    # K-step contract march and spectrum's power iteration and assembly, on
+    # the dense path and above it; only the coarse check of seed and verify
+    # factors a second operator
     from decrem import kolmogorov
 
+    path = tmp_path / "run.json"
+    write_config(path, domain={"n_cells": [n_cells]}, spectrum={"assemble": True})
+    solution = tmp_path / "out" / "solution"
+    if command in ("verify", "evolve", "mc"):
+        assert main(["seed", str(path)]) == 0
     calls = {"splu": 0, "build_stencil": 0}
 
     def counting(name):
@@ -108,10 +127,12 @@ def test_cmd_seed_factors_each_operator_once(tmp_path, monkeypatch):
 
     counting("splu")
     counting("build_stencil")
-    path = tmp_path / "run.json"
-    write_config(path)
-    assert main(["seed", str(path)]) == 0
-    assert calls == {"splu": 2, "build_stencil": 1}
+    rho = ["--rho", str(solution / "rho.csv")]
+    extra = {"evolve": rho, "mc": rho + ["--set", "mc.n_particles=1000", "--set", "mc.seed=1"]}
+    extra["verify"] = ["--solution", str(solution)]
+    out = ["--set", f"output_dir={tmp_path / command}"]
+    assert main([command, str(path), *extra.get(command, []), *out]) == 0
+    assert calls == {"splu": factors, "build_stencil": 1}
 
 
 def _python(*args, **kwargs):
@@ -497,6 +518,36 @@ def test_integer_settings_reject_huge_counts(tmp_path, capsys, command, key, val
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["true", "1.5", '"7"'])
+def test_cmd_mc_seed_must_be_an_integer(tmp_path, capsys, value):
+    # a bool, a fraction or a string used to run silently as seeds 1, 1
+    # and 7; a whole float such as 7.0 is accepted, as it is for counts
+    path = tmp_path / "run.json"
+    write_config(path, mc={"n_particles": 1000})
+    rho = tmp_path / "rho.csv"
+    DensityField(make_grid(1, [0.0], [1.0], [64]), np.ones(64)).to_csv(rho)
+    args = ["mc", str(path), "--rho", str(rho), "--set", f"mc.seed={value}"]
+    assert main(args) == 2
+    assert "ConfigError: mc.seed must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["mc", str(path), "--rho", str(rho), "--set", "mc.seed=7.0"]) == 0
+    echo = json.loads((tmp_path / "out" / "config.echo.json").read_text())
+    assert echo["mc"]["seed"] == 7
+
+
+@pytest.mark.parametrize("command", ["seed", "spectrum"])
+@pytest.mark.parametrize("value", ["5", '["a"]', ""], ids=["number", "list", "empty"])
+def test_output_dir_must_be_a_non_empty_string(tmp_path, monkeypatch, capsys, command, value):
+    # refused before any work: a number or a list used to run the whole
+    # command and exit 1, an empty string to write into the working directory
+    path = tmp_path / "run.json"
+    write_config(path)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, str(path), "--set", f"output_dir={value}"]) == 2
+    assert "ConfigError: output_dir must be a non-empty string" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
 def test_grid_node_count_has_the_same_ceiling(tmp_path, capsys):
     path = tmp_path / "run.json"
     write_config(path, domain={"dim": 2, "lo": [0, 0], "hi": [1, 1], "n_cells": [20000, 20000]})
@@ -787,6 +838,8 @@ def test_moving_density_to_a_neighbour_fails_verify(seeded, cell, step, share):
         ["time.T=NaN"],
         ["domain.hi=[Infinity]"],
         ["domain.lo=[-1e308]", "domain.hi=[1e308]"],
+        ["domain.lo=[-1e200]", "domain.hi=[1e200]"],
+        ["domain.hi=[1e-159]"],
         ["gamma.kind=tiles", "gamma.shape=[4]", "gamma.values=[1,NaN,1,1]"],
         ["gamma.kind=tiles", "gamma.shape=[4]", "gamma.values=[1,Infinity,1,1]"],
         ["gamma.kind=bump", "gamma.lo=[0.2]", "gamma.hi=[0.7]", "gamma.value=Infinity"],
@@ -997,26 +1050,6 @@ def test_cmd_spectrum_over_cap_exits_10_before_any_work(tmp_path, capsys, monkey
     assert main(["spectrum", str(path)]) == 10
     assert "CapExceeded: grid has 4225 nodes" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("n_cells", [64, DENSE_MAX_N + 32])
-def test_cmd_spectrum_factors_once(tmp_path, monkeypatch, n_cells):
-    # the power iteration and the assembly share one stepper, on the dense
-    # path and above it
-    from decrem import kolmogorov
-
-    calls = []
-    splu = kolmogorov.splu
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(kolmogorov, "splu", counted)
-    path = tmp_path / "run.json"
-    write_config(path, domain={"n_cells": [n_cells]}, spectrum={"assemble": True})
-    assert main(["spectrum", str(path)]) == 0
-    assert len(calls) == 1
 
 
 def test_failed_verification_exits_13_after_writing(tmp_path):

@@ -44,12 +44,23 @@ def test_make_grid_rejects_bad_input():
         make_grid(1, [1.0], [0.0], [8])
     with pytest.raises(ValueError):
         make_grid(2, [0.0], [1.0, 1.0], [4, 4])
-    # a box must be finite, and so must its cell widths
-    for lo, hi in (([0.0], [np.inf]), ([-np.inf], [1.0]), ([np.nan], [1.0]), ([-1e308], [1e308])):
+    # a box must be finite, and its cell widths must square to normal
+    # floats: too wide, the square overflows; too narrow, it is subnormal
+    boxes = (
+        ([0.0], [np.inf]),
+        ([-np.inf], [1.0]),
+        ([np.nan], [1.0]),
+        ([-1e308], [1e308]),
+        ([-1e200], [1e200]),
+        ([0.0], [1e-159]),
+    )
+    for lo, hi in boxes:
         with pytest.raises(ValueError):
             make_grid(1, lo, hi, [8])
     with pytest.raises(ValueError):
         make_grid(1, [0.0], [5e-324], [8])  # the widths underflow to 0
+    with pytest.raises(ValueError):
+        make_grid(2, [0.0, -1e200], [1.0, 1e200], [8, 8])
 
 
 def test_nodes_match_flat_order():

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -454,7 +456,7 @@ def test_dense_march_matches_sparse_reference(case, sign):
     if sign == "mixed-sign":
         values -= 0.4
     step = _Stepper(model, grid, config, 0.0, 0.3)
-    out = _march(model, grid, config, values, 0.0, 0.3, record=False, step=step)[1]
+    out = step.march(values, record=False)
     assert step.inverse is not None
     ref = _reference_march(model, grid, config, values, 0.0, 0.3)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -552,7 +554,7 @@ def test_sparse_march_matches_dense_solves(case, seed, shift):
     config = SolverConfig(n_steps=16)
     values = rng.random(grid.n) - shift
     step = _Stepper(model, grid, config, 0.0, 0.2)
-    out = _march(model, grid, config, values, 0.0, 0.2, record=False, step=step)[1]
+    out = step.march(values, record=False)
     assert step.lu is not None and step.inverse is None
     ref = _reference_march(model, grid, config, values, 0.0, 0.2, factor=_dense_solve)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -605,14 +607,14 @@ def test_buffered_march_matches_per_step_dense(case, n_steps, sign, record):
     if sign == "mixed-sign":
         values -= 0.4
     step = _Stepper(model, grid, config, 0.0, 0.3)
-    out = _march(model, grid, config, values, 0.0, 0.3, record=record, step=step)[1]
+    out = step.march(values, record=record)
     assert step.inverse is not None
     ref = _dense_reference(step, values)
     assert np.array_equal(out, ref if record else ref[-1])
     # the inverse of an M-matrix is nonnegative, so the clamp rarely bites;
     # a shifted S makes it bite wherever it is armed
     step.inverse = step.inverse - 0.05 * step.inverse.max()
-    out = _march(model, grid, config, values, 0.0, 0.3, record=record, step=step)[1]
+    out = step.march(values, record=record)
     ref = _dense_reference(step, values)
     assert np.array_equal(out, ref if record else ref[-1])
 
@@ -662,11 +664,12 @@ def test_dense_step_rejects_non_finite(heat):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             LinearSolveFailure, match=f"solve at step {k} is not"
         ):
-            _march(heat, grid, config, ones, 0.0, 0.5, record=record, step=step)
+            step.march(ones, record=record)
     bad = ones.copy()
     bad[3] = np.nan
+    fresh = constant_model([0.0], [[1.0]])  # heat keeps the poisoned stepper
     with pytest.raises(LinearSolveFailure, match="solve at step 0 is not"):
-        _march(heat, grid, config, bad, 0.0, 0.5, record=False)
+        _march(fresh, grid, config, bad, 0.0, 0.5, record=False)
 
 
 def _count_builds(monkeypatch):
@@ -683,24 +686,57 @@ def _count_builds(monkeypatch):
 
 
 def test_homogeneous_generator_is_built_once_per_grid(monkeypatch, heat):
-    # steppers of any step count on one grid share the model's A_h; another
-    # grid builds its own, and the march bits stay those of a fresh build
+    # K, then K/2, then K again on one model: each operator factors anew and
+    # replaces the kept stepper, all three share the model's A_h, and the
+    # march bits stay those of fresh steppers; a repeat reuses the kept
+    # stepper, and another grid builds its own A_h
+    from decrem import kolmogorov
+
     grid = make_grid(1, [0.0], [1.0], [24])
     rho = sampled_sine(grid)
     fresh = [
         evolve(constant_model([0.0], [[1.0]]), grid, SolverConfig(n_steps=k), rho, 0.0, 0.3)
-        for k in (8, 16, 8)
+        for k in (16, 8, 16)
     ]
     calls = _count_builds(monkeypatch)
+    factors = []
+
+    def counted(*args, **kwargs):
+        factors.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(kolmogorov, "splu", counted)
+    kept = []
     for ref in fresh:
         config = SolverConfig(n_steps=len(ref.times) - 1)
         traj = evolve(heat, grid, config, rho, 0.0, 0.3)
         assert traj.states.tobytes() == ref.states.tobytes()
-    assert len(calls) == 1
+        assert heat.stepper.key == (grid, config, 0.0, 0.3)
+        kept.append(heat.stepper)
+    assert (len(factors), len(calls)) == (3, 1)
+    assert kept[0] is not kept[2]
+    evolve(heat, grid, config, rho, 0.0, 0.3)
+    assert heat.stepper is kept[2] and len(factors) == 3
     other = make_grid(1, [0.0], [1.0], [20])
     evolve(heat, other, SolverConfig(n_steps=4), sampled_sine(other), 0.0, 0.3)
     assert len(calls) == 2
-    assert heat.generator[0] == other
+    assert heat.stepper.grid == other
+
+
+def test_model_and_kept_stepper_need_no_cycle_collector():
+    # the kept stepper holds no reference back to its model, so the two go
+    # with the model's last outside reference, the cyclic collector off
+    grid = make_grid(1, [0.0], [1.0], [16])
+    gc.disable()
+    try:
+        model = constant_model([0.3], [[1.0]])
+        evolve(model, grid, SolverConfig(n_steps=4), sampled_sine(grid), 0.0, 0.5)
+        assert model.stepper.inverse is not None
+        refs = weakref.ref(model), weakref.ref(model.stepper)
+        del model
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_tabulated_series_builds_the_generator_every_step(monkeypatch):
@@ -713,7 +749,7 @@ def test_tabulated_series_builds_the_generator_every_step(monkeypatch):
     for n_steps in (6, 10):
         evolve(table, grid, SolverConfig(n_steps=n_steps), rho, 0.0, 0.3)
     assert len(calls) == 16
-    assert table.generator is None
+    assert table.stepper is None
 
 
 def test_trajectory_fields_are_its_states(heat):
@@ -749,7 +785,7 @@ def test_build_stencil_certifies_ellipticity(beta, smallest):
     eig = err.value.eigenvalue
     assert eig <= 0.0 if np.isfinite(smallest) else not np.isfinite(eig)
     assert err.value.t == 0.0 and err.value.x.shape == (dim,)
-    assert model.generator is None  # no A_h is kept without a certificate
+    assert model.stepper is None  # no stepper is kept without a certificate
 
 
 def _series(where):

@@ -242,9 +242,9 @@ def test_unclamped_seed_takes_its_decrement_from_the_resolvent(monkeypatch, n_ce
     assert sol.negativity == 0.0 and evolves == []
     march = fredholm._march
 
-    def unrecorded(model, grid, config, values, s, T, record, step=None):
-        times, final = march(model, grid, config, values, s, T, record=False, step=step)
-        return times, final[None]
+    def unrecorded(model, grid, config, values, s, T, record):
+        step, final = march(model, grid, config, values, s, T, record=False)
+        return step, final[None]
 
     monkeypatch.setattr(fredholm, "_march", unrecorded)
     ref = run_seed(model, grid, config, gamma, 0.3)
