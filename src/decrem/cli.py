@@ -270,8 +270,8 @@ def _write_manifest(out_dir, names, cfg):
 
 def _finite(value, name, zero=False):
     """The config setting ``value`` as a float, finite and > 0 (>= 0 with
-    ``zero``): the rule of ``time.T``, ``spectrum.tol`` and the tolerances
-    block."""
+    ``zero``): the rule of ``time.T``, ``spectrum.tol``, a set ``mc.dt`` and
+    the tolerances block."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
@@ -425,6 +425,7 @@ def cmd_mc(cfg, base_dir, rho_path):
     mc = cfg["mc"]
     n = _count(mc["n_particles"], "mc.n_particles")
     bins = min(_count(mc["bins"], "mc.bins"), min(grid.n_cells))
+    dt = mc["dt"] if mc["dt"] is None else _finite(mc["dt"], "mc.dt")
     act = propagator_action(model, grid, config, T)
     seed = mc["seed"]
     if seed is None:
@@ -433,8 +434,7 @@ def cmd_mc(cfg, base_dir, rho_path):
         raise ConfigError(f"mc.seed must be an integer, got {seed!r}")
     cfg["mc"]["seed"] = int(seed)
     rho = _read_rho(grid, rho_path)
-    dt = mc["dt"]
-    dt = float(dt) if dt is not None else default_dt(model, grid, T)
+    dt = default_dt(model, grid, T) if dt is None else dt
     ensemble = sample_initial(rho, n, int(seed))
     # the march certifies every step's coefficients, so a model degenerate
     # inside (0, T) fails before the particles run

@@ -26,7 +26,8 @@ class DiffusionModel:
     ``beta_fn(points, t)`` maps it to (N, dim, dim).  The arrays that
     ``drift_at`` and ``beta_at`` return may be read-only views (a constant
     coefficient is broadcast, not copied), so callers must not write into
-    them.  ``stepper`` is None or, for a time-homogeneous model, the latest
+    them; one with stride 0 along the points may be read as its first row
+    alone.  ``stepper`` is None or, for a time-homogeneous model, the latest
     stepper of :mod:`decrem.kolmogorov` on it, with its certified A_h,
     factor and dense inverse, kept so that the marches of one command share
     them.

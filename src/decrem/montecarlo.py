@@ -15,8 +15,9 @@ reproducibility contract of this release.
 One Philox bit generator serves a whole ``simulate`` call.  At each step it
 draws raw words only up to the last survivor's slot, and is then advanced to
 the next step's block.  Absorbed particles keep their slots but turn no
-words into normals, evaluate no coefficients and are not stepped; each step
-works on the survivors only.
+words into normals, evaluate no coefficients and are not stepped.  Each step
+works on the survivors only, in working rows of no fixed order (the last
+rows fill those of the rows that exit); slots, and so streams, stay put.
 
 Absorption uses end-of-step exit detection: a particle found outside the
 open box after a step is frozen there and never moves again.  Discrete exit
@@ -102,8 +103,8 @@ def default_dt(model, grid, T, t=0.0):
 
 
 def _strictly_inside(positions, grid):
-    ok = np.ones(positions.shape[0], dtype=bool)
-    for k in range(grid.dim):
+    ok = (positions[:, 0] > grid.lo[0]) & (positions[:, 0] < grid.hi[0])
+    for k in range(1, grid.dim):
         ok &= (positions[:, k] > grid.lo[k]) & (positions[:, k] < grid.hi[k])
     return ok
 
@@ -139,23 +140,30 @@ def simulate(model, grid, ensemble, T, dt=None):
         if live.size == 0:
             break
         step = min(dt, T - t)
-        words = (int(live[-1]) + 1) * dim  # up to the last survivor's slot
-        u = bg.random_raw(words).reshape(-1, dim).take(live, axis=0) >> np.uint64(11)
+        words = (int(live.max()) + 1) * dim  # up to the last survivor's slot
+        u = bg.random_raw(words).reshape(-1, dim).take(live, axis=0)
         bg.advance(_STEP_STRIDE - (words + 3) // 4)  # the counter moved 1 per 4 words
+        u >>= np.uint64(11)
         # Generator.random's double; it can be exactly 0, which ndtri maps to -inf
-        z = ndtri(np.maximum(u * 2.0**-53, 5e-324))
-        f = model.drift_at(x, t)
-        b = model.beta_at(x, t)
+        z = u * 2.0**-53
+        ndtri(np.maximum(z, 5e-324, out=z), out=z)
+        # a coefficient broadcast along the particles (stride 0) is read as one row
+        f, b = model.drift_at(x, t), model.beta_at(x, t)
+        f, b = (c[:1] if c.strides[0] == 0 else c for c in (f, b))
         if dim == 1:  # (b * sqrt(step)) * z rounds unlike einsum's sqrt(step) * (b z)
-            x = x + (f * step + b[:, :, 0] * np.sqrt(step) * z)
+            z *= b[:, :, 0] * np.sqrt(step)
+            z += f * step
+            x += z
         else:
-            x = x + (f * step + np.sqrt(step) * np.einsum("nij,nj->ni", b, z))
+            x += f * step + np.sqrt(step) * np.einsum("nij,nj->ni", b, z)
         inside = _strictly_inside(x, grid)
-        if not inside.all():
-            gone = np.flatnonzero(~inside)
+        gone = np.flatnonzero(~inside)
+        if gone.size:
             pos[live.take(gone)] = x.take(gone, axis=0)  # frozen where they exited
-            live = live.compress(inside)
-            x = x.compress(inside, axis=0)
+            keep = live.size - gone.size  # survivors past keep move into the holes
+            tail, holes = keep + np.flatnonzero(inside[keep:]), gone[gone < keep]
+            x[holes], live[holes] = x[tail], live[tail]
+            x, live = x[:keep], live[:keep]
         t += step
     pos[live] = x
     alive = np.zeros(n, dtype=bool)

@@ -518,6 +518,22 @@ def test_integer_settings_reject_huge_counts(tmp_path, capsys, command, key, val
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "value", ['"0.001"', "true", "[0.001]", "NaN", "Infinity", "0", "-0.001"]
+)
+def test_cmd_mc_dt_must_be_finite_and_positive(tmp_path, capsys, value):
+    # a string used to run, true ran with dt = 1 and a list exited 1
+    # with an internal TypeError
+    path = tmp_path / "run.json"
+    write_config(path, mc={"n_particles": 1000})
+    rho = tmp_path / "rho.csv"
+    DensityField(make_grid(1, [0.0], [1.0], [64]), np.ones(64)).to_csv(rho)
+    args = ["mc", str(path), "--rho", str(rho), "--set", "mc.seed=1"]
+    assert main(args + ["--set", f"mc.dt={value}"]) == 2
+    assert "ConfigError: mc.dt must be finite > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["true", "1.5", '"7"'])
 def test_cmd_mc_seed_must_be_an_integer(tmp_path, capsys, value):
     # a bool, a fraction or a string used to run silently as seeds 1, 1

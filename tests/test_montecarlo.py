@@ -9,6 +9,7 @@ from scipy.special import ndtri
 
 from decrem import (
     DensityField,
+    DiffusionModel,
     NotADensity,
     constant_model,
     default_dt,
@@ -159,6 +160,7 @@ def _surviving_steps_cases():
     grid1 = make_grid(1, [0.0], [1.0], [64])
     grid2 = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
     heat = constant_model([0.0], [[1.0]])
+    const2 = constant_model([0.8, -0.5], [[0.9, 0.3], [-0.2, 0.6]])
     ou = ou_model([1.5, 0.7], [0.4, 0.6], [[0.9, 0.3], [-0.2, 0.6]])
     table, grid_t = _time_dependent_table()
     # (model, grid, particles, T, dt, expected steps); 0.37 / 7e-3 leaves
@@ -166,6 +168,7 @@ def _surviving_steps_cases():
     return {
         "heat-1d": (heat, grid1, 3000, 0.3, 1e-3, 300),
         "heat-1d-short-last-step": (heat, grid1, 3000, 0.37, 7e-3, 53),
+        "constant-2d-offdiag-beta": (const2, grid2, 3000, 0.2, 1e-3, 200),
         "ou-2d-offdiag-beta": (ou, grid2, 3000, 0.2, 1e-3, 200),
         "tabulated-series-2d": (table, grid_t, 3000, 0.2, 2e-3, 100),
     }
@@ -189,6 +192,39 @@ def test_simulate_matches_all_particle_stepper(case):
     assert np.array_equal(later.alive, alive)
 
 
+def test_simulate_matches_all_particle_stepper_at_high_exit_rates():
+    # after the first step, beta 2 moves a particle about 0.2 per step of
+    # 1e-2, so many exit at each step; a drift of 1e3 throws out every
+    # particle beyond 0.9 at once and, from t = 0.05 on, every particle
+    grid = make_grid(1, [0.0], [1.0], [16])
+    model = DiffusionModel(
+        1,
+        lambda pts, t: np.where((pts > 0.9) | (t > 0.045), 1e3, 0.0),
+        lambda pts, t: np.broadcast_to(0.1 if t < 0.005 else 2.0, (pts.shape[0], 1, 1)),
+        time_dependent=True,
+    )
+    pos = np.concatenate([np.linspace(0.2, 0.85, 400), np.full(50, 0.95)])[:, None]
+    ens = ParticleEnsemble(pos, np.ones(450, dtype=bool), seed=5, t=0.0)
+    out = simulate(model, grid, ens, 0.08, dt=1e-2)
+    ref_pos, ref_alive, k = simulate_all_particles(model, grid, ens, 0.08, 1e-2)
+    assert out.step_offset == k == 8
+    assert np.array_equal(out.positions, ref_pos)
+    assert np.array_equal(out.alive, ref_alive)
+    # the reference's alive mask after each step shows which exits the run had
+    alive = [ens.alive]
+    for j in range(1, 9):
+        alive.append(simulate_all_particles(model, grid, ens, j * 1e-2, 1e-2)[1])
+    exits = [np.flatnonzero(a & ~b) for a, b in zip(alive, alive[1:])]
+    # step 1: the exits are the highest slots, so they leave no holes among
+    # the rows in slot order, and the last survivor's slot drops to 399
+    assert np.array_equal(exits[0], np.arange(400, 450))
+    # steps 2 to 5: many exits each, the highest survivor among them at least once
+    assert all(e.size >= 20 for e in exits[1:5])
+    assert any(np.flatnonzero(a)[-1] in e for a, e in zip(alive[1:5], exits[1:5]))
+    # step 6: every survivor exits
+    assert alive[5].sum() > 1 and not alive[6].any()
+
+
 def _digest(ensemble):
     return hashlib.sha256(ensemble.positions.tobytes() + ensemble.alive.tobytes()).hexdigest()
 
@@ -196,6 +232,10 @@ def _digest(ensemble):
 # SHA-256 of positions and alive after T and after continuing to 2T; they pin
 # the particle stream and the step arithmetic, whatever the implementation
 _GOLDEN = {
+    "constant-2d-offdiag-beta": (
+        "12313a133048a314034c14d9db1b4c13937a911e4c9d64c4da1444cd7c65d954",
+        "ca08543c25c1ca04105d005e530071d7dde92435d827069e1260a73137a191d6",
+    ),
     "heat-1d": (
         "cae8675c154d1061d9ea7f80bbdf512392195104c48be5d3dec6b59b450065a0",
         "1ce0b89235e8cbc3ec425e7349df8de7531898811aa0763cb00cacb29a2884fe",

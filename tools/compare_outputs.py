@@ -8,13 +8,15 @@ BASE and HEAD are checkouts of the repository.  The inputs are the
 benchmark's: ``perfbench/workloads.py`` of this repository draws the
 ``run.VARIANTS`` inputs of every workload from each of ``SEEDS``, as
 ``perfbench/run.py`` does, and writes each as a config file (and, for
-``mc``, a density CSV).  The imports write no bytecode, so the benchmark
-directory is left as it was.  Each input runs
-through ``python -m decrem`` of both trees, from a directory of its own
-holding the same files and with the same relative ``output_dir``, so
-``config.echo.json`` and ``manifest.json`` compare as well.  Every ``seed``
-solution that a tree writes is then checked by ``decrem verify`` and
-evolved by ``decrem evolve`` of that tree.  BLAS runs on one thread, since
+``mc``, a density CSV).  Three 2-D ``mc`` inputs follow, so that the
+2-D particle path is compared too: a constant drift with off-diagonal
+``beta``, a ``linear-drift`` model and a tabulated series.  The imports
+write no bytecode, so the benchmark directory is left as it was.  Each
+input runs through ``python -m decrem`` of both trees, from a directory of
+its own holding the same files and with the same relative ``output_dir``,
+so ``config.echo.json`` and ``manifest.json`` compare as well.  Every
+``seed`` solution that a tree writes is then checked by ``decrem verify``
+and evolved by ``decrem evolve`` of that tree.  BLAS runs on one thread, since
 the dense time steps are BLAS products whose bits depend on it.
 
 The script prints each command whose exit code or standard output differs
@@ -56,6 +58,54 @@ def write_inputs(work):
                 cfg = wl.config(rng, "out", str(path))
                 (path / "config.json").write_text(json.dumps(cfg, indent=2))
                 cases.append((case, [wl.command, "config.json", *wl.extra_args(".")]))
+    return cases + write_mc_2d_inputs(work)
+
+
+MIXED_BETA = [[0.9, 0.3], [-0.2, 0.6]]
+MC_2D_MODELS = {
+    "constant": {"family": "constant", "drift": [0.8, -0.5], "beta": MIXED_BETA},
+    "linear-drift": {
+        "family": "linear-drift", "rate": [1.5, 0.7], "center": [0.4, 0.6], "beta": MIXED_BETA,
+    },
+    "tabulated-series": {"family": "tabulated", "manifest": "series.json"},
+}
+
+
+def write_mc_2d_inputs(work):
+    """Write one 2-D ``mc`` input per model of ``MC_2D_MODELS`` into
+    ``work/inputs/mc-2d-<model>``; returns (case, argv) pairs."""
+    import numpy as np
+    from decrem import DensityField, make_grid
+    from decrem.grid import _write_table
+
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
+    x, y = grid.nodes().T
+    v = np.sin(np.pi * x) * np.sin(np.pi * y / 1.2)
+    rho = DensityField(grid, v / (v.sum() * grid.cell_volume))
+    names = ["f1", "f2", "b11", "b12", "b21", "b22"]
+    times = [0.0, 0.05, 0.12]
+    rng = np.random.default_rng(4)
+    cases = []
+    for label, model in MC_2D_MODELS.items():
+        case = f"mc-2d-{label}"
+        path = work / "inputs" / case
+        path.mkdir(parents=True)
+        rho.to_csv(path / "rho.csv")
+        if "manifest" in model:
+            files = [f"t{k}.csv" for k in range(len(times))]
+            for name in files:
+                beta = np.array(MIXED_BETA) * rng.uniform(0.5, 1.5, (grid.n, 1, 1))
+                _write_table(grid, path / name, names, [rng.uniform(-1, 1, (grid.n, 2)), beta])
+            (path / "series.json").write_text(json.dumps({"times": times, "files": files}))
+        cfg = {
+            "domain": {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.2], "n_cells": [10, 12]},
+            "model": model,
+            "time": {"T": 0.2, "n_steps": 16},
+            "mc": {"n_particles": 4000, "dt": 2e-3, "seed": 17},
+            "output_dir": "out",
+        }
+        (path / "config.json").write_text(json.dumps(cfg, indent=2))
+        cases.append((case, ["mc", "config.json", "--rho", "rho.csv"]))
     return cases
 
 
