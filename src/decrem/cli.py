@@ -426,6 +426,8 @@ def cmd_mc(cfg, base_dir, rho_path):
     n = _count(mc["n_particles"], "mc.n_particles")
     bins = min(_count(mc["bins"], "mc.bins"), min(grid.n_cells))
     dt = mc["dt"] if mc["dt"] is None else _finite(mc["dt"], "mc.dt")
+    if dt is not None and dt > T:
+        raise ConfigError(f"mc.dt must be at most time.T = {T!r}: {dt!r}")
     act = propagator_action(model, grid, config, T)
     seed = mc["seed"]
     if seed is None:

@@ -11,7 +11,7 @@ The resolvent solve is restarted GMRES (Saad & Schultz 1986) on I - Q with
 the matrix-free application.  The eigenvalues of Q are about e^{-lambda_k T}
 and cluster at 0, so a few Krylov steps reach the tolerance at any horizon,
 where the Neumann series would contract only at e^{-lambda_1 T}.  The
-applications of Q over one grid, config and T share one kept factor.
+applications of Q over one grid, config and T share the model's kept steps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CapExceeded, NoConvergence
 from .grid import DensityField, _write_json
-from .kolmogorov import PANEL, SCHEME, _march, _stepper_for
+from .kolmogorov import PANEL, SCHEME, _march, _steps
 
 
 @dataclass
@@ -96,15 +96,15 @@ def propagator_action(model, grid, config, T, record=False):
     """Q over [0, T] as a callable on flat vectors or (n, m) blocks of them,
     for power and Krylov iterations and the dense assembly.
 
-    The model is certified here, where its stepper over [0, T] is fetched or
-    built, not at the first call.  A time-homogeneous model keeps that
-    stepper, so all calls march through one factor; each call still arms the
+    The model is certified here, by the preamble of every march, not at the
+    first call.  The model keeps the steps of the calls' step size, so all
+    calls march through the same factors; each call still arms the
     positivity clamp from the sign of its own input, so it returns the bits
-    of a march on a fresh stepper.  With ``record`` a call returns every
+    of a march on steps made afresh.  With ``record`` a call returns every
     state of its march, the last row being Q v.
     """
-    _stepper_for(model, grid, config, 0.0, T)
-    return lambda v: _march(model, grid, config, v, 0.0, T, record)[1]
+    _steps(model, grid, config, 0.0, T)
+    return lambda v: _march(model, grid, config, v, 0.0, T, record)[2]
 
 
 def _check_cap(grid, cap):
@@ -117,9 +117,9 @@ def assemble_Q(model, grid, config, T, cap=4096):
     """Dense diagnostic assembly of Q, one column per unit-mass cell density.
 
     Applies :func:`propagator_action` to the unit masses ``PANEL`` cells at
-    a time, all panels through one stepper, the one a power iteration over
-    the same T left kept, and writes each panel's columns into the N x N
-    result, which is column-major as :meth:`OperatorMatrix.save` writes it.
+    a time, all panels through the steps a power iteration over the same T
+    left kept, and writes each panel's columns into the N x N result,
+    which is column-major as :meth:`OperatorMatrix.save` writes it.
     """
     _check_cap(grid, cap)
     n = grid.n
@@ -181,7 +181,7 @@ def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200):
     final relative L2 residual included, and never exceeds ``max_iter``:
     a GMRES cycle of restart length m applies Q m + 1 times, so m is capped
     to fit the budget.  A final residual above ``tol`` raises NoConvergence.
-    Every application marches through the model's kept stepper, and keeps
+    Every application marches through the model's kept steps, and keeps
     its states until the next, for the report's masses.
     """
     act = propagator_action(model, grid, config, T, record=True)  # certifies first

@@ -13,41 +13,27 @@ no higher-order scheme is offered.  Mixed-derivative terms in 2-d break the
 M-matrix structure and are flagged.
 
 Every assembly of A_h first certifies that 2a = beta beta^T is finite and
-positive definite at every node, and a stepper certifies its ends s and T
-too, so a march is certified wherever a step reads the coefficients.
+positive definite at every node, and every march certifies its ends s and
+T too, so a march is certified wherever a step reads the coefficients.
 
 Every time step from t_k to t_{k+1} solves M p_new = p with the step
 matrix M = I - dt*A_h(t_{k+1}).  The sparse generator is assembled straight
 from the coefficient arrays, one grid-shaped array of entries per stencil
-offset, and M gets a sparse LU factorization once per stepper for
-time-homogeneous models and once per step for tabulated series.  M is
-structurally symmetric, so SuperLU orders it by minimum degree on M + M^T
-in symmetric mode, about a third less fill than its default.  Each solve
-is checked a posteriori: a singular factor, a non-finite solution or a
-column whose relative residual exceeds ``linear_solver_tol`` raises
-:class:`LinearSolveFailure`.
+offset, and M gets a sparse LU factorization, in SuperLU's symmetric mode
+with minimum degree ordering on M + M^T, about a third less fill than its
+default, since M is structurally symmetric.  Each solve is checked a
+posteriori: a singular factor, a non-finite solution or a column whose
+relative residual exceeds ``linear_solver_tol`` raises
+:class:`LinearSolveFailure`.  A time-homogeneous operator on at most
+``DENSE_MAX_N`` nodes steps through the dense inverse S = M^-1, formed once
+from the factor and used only under a certificate that bounds the relative
+residual of every product S @ p, round-off included, by
+``linear_solver_tol``.  One loop, :func:`_march`, takes every step of a
+march of a vector or of an (n, m) block of them, and :func:`evolve` keeps
+its states, read-only, as the trajectory.
 
-A time-homogeneous operator on at most ``DENSE_MAX_N`` nodes steps through
-the dense inverse S = M^-1, formed once from the factor, so every step is
-one matrix-vector product instead of a back-substitution and a residual
-check.  S is kept only under a certificate that bounds the relative residual
-of every product S @ p, round-off included, by ``linear_solver_tol``;
-otherwise, for tabulated series and on larger grids the steps go through the
-factor as above.  Either way one loop, :meth:`_Stepper.march`, takes every
-step of a march of a vector or of an (n, m) block of them: it fills a
-(steps, n) or (steps, n, m) buffer a chunk of steps at a time, checking the
-finiteness of a chunk of dense products once at its end and each factored
-step, a chunk of one, by its residual.  :func:`evolve` keeps that buffer,
-read-only, as the trajectory's states and takes the mass curve from one
-row sum over it.  Negative round-off is projected out only when the march
-input is nonnegative and no step has an a12 term, where the exact solution
-is provably nonnegative.
-
-This module alone decides which marches share a factor: a time-homogeneous
-model keeps its latest stepper (``model.stepper``) with its A_h, factor and
-certified inverse, a march over the same grid, config, s and T reuses it,
-and any other march builds a stepper that takes A_h from the kept one on
-the same grid and replaces it.  A tabulated series' steppers are not kept.
+This module alone decides which marches share a factor, by the one keep
+rule of :func:`_step`.
 """
 
 from __future__ import annotations
@@ -81,13 +67,11 @@ _CHUNK = 32
 #: panels this wide, and a factored block step checks its residual by them.
 PANEL = 64
 
-
-def _check_finite(products, k0):
-    """Raise :class:`LinearSolveFailure` naming the first step whose product
-    is not finite; ``products[j]`` is the product of step ``k0 + j``."""
-    finite = np.isfinite(products.reshape(len(products), -1)).all(axis=1)
-    if not finite.all():
-        raise LinearSolveFailure(f"solve at step {k0 + int(np.argmin(finite))} is not finite")
+#: Bytes of the steps one model keeps, 12 per nonzero of each sparse matrix
+#: and 8 per entry of a dense inverse; the first step of a size is kept past
+#: it.  A series keeps all 128 steps of a march on 32 x 32 nodes and 38 on
+#: 64 x 64, for about 65 MB more peak RSS (README has the measurements).
+KEEP_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -221,161 +205,107 @@ def build_stencil(model, grid, t):
     return mat, mixed
 
 
-class _Stepper:
-    """The stepping core: :meth:`march` advances a flat field vector, or an
-    n-by-m block of them, over every implicit-Euler step from ``times[0]``
-    to ``times[-1]``, through the certified dense inverse where there is one
-    and through the sparse factor with a residual check otherwise.
+@dataclass
+class _Step:
+    """One step matrix M = I - dt*A_h(t): A_h (None for a tabulated series,
+    whose steps never share it), whether it has an a12 term, M, its sparse
+    factor, the certified dense inverse or None, and ``kept``, the bytes of
+    its model's kept steps up to it, itself included.  It holds no reference
+    back to the model, so both go without the cycle collector."""
 
-    One stepper serves any number of marches over its times.  For a
-    time-homogeneous model it holds A_h, built or taken from the model's
-    kept stepper on the same grid, then the factor and, on small grids, the
-    certified inverse; it takes the kept one's place and holds no reference
-    back to the model, so the two are freed without the cyclic collector.
-    Construction certifies ellipticity at s and T: through A_h, or directly
-    for a time-dependent model, which is read at every step; the steps read
-    the coefficients at ``times[1:]`` only, so s is certified here or nowhere.
+    A: object
+    mixed: bool
+    M: object
+    lu: object
+    inverse: object
+    kept: int
+
+
+def _step(model, grid, tol, dt, t):
+    """The step of size ``dt`` to time ``t``: the model's kept one, or new.
+
+    A model keeps the steps of one ``(grid, tol, dt)`` at a time in
+    ``model.steps``, a tabulated series one per t and a time-homogeneous
+    model one, whose A_h is built at ``t``.  A new step size drops the kept
+    steps before it factors; a time-homogeneous model first takes A_h from
+    them if the grid is the same.  Only a time-homogeneous step on at most
+    ``DENSE_MAX_N`` nodes forms the certified inverse.  A step is kept if
+    it is the first of its size or the kept bytes stay within ``KEEP_BYTES``.
     """
+    series = model.time_dependent
+    key = (grid, tol, dt, t if series else None)
+    steps = model.steps
+    if key in steps:
+        return steps[key]
+    old_key = next(iter(steps), None)
+    A = None
+    if old_key is not None and not series and old_key[0] == grid:
+        A, mixed = steps[old_key].A, steps[old_key].mixed
+    if old_key is not None and old_key[:3] != key[:3]:
+        steps.clear()
+    if A is None:
+        A, mixed = build_stencil(model, grid, t)
+    M = identity(grid.n, format="csr") - dt * A
+    try:
+        # M is structurally symmetric; default partial pivoting
+        lu = splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise LinearSolveFailure(
+            f"step matrix at t={t:g} could not be factored: {exc}"
+        ) from exc
+    inverse = None
+    if series:
+        A = None  # only a time-homogeneous model shares its A_h
+    elif grid.n <= DENSE_MAX_N:
+        inverse = _certified_inverse(M, lu, tol)
+    nnz = lu.nnz + M.nnz + (0 if A is None else A.nnz)
+    kept = 12 * nnz + (0 if inverse is None else inverse.nbytes)
+    if steps:
+        kept += next(reversed(steps.values())).kept
+    step = _Step(A, mixed, M, lu, inverse, kept)
+    if not steps or kept <= KEEP_BYTES:
+        steps[key] = step
+    return step
 
-    def __init__(self, model, grid, config, s, T):
-        if not T > s:
-            raise ValueError(f"need s < T, got s={s}, T={T}")
-        self.key = (grid, config, s, T)
-        self.grid = grid
-        self.dt = (T - s) / config.n_steps
-        self.times = _step_times(config, s, T)
-        self.tol = config.linear_solver_tol
-        self.mixed = False
-        self.lu = None
-        self.inverse = None
-        self.series = model if model.time_dependent else None  # read at every step
-        if model.time_dependent:
-            pts = grid.nodes()
-            for t in (s, T):
-                _certify(eval_a(model, pts, t), pts, t)
-            return
-        kept = model.stepper  # its generator: A_h and whether it has an a12 term
-        same = kept is not None and kept.grid == grid
-        self.generator = kept.generator if same else build_stencil(model, grid, s)
-        model.stepper = self
 
-    def _factor(self, k):
-        t = self.times[k + 1]
-        series = self.series
-        A, mixed = self.generator if series is None else build_stencil(series, self.grid, t)
-        self.mixed |= mixed
-        self.M = identity(self.grid.n, format="csr") - self.dt * A
-        try:
-            # M is structurally symmetric; default partial pivoting
-            self.lu = splu(
-                self.M.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
-            )
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise LinearSolveFailure(
-                f"step matrix at t={t:g} could not be factored: {exc}"
-            ) from exc
-        if self.series is None and self.grid.n <= DENSE_MAX_N:
-            self.inverse = self._certified_inverse()
+def _certified_inverse(M, lu, tol):
+    """S = M^-1 from the factor ``lu``, or None if S cannot be certified.
 
-    def _certified_inverse(self):
-        """S = M^-1 from the factor, or None if S cannot be certified.
+    A computed x = S @ p has the residual p - M x = (I - M S) p
+    minus M times the product's round-off, which is at most
+    gamma_n |S| |p| entrywise.  The computed I - M S is off by the
+    same amount again, and Frobenius norms bound 2-norms, so the bound
+    below caps the relative residual of every dense step by ``tol``.
+    """
+    n = M.shape[0]
+    S = lu.solve(np.eye(n))
+    R = M @ S
+    R.flat[:: n + 1] -= 1.0  # M S - I, the same norm as I - M S
+    eps = np.finfo(float).eps
+    gamma = n * eps / (1.0 - n * eps)
+    rounding = 2.0 * gamma * (np.linalg.norm(M.data) * np.linalg.norm(S))
+    bound = np.linalg.norm(R) + rounding
+    # written so that a NaN bound fails too
+    return S if bound <= tol else None
 
-        A computed x = S @ p has the residual p - M x = (I - M S) p
-        minus M times the product's round-off, which is at most
-        gamma_n |S| |p| entrywise.  The computed I - M S is off by the
-        same amount again, and Frobenius norms bound 2-norms, so the bound
-        below caps the relative residual of every dense step.
-        """
-        n = self.grid.n
-        S = self.lu.solve(np.eye(n))
-        R = self.M @ S
-        R.flat[:: n + 1] -= 1.0  # M S - I, the same norm as I - M S
-        eps = np.finfo(float).eps
-        gamma = n * eps / (1.0 - n * eps)
-        bound = np.linalg.norm(R) + 2.0 * gamma * (
-            np.linalg.norm(self.M.data) * np.linalg.norm(S)
-        )
-        # written so that a NaN bound fails too
-        return S if bound <= self.tol else None
 
-    def march(self, values, record):
-        """March the flat vector, or (n, m) block, ``values`` over every step.
-
-        The states go through one buffer, a chunk of steps at a time: with
-        ``record`` it holds all K + 1 states and is returned; otherwise it
-        holds one chunk, restarted from its last state, and the final state
-        is returned.  Under the certified dense inverse step k writes S @ p
-        with no check of its own, and the finiteness of a chunk's products,
-        taken before the clamp so that a -inf it would zero still counts, is
-        checked once per chunk of at most ``_CHUNK`` steps; a bad product
-        raises :class:`LinearSolveFailure` naming the first bad step.
-        Otherwise every chunk is one step, whose two rows swap instead of
-        restarting: factored anew for a time-dependent model, solved through
-        the factor and checked by :meth:`_check`.  Negative round-off is
-        clamped only when ``values`` is nonnegative and no step so far had an
-        a12 term, where the exact solution is provably nonnegative.
-        """
-        if self.series is not None:
-            self.mixed = False  # every step of the march is factored anew
-        elif self.lu is None:
-            self._factor(0)
-        S = self.inverse
-        K = len(self.times) - 1
-        chunk = 1 if S is None else min(K, _CHUNK)
-        states = np.empty((K + 1 if record else chunk + 1,) + np.shape(values))
-        states[0] = values
-        clamp = bool(np.all(states[0] >= 0.0)) and not self.mixed
-        # a dense step's products before the clamp, for the finiteness check
-        raw = np.empty((chunk,) + states.shape[1:]) if clamp and S is not None else None
-        last = 0
-        for k0 in range(0, K, chunk):
-            m = min(chunk, K - k0)
-            if record:
-                block = states[k0 : k0 + m + 1]
-            elif chunk == 1:  # the two rows take turns, so no state is copied
-                block = states[::-1] if k0 % 2 else states
-            else:
-                states[0] = states[last]
-                block = states[: m + 1]
-            products = block[1:] if raw is None else raw[:m]
-            for x, out, nxt in zip(block[:-1], products, block[1:]):
-                if S is not None:
-                    np.dot(S, x, out=out)
-                else:  # a chunk of one: this is step k0
-                    if self.series is not None:
-                        self._factor(k0)
-                        clamp = clamp and not self.mixed
-                    # SuperLU returns F-ordered blocks; the row takes a C-ordered copy
-                    out[...] = self.lu.solve(x)
-                    self._check(x, out, k0)
-                if clamp:
-                    # The exact M-matrix step maps nonnegative to nonnegative,
-                    # so any negative entry is round-off of the solve.
-                    np.maximum(out, 0.0, out=nxt)
-            if S is not None:
-                _check_finite(products, k0)
-            last = m
-        return states if record else states[K % 2 if chunk == 1 else last].copy()
-
-    def _check(self, rhs, x, k):
-        """Relative 2-norm residual of the solve, column by column; a block
-        goes ``PANEL`` columns at a time so it never gets a full-size temporary."""
-        tol2 = self.tol**2
-        if x.ndim == 1:
-            d = rhs - self.M @ x
-            ok = d @ d <= tol2 * (rhs @ rhs)
-        else:
-            ok = True
-            for j in range(0, x.shape[1], PANEL):
-                r = rhs[:, j : j + PANEL]
-                d = r - self.M @ x[:, j : j + PANEL]
-                sq = np.einsum("ij,ij->j", d, d)
-                ok &= bool(np.all(sq <= tol2 * np.einsum("ij,ij->j", r, r)))
-        # the comparisons are written so that a NaN residual fails too
-        if not ok:
-            raise LinearSolveFailure(
-                f"solve at step {k} missed relative residual {self.tol:g}"
-            )
+def _check(M, tol, rhs, x, k):
+    """Relative 2-norm residual of the solve of step ``k``, column by column,
+    ``PANEL`` columns at a time so that a block gets no full-size temporary."""
+    tol2 = tol**2
+    if x.ndim == 1:
+        d = rhs - M @ x
+        ok = d @ d <= tol2 * (rhs @ rhs)
+    else:
+        ok = True
+        for j in range(0, x.shape[1], PANEL):
+            r = rhs[:, j : j + PANEL]
+            d = r - M @ x[:, j : j + PANEL]
+            sq = np.einsum("ij,ij->j", d, d)
+            ok &= bool(np.all(sq <= tol2 * np.einsum("ij,ij->j", r, r)))
+    # the comparisons are written so that a NaN residual fails too
+    if not ok:
+        raise LinearSolveFailure(f"solve at step {k} missed relative residual {tol:g}")
 
 
 def _step_times(config, s, T):
@@ -383,42 +313,109 @@ def _step_times(config, s, T):
     return s + (T - s) / config.n_steps * np.arange(config.n_steps + 1)
 
 
-def _stepper_for(model, grid, config, s, T):
-    """The model's kept stepper if it is over ``(grid, config, s, T)``, else
-    a new one, which a time-homogeneous model keeps in its place."""
-    kept = model.stepper
-    same = kept is not None and kept.key == (grid, config, s, T)
-    return kept if same else _Stepper(model, grid, config, s, T)
+def _steps(model, grid, config, s, T):
+    """The times t_0 = s < ... < t_K = T of a march and, as a function of k,
+    its step to t_{k+1}: a time-homogeneous model's one step, fetched here,
+    or a series' step at each time.  Ellipticity is certified at s and T
+    here, through A_h or directly for a series, whose steps read the
+    coefficients at t_1, ..., t_K only, so s is certified here or nowhere."""
+    if not T > s:
+        raise ValueError(f"need s < T, got s={s}, T={T}")
+    times = _step_times(config, s, T)
+    dt = (T - s) / config.n_steps
+    tol = config.linear_solver_tol
+    if model.time_dependent:
+        pts = grid.nodes()
+        for t in (s, T):
+            _certify(eval_a(model, pts, t), pts, t)
+        return times, lambda k: _step(model, grid, tol, dt, times[k + 1])
+    step = _step(model, grid, tol, dt, s)
+    return times, lambda k: step
 
 
 def _march(model, grid, config, values, s, T, record):
-    """Advance a flat field vector, or an (n, m) block of them, from s to T
-    by :meth:`_Stepper.march` on :func:`_stepper_for`'s stepper.
+    """March the flat vector, or (n, m) block, ``values`` over every
+    implicit-Euler step from s to T, the stepping core.
 
-    Returns the stepper and, with ``record``, the (K + 1,) + ``values.shape``
-    array of every state, else the final state."""
-    step = _stepper_for(model, grid, config, s, T)
-    return step, step.march(values, record)
+    The states go through one buffer, a chunk of steps at a time: with
+    ``record`` it holds all K + 1 states and is returned; otherwise it
+    holds one chunk, restarted from its last state, and the final state
+    is returned.  Under the certified dense inverse step k writes S @ p
+    with no check of its own, and the finiteness of a chunk's products,
+    taken before the clamp so that a -inf it would zero still counts, is
+    checked once per chunk of at most ``_CHUNK`` steps; a bad product
+    raises :class:`LinearSolveFailure` naming the first bad step.
+    Otherwise every chunk is one step, whose two rows swap instead of
+    restarting: solved through the step's factor, fetched anew for a
+    tabulated series, and checked by :func:`_check`.  Negative round-off is
+    clamped only when ``values`` is nonnegative and no step so far had an
+    a12 term, where the exact solution is provably nonnegative.
+
+    Returns the times, whether a step had an a12 term, and the states.
+    """
+    times, step_at = _steps(model, grid, config, s, T)
+    if model.time_dependent:  # the loop fetches and reads each step
+        S, mixed = None, False
+    else:
+        S, mixed = step_at(0).inverse, step_at(0).mixed
+    K = config.n_steps
+    chunk = 1 if S is None else min(K, _CHUNK)
+    states = np.empty((K + 1 if record else chunk + 1,) + np.shape(values))
+    states[0] = values
+    clamp = bool(np.all(states[0] >= 0.0)) and not mixed
+    # a dense step's products before the clamp, for the finiteness check
+    raw = np.empty((chunk,) + states.shape[1:]) if clamp and S is not None else None
+    last = 0
+    for k0 in range(0, K, chunk):
+        m = min(chunk, K - k0)
+        if record:
+            block = states[k0 : k0 + m + 1]
+        elif chunk == 1:  # the two rows take turns, so no state is copied
+            block = states[::-1] if k0 % 2 else states
+        else:
+            states[0] = states[last]
+            block = states[: m + 1]
+        products = block[1:] if raw is None else raw[:m]
+        for x, out, nxt in zip(block[:-1], products, block[1:]):
+            if S is not None:
+                np.dot(S, x, out=out)
+            else:  # a chunk of one: this is step k0
+                step = step_at(k0)
+                mixed |= step.mixed
+                clamp = clamp and not mixed
+                # SuperLU returns F-ordered blocks; the row takes a C-ordered copy
+                out[...] = step.lu.solve(x)
+                _check(step.M, config.linear_solver_tol, x, out, k0)
+            if clamp:
+                # The exact M-matrix step maps nonnegative to nonnegative,
+                # so any negative entry is round-off of the solve.
+                np.maximum(out, 0.0, out=nxt)
+        if S is not None:  # products[j] is the product of step k0 + j
+            finite = np.isfinite(products.reshape(m, -1)).all(axis=1)
+            if not finite.all():
+                bad = k0 + int(np.argmin(finite))
+                raise LinearSolveFailure(f"solve at step {bad} is not finite")
+        last = m
+    return times, mixed, states if record else states[K % 2 if chunk == 1 else last].copy()
 
 
 def evolve(model, grid, config, rho, s, T):
     """Evolve the density ``rho`` from time s to T, keeping every snapshot
-    and its mass; a time-homogeneous model keeps the stepper, as every
-    :func:`_march` does.
+    and its mass; the model keeps the steps, as every :func:`_march` does.
 
     Positivity is certified when no step had an a12 term."""
     if rho.grid is not grid and rho.grid != grid:
         raise ValueError("field does not live on the given grid")
     if not np.all(np.isfinite(rho.values)):
         raise ValueError("initial field has non-finite values")
-    step, states = _march(model, grid, config, rho.values, s, T, record=True)
+    times, mixed, states = _march(model, grid, config, rho.values, s, T, record=True)
     states.setflags(write=False)
     return Trajectory(
         grid=grid,
-        times=step.times,
+        times=times,
         states=states,
         masses=states.sum(axis=1) * grid.cell_volume,
-        positivity_certified=not step.mixed,
+        positivity_certified=not mixed,
     )
 
 

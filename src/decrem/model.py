@@ -27,10 +27,10 @@ class DiffusionModel:
     ``drift_at`` and ``beta_at`` return may be read-only views (a constant
     coefficient is broadcast, not copied), so callers must not write into
     them; one with stride 0 along the points may be read as its first row
-    alone.  ``stepper`` is None or, for a time-homogeneous model, the latest
-    stepper of :mod:`decrem.kolmogorov` on it, with its certified A_h,
-    factor and dense inverse, kept so that the marches of one command share
-    them.
+    alone.  ``steps`` holds the time steps that :mod:`decrem.kolmogorov`
+    keeps for the model, those of its latest step size within a byte
+    budget, each with its factor and, time-homogeneous, its certified A_h
+    and dense inverse, so that the marches of one command share them.
     """
 
     def __init__(self, dim, drift_fn, beta_fn, time_dependent=False):
@@ -38,7 +38,7 @@ class DiffusionModel:
         self._drift_fn = drift_fn
         self._beta_fn = beta_fn
         self.time_dependent = bool(time_dependent)
-        self.stepper = None
+        self.steps = {}
 
     def drift_at(self, points, t):
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -172,7 +172,7 @@ def run_seed(
     When the clamp of u0 removes nothing, rho = alpha * zeta and the
     resolvent's last application marched zeta: the decrement is
     rho - alpha * Q zeta, the mass curve alpha times that march's masses.
-    Otherwise rho is marched once, through the resolvent's kept stepper.
+    Otherwise rho is marched once, through the steps the resolvent kept.
     """
     if isinstance(gamma, DensityField):
         gamma = _validate_gamma(gamma)

@@ -34,7 +34,7 @@ from decrem import (
     solve_resolvent,
     spectral_radius,
 )
-from decrem.kolmogorov import _Stepper
+from decrem.kolmogorov import _march
 from conftest import apply_Q, sampled_sine
 
 LAMBDA_T1 = np.exp(-np.pi**2 / 2)  # 0.0071918834
@@ -312,8 +312,8 @@ def test_seed_dense_steps_determinism_across_threads(tmp_path):
     }
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 10])
     model = constant_model(cfg["model"]["drift"], cfg["model"]["beta"])
-    step = _Stepper(model, grid, SolverConfig(n_steps=128), 0.0, 0.3)
-    step.march(np.ones(grid.n), record=False)
+    _march(model, grid, SolverConfig(n_steps=128), np.ones(grid.n), 0.0, 0.3, record=False)
+    (step,) = model.steps.values()
     assert step.inverse is not None
     outputs = []
     for threads in ("1", "4"):

@@ -534,6 +534,23 @@ def test_cmd_mc_dt_must_be_finite_and_positive(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_cmd_mc_dt_above_T_exits_2_before_any_march(tmp_path, monkeypatch, capsys):
+    # it used to march the PDE field first and then exit 2 with a bare
+    # ValueError from simulate that did not name mc.dt; dt = T is one step
+    path = tmp_path / "run.json"
+    write_config(path, mc={"n_particles": 1000})
+    rho = tmp_path / "rho.csv"
+    DensityField(make_grid(1, [0.0], [1.0], [64]), np.ones(64)).to_csv(rho)
+    args = ["mc", str(path), "--rho", str(rho), "--set", "mc.seed=1"]
+    steps = _count_steps(monkeypatch)
+    assert main(args + ["--set", "mc.dt=0.5000001"]) == 2
+    assert "ConfigError: mc.dt must be at most time.T = 0.5: 0.5000001" in capsys.readouterr().err
+    assert steps == []
+    assert not (tmp_path / "out").exists()
+    assert main(args + ["--set", "mc.dt=0.5"]) == 0
+    assert steps == [64]
+
+
 @pytest.mark.parametrize("value", ["true", "1.5", '"7"'])
 def test_cmd_mc_seed_must_be_an_integer(tmp_path, capsys, value):
     # a bool, a fraction or a string used to run silently as seeds 1, 1
@@ -983,10 +1000,19 @@ def test_degenerate_coefficients_exit_3(tmp_path, capsys, monkeypatch, case, com
         raise AssertionError("the particles ran on a degenerate model")
 
     monkeypatch.setattr("decrem.cli.simulate", no_particles)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(args) == 3
-    assert "EllipticityViolation" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # the certificate of s and T also comes before each check that the
+    # command makes after building Q; a series degenerate inside is found by
+    # the first march, after them
+    later = {} if case == "series-inside" else {
+        "seed": [["--set", "tolerances.resolvent_max_iter=1"]],
+        "mc": [["--set", "mc.seed=1.5"], ["--rho", str(tmp_path / "absent.csv")]],
+        "spectrum": [["--set", "spectrum.tol=0"]],
+    }
+    for extra in [[]] + later.get(command, []):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(args + extra) == 3
+        assert "EllipticityViolation" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -24,11 +24,13 @@ from decrem import (
     ou_model,
     tabulated_model,
 )
+from decrem import kolmogorov
 from decrem.kolmogorov import (
     _CHUNK,
     DENSE_MAX_N,
+    _check,
     _march,
-    _Stepper,
+    _steps,
     build_stencil,
 )
 from conftest import sampled_sine
@@ -370,13 +372,12 @@ def test_axis_aligned_generator_is_monotone(case, dt, seed):
     values = np.random.default_rng(seed).random(grid.n)
     values[values < 0.3] = 0.0
     config = SolverConfig(n_steps=1)
-    assert np.all(_march(model, grid, config, values, 0.0, dt, record=False)[1] >= 0.0)
+    assert np.all(_march(model, grid, config, values, 0.0, dt, record=False)[2] >= 0.0)
     # the clamp of the march only removes round-off of the solve: the
     # unclamped step through the factor is nonnegative to the solver tolerance
-    step = _Stepper(model, grid, config, 0.0, dt)
-    step._factor(0)
+    (step,) = model.steps.values()
     raw = step.lu.solve(values)
-    step._check(values, raw, 0)
+    _check(step.M, config.linear_solver_tol, values, raw, 0)
     assert raw.min() >= -config.linear_solver_tol * np.abs(raw).max()
 
 
@@ -405,12 +406,12 @@ def test_2d_product_eigenmode_decay():
 
 
 def _splu_solve(M):
-    """The solve of the stepper's factor: SuperLU in the symmetric ordering."""
+    """The solve of a march's factor: SuperLU in the symmetric ordering."""
     return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).solve
 
 
 def _dense_solve(M):
-    """A solve that shares nothing with the stepper's factor: LAPACK's dense LU."""
+    """A solve that shares nothing with a march's factor: LAPACK's dense LU."""
     dense = M.toarray()
     return lambda rhs: np.linalg.solve(dense, rhs)
 
@@ -455,8 +456,8 @@ def test_dense_march_matches_sparse_reference(case, sign):
     values = np.random.default_rng(7).random(grid.n)
     if sign == "mixed-sign":
         values -= 0.4
-    step = _Stepper(model, grid, config, 0.0, 0.3)
-    out = step.march(values, record=False)
+    out = _march(model, grid, config, values, 0.0, 0.3, record=False)[2]
+    (step,) = model.steps.values()
     assert step.inverse is not None
     ref = _reference_march(model, grid, config, values, 0.0, 0.3)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -482,10 +483,10 @@ def test_sparse_path_is_unchanged(monkeypatch):
     # a tabulated series and a grid above the cap never form the inverse,
     # and march bit for bit as the per-step sparse reference, ending in
     # either row of the two-row buffer
-    def no_inverse(self):
+    def no_inverse(M, lu, tol):
         raise AssertionError("dense inverse formed")
 
-    monkeypatch.setattr(_Stepper, "_certified_inverse", no_inverse)
+    monkeypatch.setattr(kolmogorov, "_certified_inverse", no_inverse)
     rng = np.random.default_rng(43)
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [6, 7])
     table = _random_series(grid, rng, cross=True)
@@ -495,7 +496,7 @@ def test_sparse_path_is_unchanged(monkeypatch):
         config = SolverConfig(n_steps=n_steps)
         values = rng.random(g.n)
         for v in (values, values - 0.5):
-            out = _march(model, g, config, v, 0.0, 0.25, record=False)[1]
+            out = _march(model, g, config, v, 0.0, 0.25, record=False)[2]
             ref = _reference_march(model, g, config, v, 0.0, 0.25)
             assert np.array_equal(out, ref)
 
@@ -520,14 +521,13 @@ def test_factored_clamp_bites_wherever_armed(monkeypatch, sign):
     values[0] = 1.0
     if sign == "mixed-sign":
         values[-1] = -1e-3
-    factor = _Stepper._factor
 
-    def shifted_factor(self, k):
-        factor(self, k)
-        self.lu = SimpleNamespace(solve=_shifted(self.lu.solve))
+    def shifted_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        return SimpleNamespace(solve=_shifted(lu.solve), nnz=lu.nnz)
 
-    monkeypatch.setattr(_Stepper, "_factor", shifted_factor)
-    out = _march(model, grid, config, values, 0.0, 0.001, record=False)[1]
+    monkeypatch.setattr(kolmogorov, "splu", shifted_splu)
+    out = _march(model, grid, config, values, 0.0, 0.001, record=False)[2]
     ref = _reference_march(
         model, grid, config, values, 0.0, 0.001, factor=lambda M: _shifted(_splu_solve(M))
     )
@@ -553,9 +553,9 @@ def test_sparse_march_matches_dense_solves(case, seed, shift):
         model = _random_series(grid, rng, cross=case.endswith("a12"))
     config = SolverConfig(n_steps=16)
     values = rng.random(grid.n) - shift
-    step = _Stepper(model, grid, config, 0.0, 0.2)
-    out = step.march(values, record=False)
-    assert step.lu is not None and step.inverse is None
+    out = _march(model, grid, config, values, 0.0, 0.2, record=False)[2]
+    for step in model.steps.values():
+        assert step.lu is not None and step.inverse is None
     ref = _reference_march(model, grid, config, values, 0.0, 0.2, factor=_dense_solve)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -563,26 +563,26 @@ def test_sparse_march_matches_dense_solves(case, seed, shift):
 def test_uncertified_inverse_falls_back(heat):
     grid = make_grid(1, [0.0], [1.0], [32])
     values = sampled_sine(grid).values
-    step = _Stepper(heat, grid, SolverConfig(n_steps=8), 0.0, 0.5)
-    step.march(values, record=False)
+    _march(heat, grid, SolverConfig(n_steps=8), values, 0.0, 0.5, record=False)
+    (step,) = heat.steps.values()
     assert step.inverse is not None
     # no inverse meets a relative residual of 1e-20: the steps go through
     # the sparse factor and its check, which raises
     config = SolverConfig(n_steps=8, linear_solver_tol=1e-20)
-    step = _Stepper(heat, grid, config, 0.0, 0.5)
     with pytest.raises(LinearSolveFailure, match="step 0"):
-        step.march(values, record=False)
+        _march(heat, grid, config, values, 0.0, 0.5, record=False)
+    (step,) = heat.steps.values()
     assert step.lu is not None and step.inverse is None
 
 
-def _dense_reference(step, values):
-    """Every state of the per-step dense march on a factored stepper: S @ p,
+def _dense_reference(step, n_steps, values):
+    """Every state of the per-step dense march through a kept step: S @ p,
     then the positivity clamp, armed when ``values`` is nonnegative and the
     step has no a12 term."""
     clamp = bool(np.all(values >= 0.0))
     p = np.array(values, dtype=float)
     rows = [p]
-    for _ in range(len(step.times) - 1):
+    for _ in range(n_steps):
         p = step.inverse @ p
         if clamp and not step.mixed:
             np.maximum(p, 0.0, out=p)
@@ -606,16 +606,16 @@ def test_buffered_march_matches_per_step_dense(case, n_steps, sign, record):
     values = np.random.default_rng(11).random(grid.n)
     if sign == "mixed-sign":
         values -= 0.4
-    step = _Stepper(model, grid, config, 0.0, 0.3)
-    out = step.march(values, record=record)
+    out = _march(model, grid, config, values, 0.0, 0.3, record=record)[2]
+    (step,) = model.steps.values()
     assert step.inverse is not None
-    ref = _dense_reference(step, values)
+    ref = _dense_reference(step, n_steps, values)
     assert np.array_equal(out, ref if record else ref[-1])
     # the inverse of an M-matrix is nonnegative, so the clamp rarely bites;
     # a shifted S makes it bite wherever it is armed
     step.inverse = step.inverse - 0.05 * step.inverse.max()
-    out = step.march(values, record=record)
-    ref = _dense_reference(step, values)
+    out = _march(model, grid, config, values, 0.0, 0.3, record=record)[2]
+    ref = _dense_reference(step, n_steps, values)
     assert np.array_equal(out, ref if record else ref[-1])
 
 
@@ -631,11 +631,10 @@ def test_mass_curve_is_per_field_mass(case, heat):
     ]
 
 
-def _poisoned(step, k, sign):
-    """A dense inverse whose product at step k is sign * inf and finite
-    before, on the all-ones input: S = 2 I except that row 0 reads
+def _poisoned(n, k, sign):
+    """A dense inverse on n nodes whose product at step k is sign * inf and
+    finite before, on the all-ones input: S = 2 I except that row 0 reads
     sign * a * x[1] with a * 2**(k-1) < max < a * 2**k."""
-    n = step.grid.n
     S = 2.0 * np.eye(n)
     S[0, 0] = 0.0
     S[0, 1] = sign * (np.finfo(float).max / 2.0**k) * 1.5
@@ -652,29 +651,29 @@ def test_dense_step_rejects_non_finite(heat):
     k = _CHUNK + 7
     # the clamp is armed on this input: over the k finite steps of the
     # negative poison, row 0 of every state is clamped to 0
-    step = _Stepper(heat, grid, SolverConfig(n_steps=k), 0.0, 0.5)
-    step.march(ones, record=False)
-    step.inverse = _poisoned(step, k, -1.0)
-    assert not step.march(ones, record=True)[1:, 0].any()
+    short = SolverConfig(n_steps=k)
+    _march(heat, grid, short, ones, 0.0, 0.5, record=False)
+    (step,) = heat.steps.values()
+    step.inverse = _poisoned(grid.n, k, -1.0)
+    assert not _march(heat, grid, short, ones, 0.0, 0.5, record=True)[2][1:, 0].any()
     for sign, record in itertools.product((-1.0, 1.0), (True, False)):
-        step = _Stepper(heat, grid, config, 0.0, 0.5)
-        step.march(ones, record=False)
+        heat.steps.clear()  # a step made afresh
+        _march(heat, grid, config, ones, 0.0, 0.5, record=False)
+        (step,) = heat.steps.values()
         assert step.inverse is not None
-        step.inverse = _poisoned(step, k, sign)
+        step.inverse = _poisoned(grid.n, k, sign)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             LinearSolveFailure, match=f"solve at step {k} is not"
         ):
-            step.march(ones, record=record)
+            _march(heat, grid, config, ones, 0.0, 0.5, record=record)
     bad = ones.copy()
     bad[3] = np.nan
-    fresh = constant_model([0.0], [[1.0]])  # heat keeps the poisoned stepper
+    fresh = constant_model([0.0], [[1.0]])  # heat keeps the poisoned step
     with pytest.raises(LinearSolveFailure, match="solve at step 0 is not"):
         _march(fresh, grid, config, bad, 0.0, 0.5, record=False)
 
 
 def _count_builds(monkeypatch):
-    from decrem import kolmogorov
-
     calls = []
 
     def counted(model, grid, t):
@@ -686,12 +685,10 @@ def _count_builds(monkeypatch):
 
 
 def test_homogeneous_generator_is_built_once_per_grid(monkeypatch, heat):
-    # K, then K/2, then K again on one model: each operator factors anew and
-    # replaces the kept stepper, all three share the model's A_h, and the
-    # march bits stay those of fresh steppers; a repeat reuses the kept
-    # stepper, and another grid builds its own A_h
-    from decrem import kolmogorov
-
+    # K, then K/2, then K again on one model: each step size factors anew and
+    # replaces the kept step, all three share the model's A_h, and the
+    # march bits stay those of steps made afresh; a repeat reuses the kept
+    # step, and another grid builds its own A_h
     grid = make_grid(1, [0.0], [1.0], [24])
     rho = sampled_sine(grid)
     fresh = [
@@ -711,45 +708,144 @@ def test_homogeneous_generator_is_built_once_per_grid(monkeypatch, heat):
         config = SolverConfig(n_steps=len(ref.times) - 1)
         traj = evolve(heat, grid, config, rho, 0.0, 0.3)
         assert traj.states.tobytes() == ref.states.tobytes()
-        assert heat.stepper.key == (grid, config, 0.0, 0.3)
-        kept.append(heat.stepper)
+        assert list(heat.steps) == [(grid, config.linear_solver_tol, 0.3 / config.n_steps, None)]
+        kept.extend(heat.steps.values())
     assert (len(factors), len(calls)) == (3, 1)
     assert kept[0] is not kept[2]
     evolve(heat, grid, config, rho, 0.0, 0.3)
-    assert heat.stepper is kept[2] and len(factors) == 3
+    assert list(heat.steps.values()) == [kept[2]] and len(factors) == 3
     other = make_grid(1, [0.0], [1.0], [20])
     evolve(heat, other, SolverConfig(n_steps=4), sampled_sine(other), 0.0, 0.3)
     assert len(calls) == 2
-    assert heat.stepper.grid == other
+    assert [key[0] for key in heat.steps] == [other]
 
 
-def test_model_and_kept_stepper_need_no_cycle_collector():
-    # the kept stepper holds no reference back to its model, so the two go
+def test_model_and_kept_step_need_no_cycle_collector():
+    # the kept step holds no reference back to its model, so the two go
     # with the model's last outside reference, the cyclic collector off
     grid = make_grid(1, [0.0], [1.0], [16])
     gc.disable()
     try:
         model = constant_model([0.3], [[1.0]])
         evolve(model, grid, SolverConfig(n_steps=4), sampled_sine(grid), 0.0, 0.5)
-        assert model.stepper.inverse is not None
-        refs = weakref.ref(model), weakref.ref(model.stepper)
-        del model
+        (step,) = model.steps.values()
+        assert step.inverse is not None
+        refs = weakref.ref(model), weakref.ref(step)
+        del model, step
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
 
 
+def _kept_bytes(model):
+    """The bytes of a model's kept steps, 12 per nonzero of each sparse
+    matrix a step holds and 8 per entry of its inverse."""
+    total = 0
+    for s in model.steps.values():
+        nnz = s.lu.nnz + s.M.nnz + (0 if s.A is None else s.A.nnz)
+        total += 12 * nnz + (0 if s.inverse is None else s.inverse.nbytes)
+    return total
+
+
+def test_kept_steps_stay_within_the_byte_budget(monkeypatch):
+    # a series keeps its steps while they fit the budget and marches through
+    # the others without keeping them, with the bits of a march that keeps
+    # all; the first step of a size is kept past any budget, so a
+    # time-homogeneous model factors once per step size even at 0 bytes
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [6, 7])
+    config = SolverConfig(n_steps=16)
+    values = np.random.default_rng(45).random(grid.n)
+
+    def table():
+        return _random_series(grid, np.random.default_rng(46), cross=False)
+
+    keeps_all = table()
+    ref = _march(keeps_all, grid, config, values, 0.0, 0.2, record=True)[2]
+    assert len(keeps_all.steps) == 16
+    budget = _kept_bytes(keeps_all) // 3
+    monkeypatch.setattr(kolmogorov, "KEEP_BYTES", budget)
+    model = table()
+    for _ in range(2):
+        assert np.array_equal(_march(model, grid, config, values, 0.0, 0.2, record=True)[2], ref)
+        assert 1 < len(model.steps) < 16 and _kept_bytes(model) <= budget
+    monkeypatch.setattr(kolmogorov, "KEEP_BYTES", 0)
+    factors = []
+    splu = kolmogorov.splu
+
+    def counted(*args, **kwargs):
+        factors.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(kolmogorov, "splu", counted)
+    heat = constant_model([0.0], [[1.0]])
+    big = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 1])
+    for _ in range(2):
+        _march(heat, big, config, np.ones(big.n), 0.0, 0.2, record=False)
+    assert len(factors) == 1 and len(heat.steps) == 1
+
+
+def test_march_builds_an_unkept_first_step_once(monkeypatch):
+    # a march whose first step time is not kept builds and factors each of
+    # its steps once, the first one included
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [5, 6])
+    model = _random_series(grid, np.random.default_rng(47), cross=False)
+    config = SolverConfig(n_steps=4)
+    monkeypatch.setattr(kolmogorov, "KEEP_BYTES", 0)
+    _march(model, grid, config, np.ones(grid.n), 0.0, 0.1, record=False)
+    calls = _count_builds(monkeypatch)
+    _march(model, grid, config, np.ones(grid.n), 0.1, 0.2, record=False)
+    assert len(calls) == 4 and np.allclose(calls, [0.125, 0.15, 0.175, 0.2])
+    assert len(model.steps) == 1 and np.isclose(next(iter(model.steps))[3], 0.025)
+
+
+def test_new_step_size_factors_after_the_old_steps_are_gone(monkeypatch, heat):
+    # the kept steps of the old size are dropped before the first factor of
+    # the new one, the cyclic collector off; a time-homogeneous model keeps
+    # its A_h on the same grid
+    grid = make_grid(1, [0.0], [1.0], [16])
+    table_grid = make_grid(1, [0.0], [1.0], [8])
+    series = [(np.zeros((8, 1)), np.ones((8, 1, 1)))] * 3
+    table = tabulated_model(table_grid, None, None, times=[0.0, 0.25, 0.5], series=series)
+    gc.disable()
+    try:
+        for model, g in ((heat, grid), (table, table_grid)):
+            _march(model, g, SolverConfig(n_steps=8), np.ones(g.n), 0.0, 0.5, record=False)
+            kept = model.steps.values()
+            old = [weakref.ref(s.M if s.inverse is None else s.inverse) for s in kept]
+            A = next(iter(model.steps.values())).A
+            assert (A is None) == (model is table)
+            alive = []
+            splu = kolmogorov.splu
+
+            def counted(*args, **kwargs):
+                alive.append(any(r() is not None for r in old))
+                return splu(*args, **kwargs)
+
+            monkeypatch.setattr(kolmogorov, "splu", counted)
+            _march(model, g, SolverConfig(n_steps=4), np.ones(g.n), 0.0, 0.5, record=False)
+            monkeypatch.setattr(kolmogorov, "splu", splu)
+            assert len(old) == (1 if model is heat else 8)
+            assert alive == [False] * (1 if model is heat else 4)
+            assert next(iter(model.steps.values())).A is A
+    finally:
+        gc.enable()
+
+
 def test_tabulated_series_builds_the_generator_every_step(monkeypatch):
+    # once per step of each step size; the series keeps the steps of its
+    # latest step size, one per step time, and a repeat builds none
     rng = np.random.default_rng(44)
     grid = make_grid(1, [0.0], [1.0], [12])
     series = [(rng.normal(size=(grid.n, 1)), np.ones((grid.n, 1, 1))) for _ in range(2)]
     table = tabulated_model(grid, None, None, times=[0.0, 0.3], series=series)
     calls = _count_builds(monkeypatch)
     rho = DensityField(grid, rng.random(grid.n))
-    for n_steps in (6, 10):
-        evolve(table, grid, SolverConfig(n_steps=n_steps), rho, 0.0, 0.3)
+    for n_steps in (6, 10, 10):
+        config = SolverConfig(n_steps=n_steps)
+        traj = evolve(table, grid, config, rho, 0.0, 0.3)
     assert len(calls) == 16
-    assert table.stepper is None
+    tol, dt = config.linear_solver_tol, 0.3 / 10
+    assert list(table.steps) == [(grid, tol, dt, t) for t in traj.times[1:]]
 
 
 def test_trajectory_fields_are_its_states(heat):
@@ -781,11 +877,11 @@ def test_build_stencil_certifies_ellipticity(beta, smallest):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         EllipticityViolation
     ) as err:
-        _Stepper(model, grid, SolverConfig(n_steps=4), 0.0, 1.0)
+        _steps(model, grid, SolverConfig(n_steps=4), 0.0, 1.0)
     eig = err.value.eigenvalue
     assert eig <= 0.0 if np.isfinite(smallest) else not np.isfinite(eig)
     assert err.value.t == 0.0 and err.value.x.shape == (dim,)
-    assert model.stepper is None  # no stepper is kept without a certificate
+    assert model.steps == {}  # no step is kept without a certificate
 
 
 def _series(where):
@@ -797,13 +893,13 @@ def _series(where):
 
 
 @pytest.mark.parametrize("where", [0.0, 0.5])
-def test_stepper_certifies_series_ends(monkeypatch, where):
-    # no step evaluates the coefficients at s: the stepper certifies both
-    # ends when it is built, before any A_h
+def test_march_certifies_series_ends(monkeypatch, where):
+    # no step evaluates the coefficients at s: the preamble of a march
+    # certifies both ends, before any A_h
     table, grid = _series(where)
     calls = _count_builds(monkeypatch)
     with pytest.raises(EllipticityViolation) as err:
-        _Stepper(table, grid, SolverConfig(n_steps=8), 0.0, 0.5)
+        _steps(table, grid, SolverConfig(n_steps=8), 0.0, 0.5)
     assert err.value.t == where and err.value.eigenvalue == 0.0
     assert calls == []
 
@@ -812,9 +908,8 @@ def test_series_degenerate_inside_fails_at_the_step_that_reads_it(monkeypatch):
     # implicit euler with 8 steps evaluates t = 0.0625 k, so step 3
     # builds A_h at the degenerate sample t = 0.25, after three steps
     table, grid = _series(0.25)
-    step = _Stepper(table, grid, SolverConfig(n_steps=8), 0.0, 0.5)
     calls = _count_builds(monkeypatch)
     with pytest.raises(EllipticityViolation) as err:
-        step.march(np.ones(grid.n), record=False)
+        _march(table, grid, SolverConfig(n_steps=8), np.ones(grid.n), 0.0, 0.5, record=False)
     assert err.value.t == 0.25
     assert calls == [0.0625, 0.125, 0.1875, 0.25]

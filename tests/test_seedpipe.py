@@ -15,8 +15,11 @@ from decrem import (
     mass,
     realize_gamma,
     run_seed,
+    tabulated_model,
     verify_seed,
 )
+from decrem import kolmogorov
+from decrem.fredholm import assemble_Q
 from decrem.kolmogorov import build_stencil
 from conftest import apply_Q, sampled_sine
 
@@ -228,7 +231,7 @@ def test_unclamped_seed_takes_its_decrement_from_the_resolvent(monkeypatch, n_ce
     # rho, alpha, u0 and uT have the bits of a solve whose applications
     # march without recording their states, on the dense path (100 nodes)
     # and on the sparse one (160); the decrement, its residual and the mass
-    # curve agree with a march of rho on a fresh stepper to round-off
+    # curve agree with a march of rho to round-off
     # (measured: 2.7e-16 of max|decrement|, masses 4.5e-16)
     from decrem import fredholm
 
@@ -243,8 +246,8 @@ def test_unclamped_seed_takes_its_decrement_from_the_resolvent(monkeypatch, n_ce
     march = fredholm._march
 
     def unrecorded(model, grid, config, values, s, T, record):
-        step, final = march(model, grid, config, values, s, T, record=False)
-        return step, final[None]
+        times, mixed, final = march(model, grid, config, values, s, T, record=False)
+        return times, mixed, final[None]
 
     monkeypatch.setattr(fredholm, "_march", unrecorded)
     ref = run_seed(model, grid, config, gamma, 0.3)
@@ -265,7 +268,7 @@ def test_unclamped_seed_takes_its_decrement_from_the_resolvent(monkeypatch, n_ce
 def test_clamped_seed_marches_rho_once(monkeypatch):
     # the a12 term breaks the M-matrix and zeta dips below zero near a
     # corner; the clamped rho is no longer alpha * zeta, so run_seed marches
-    # it once, and gets the bits of that march on a fresh stepper
+    # it once, and gets the bits of that march on steps made afresh
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [8, 8])
     model = constant_model([0.0, 0.0], np.array([[1.0, 0.0], [0.9, 0.436]]))
     gamma = realize_gamma(grid, {"kind": "bump", "lo": [0.1, 0.1], "hi": [0.3, 0.3]})
@@ -303,3 +306,54 @@ def test_decrement_matches_per_field_reference(n_cells):
     assert [(t, m.hex()) for t, m in curve] == [
         (float(t), mass(f).hex()) for t, f in zip(traj.times, fields)
     ]
+
+
+def _series_2d():
+    """A 3-sample tabulated series over [0, 0.3] on a 10 x 10 box, with
+    random drift and a random diagonal beta."""
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 10])
+    rng = np.random.default_rng(5)
+    samples = []
+    for _ in range(3):
+        beta = np.zeros((grid.n, 2, 2))
+        beta[:, 0, 0] = rng.uniform(0.8, 1.2, grid.n)
+        beta[:, 1, 1] = rng.uniform(0.6, 0.9, grid.n)
+        samples.append((rng.uniform(-0.5, 0.5, (grid.n, 2)), beta))
+    return grid, tabulated_model(grid, None, None, times=[0.0, 0.15, 0.3], series=samples)
+
+
+def test_series_factors_each_step_time_once_per_step_size(monkeypatch):
+    # every application of Q in run_seed marches through the same K kept
+    # steps, verify_seed's coarse march factors its K/2 and the panels of
+    # assemble_Q share their K; a budget of 0 bytes keeps only the first
+    # step of a size, so the others are factored at every march, with the
+    # same bits
+    calls = []
+    splu = kolmogorov.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(kolmogorov, "splu", counted)
+    runs, full = {}, kolmogorov.KEEP_BYTES
+    for budget in (full, 0):
+        monkeypatch.setattr(kolmogorov, "KEEP_BYTES", budget)
+        grid, model = _series_2d()
+        gamma = realize_gamma(grid, {"kind": "bump", "lo": [0.2, 0.3], "hi": [0.65, 0.75]})
+        config = SolverConfig(n_steps=32)
+        calls.clear()
+        sol = run_seed(model, grid, config, gamma, 0.3)
+        seeded = len(calls)
+        report = verify_seed(
+            model, grid, config, sol.rho, sol.alpha, sol.gamma.field, 0.3, decrement=sol.decrement
+        )
+        verified = len(calls) - seeded
+        calls.clear()
+        Q = assemble_Q(model, grid, SolverConfig(n_steps=8), 0.3).matrix
+        fields = [f.values.tobytes() for f in (sol.rho, sol.u0, sol.uT, sol.decrement)]
+        runs[budget] = (seeded, verified, len(calls)), (sol.alpha, fields, report, Q.tobytes())
+    assert sol.resolvent.iterations == 5
+    assert runs[full][0] == (32, 16, 8)
+    assert runs[0][0] == (1 + 31 * 5, 16, 8 + 7)  # two panels
+    assert runs[full][1] == runs[0][1]

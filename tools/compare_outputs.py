@@ -10,7 +10,10 @@ benchmark's: ``perfbench/workloads.py`` of this repository draws the
 ``perfbench/run.py`` does, and writes each as a config file (and, for
 ``mc``, a density CSV).  Three 2-D ``mc`` inputs follow, so that the
 2-D particle path is compared too: a constant drift with off-diagonal
-``beta``, a ``linear-drift`` model and a tabulated series.  The imports
+``beta``, a ``linear-drift`` model and a tabulated series.  Then a 2-D
+tabulated series with diagonal ``beta`` goes through ``seed`` and through
+``spectrum`` with ``assemble: true``, so that the steps a series keeps are
+compared on the resolvent, the Richardson check and the assembly.  The imports
 write no bytecode, so the benchmark directory is left as it was.  Each
 input runs through ``python -m decrem`` of both trees, from a directory of
 its own holding the same files and with the same relative ``output_dir``,
@@ -58,10 +61,12 @@ def write_inputs(work):
                 cfg = wl.config(rng, "out", str(path))
                 (path / "config.json").write_text(json.dumps(cfg, indent=2))
                 cases.append((case, [wl.command, "config.json", *wl.extra_args(".")]))
-    return cases + write_mc_2d_inputs(work)
+    return cases + write_mc_2d_inputs(work) + write_series_2d_inputs(work)
 
 
 MIXED_BETA = [[0.9, 0.3], [-0.2, 0.6]]
+SERIES_TIMES = [0.0, 0.05, 0.12]
+SERIES_COLUMNS = ["f1", "f2", "b11", "b12", "b21", "b22"]
 MC_2D_MODELS = {
     "constant": {"family": "constant", "drift": [0.8, -0.5], "beta": MIXED_BETA},
     "linear-drift": {
@@ -82,8 +87,6 @@ def write_mc_2d_inputs(work):
     x, y = grid.nodes().T
     v = np.sin(np.pi * x) * np.sin(np.pi * y / 1.2)
     rho = DensityField(grid, v / (v.sum() * grid.cell_volume))
-    names = ["f1", "f2", "b11", "b12", "b21", "b22"]
-    times = [0.0, 0.05, 0.12]
     rng = np.random.default_rng(4)
     cases = []
     for label, model in MC_2D_MODELS.items():
@@ -92,11 +95,13 @@ def write_mc_2d_inputs(work):
         path.mkdir(parents=True)
         rho.to_csv(path / "rho.csv")
         if "manifest" in model:
-            files = [f"t{k}.csv" for k in range(len(times))]
+            files = [f"t{k}.csv" for k in range(len(SERIES_TIMES))]
             for name in files:
                 beta = np.array(MIXED_BETA) * rng.uniform(0.5, 1.5, (grid.n, 1, 1))
-                _write_table(grid, path / name, names, [rng.uniform(-1, 1, (grid.n, 2)), beta])
-            (path / "series.json").write_text(json.dumps({"times": times, "files": files}))
+                drift = rng.uniform(-1, 1, (grid.n, 2))
+                _write_table(grid, path / name, SERIES_COLUMNS, [drift, beta])
+            manifest = {"times": SERIES_TIMES, "files": files}
+            (path / "series.json").write_text(json.dumps(manifest))
         cfg = {
             "domain": {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.2], "n_cells": [10, 12]},
             "model": model,
@@ -106,6 +111,44 @@ def write_mc_2d_inputs(work):
         }
         (path / "config.json").write_text(json.dumps(cfg, indent=2))
         cases.append((case, ["mc", "config.json", "--rho", "rho.csv"]))
+    return cases
+
+
+def write_series_2d_inputs(work):
+    """Write a ``seed`` and a ``spectrum`` input on one 2-D tabulated series
+    with diagonal ``beta`` into ``work/inputs/<command>-2d-series``; returns
+    (case, argv) pairs."""
+    import numpy as np
+    from decrem import make_grid
+    from decrem.grid import _write_table
+
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
+    rng = np.random.default_rng(5)
+    tables = []
+    for _ in SERIES_TIMES:
+        beta = np.zeros((grid.n, 2, 2))
+        beta[:, 0, 0] = rng.uniform(0.8, 1.2, grid.n)
+        beta[:, 1, 1] = rng.uniform(0.6, 0.9, grid.n)
+        tables.append([rng.uniform(-0.5, 0.5, (grid.n, 2)), beta])
+    cases = []
+    for command in ("seed", "spectrum"):
+        case = f"{command}-2d-series"
+        path = work / "inputs" / case
+        path.mkdir(parents=True)
+        files = [f"t{k}.csv" for k in range(len(SERIES_TIMES))]
+        for name, table in zip(files, tables):
+            _write_table(grid, path / name, SERIES_COLUMNS, table)
+        (path / "series.json").write_text(json.dumps({"times": SERIES_TIMES, "files": files}))
+        cfg = {
+            "domain": {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.2], "n_cells": [10, 12]},
+            "model": {"family": "tabulated", "manifest": "series.json"},
+            "time": {"T": 0.12, "n_steps": 128},
+            "gamma": {"kind": "bump", "lo": [0.2, 0.3], "hi": [0.65, 0.8]},
+            "spectrum": {"assemble": True},
+            "output_dir": "out",
+        }
+        (path / "config.json").write_text(json.dumps(cfg, indent=2))
+        cases.append((case, [command, "config.json"]))
     return cases
 
 
