@@ -26,14 +26,15 @@ T = 0.5
 kernels = {}
 for n_steps in (128, 256):
     opmat = assemble_Q(model, grid, SolverConfig(n_steps=n_steps), T)
-    kernels[n_steps] = opmat.matrix
+    # a copy: singular_values takes the kernel and overwrites it
+    kernels[n_steps] = opmat.matrix.copy()
     cm = opmat.column_masses()
     Q = opmat.coefficient_action()
     est = spectral_radius(lambda v: Q @ v, n=grid.n)
     sv = singular_values(opmat)
     analytic = np.exp(-np.pi**2 * T / 2.0)
     print(f"\nimplicit-euler, {n_steps} steps, N={grid.n}")
-    print(f"  min entry          {opmat.matrix.min():.3e}")
+    print(f"  min entry          {kernels[n_steps].min():.3e}")
     print(f"  column masses      [{cm.min():.6f}, {cm.max():.6f}]")
     print(f"  spectral radius    {est.value:.8f} "
           f"(analytic {analytic:.8f}, rel err {abs(est.value / analytic - 1):.2e})")

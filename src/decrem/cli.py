@@ -387,11 +387,11 @@ def cmd_spectrum(cfg, base_dir):
     names = []
     if spec["assemble"]:
         opmat = assemble_Q(model, grid, config, T, cap=cap)
-        sv = singular_values(opmat)
-        payload["singular_value_head"] = [float(s) for s in sv[:8]]
         masses = opmat.column_masses()
         payload["column_mass_range"] = [float(masses.min()), float(masses.max())]
         names += [os.path.basename(p) for p in opmat.save(os.path.join(out_dir, "operator"))]
+        sv = singular_values(opmat)  # last: the SVD overwrites the kernel
+        payload["singular_value_head"] = [float(s) for s in sv[:8]]
         _write_rows(
             os.path.join(out_dir, "singular_values.csv"),
             ["index", "sigma"],

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import svd
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CapExceeded, NoConvergence
@@ -51,7 +52,7 @@ class OperatorMatrix:
         """Write ``<base>.bin`` (float64, little endian, column major) and
         ``<base>.json`` describing it."""
         n = self.grid.n
-        np.asarray(self.matrix, "<f8").T.tofile(path_base + ".bin")
+        self.matrix.astype("<f8", copy=False).T.tofile(path_base + ".bin")
         sidecar = {
             "n": n,
             "dtype": "<f8",
@@ -169,9 +170,10 @@ def resolvent_dense(opmat, gamma):
 
 
 def singular_values(opmat):
-    """Singular values of the coefficient action, largest first: those of
-    the kernel matrix scaled by the cell volume, with no scaled N x N copy."""
-    return opmat.grid.cell_volume * np.linalg.svd(opmat.matrix, compute_uv=False)
+    """Singular values of the kernel matrix times the cell volume, largest first.
+    The SVD takes the kernel and works in its storage: ``opmat.matrix`` is None."""
+    Q, opmat.matrix = opmat.matrix, None
+    return opmat.grid.cell_volume * svd(Q, compute_uv=False, overwrite_a=True)
 
 
 def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200):

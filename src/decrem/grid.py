@@ -70,11 +70,8 @@ class DomainGrid:
 
     def nodes(self):
         """All node coordinates as an (N, dim) array in flat order."""
-        axes = [self.axis_centers(k) for k in range(self.dim)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        xg, yg = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([xg.ravel(), yg.ravel()])
+        axes = np.meshgrid(*(self.axis_centers(k) for k in range(self.dim)), indexing="ij")
+        return np.column_stack([a.ravel() for a in axes])
 
     @cached_property
     def _node_cells(self):

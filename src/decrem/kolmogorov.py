@@ -349,7 +349,8 @@ def _march(model, grid, config, values, s, T, record):
     restarting: solved through the step's factor, fetched anew for a
     tabulated series, and checked by :func:`_check`.  Negative round-off is
     clamped only when ``values`` is nonnegative and no step so far had an
-    a12 term, where the exact solution is provably nonnegative.
+    a12 term, where the exact solution is provably nonnegative, and never
+    under an S with no negative entry, whose products are nonnegative too.
 
     Returns the times, whether a step had an a12 term, and the states.
     """
@@ -362,7 +363,7 @@ def _march(model, grid, config, values, s, T, record):
     chunk = 1 if S is None else min(K, _CHUNK)
     states = np.empty((K + 1 if record else chunk + 1,) + np.shape(values))
     states[0] = values
-    clamp = bool(np.all(states[0] >= 0.0)) and not mixed
+    clamp = (S is None or S.min() < 0.0) and not mixed and bool(np.all(states[0] >= 0.0))
     # a dense step's products before the clamp, for the finiteness check
     raw = np.empty((chunk,) + states.shape[1:]) if clamp and S is not None else None
     last = 0
@@ -378,7 +379,7 @@ def _march(model, grid, config, values, s, T, record):
         products = block[1:] if raw is None else raw[:m]
         for x, out, nxt in zip(block[:-1], products, block[1:]):
             if S is not None:
-                np.dot(S, x, out=out)
+                S.dot(x, out=out)
             else:  # a chunk of one: this is step k0
                 step = step_at(k0)
                 mixed |= step.mixed

@@ -119,11 +119,9 @@ class SeedSolution:
     def save(self, directory):
         """Write rho/u0/uT/decrement CSVs and report.json; returns file names."""
         os.makedirs(directory, exist_ok=True)
-        names = ["rho.csv", "u0.csv", "uT.csv", "decrement.csv"]
-        self.rho.to_csv(os.path.join(directory, "rho.csv"))
-        self.u0.to_csv(os.path.join(directory, "u0.csv"))
-        self.uT.to_csv(os.path.join(directory, "uT.csv"))
-        self.decrement.to_csv(os.path.join(directory, "decrement.csv"))
+        fields = {"rho": self.rho, "u0": self.u0, "uT": self.uT, "decrement": self.decrement}
+        for name, field in fields.items():
+            field.to_csv(os.path.join(directory, name + ".csv"))
         report = {
             "alpha": self.alpha,
             "residual": self.residual,
@@ -133,7 +131,7 @@ class SeedSolution:
             "mass_curve": [[t, m] for t, m in self.mass_curve],
         }
         _write_json(os.path.join(directory, "report.json"), report)
-        return names + ["report.json"]
+        return [name + ".csv" for name in fields] + ["report.json"]
 
 
 def _unit_sup(field):

@@ -392,6 +392,13 @@ def test_cmd_spectrum(tmp_path):
     sidecar = json.loads((tmp_path / "out" / "operator.json").read_text())
     assert sidecar["scheme"] == "implicit-euler"
     assert (tmp_path / "out" / "singular_values.csv").exists()
+    # the column masses are taken before the SVD overwrites the kernel:
+    # they are those of the kernel that operator.bin holds
+    n, box = sidecar["n"], sidecar["grid"]
+    kernel = np.fromfile(tmp_path / "out" / "operator.bin", "<f8").reshape(n, n, order="F")
+    grid = make_grid(box["dim"], box["lo"], box["hi"], box["n_cells"])
+    masses = kernel.sum(axis=0) * grid.cell_volume
+    assert payload["column_mass_range"] == [masses.min(), masses.max()]
 
 
 def test_cmd_mc_and_determinism(tmp_path):

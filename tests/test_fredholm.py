@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -355,8 +356,37 @@ def test_Q_keeps_sign_and_loses_mass(case, data):
 
 
 def test_singular_values_decay(qhat128):
-    sv = singular_values(qhat128)
+    # singular_values takes the kernel it is given, so the shared fixture
+    # gives a copy
+    sv = singular_values(dataclasses.replace(qhat128, matrix=qhat128.matrix.copy()))
     assert sv[0] > 0.0
     assert np.all(np.diff(sv) <= 1e-12)
     # absorbed heat kernel: sigma_k ~ e^{-k^2 pi^2 T / 2} drops fast
     assert sv[0] / sv[3] >= 10.0
+
+
+def test_singular_values_take_the_kernel(tmp_path):
+    # a drift makes Q nonsymmetric, so its singular values are not its
+    # eigenvalues; 400 nodes make the kernel large beside the SVD's O(N)
+    # workspace
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [20, 20])
+    model = constant_model([0.4, -0.3], [[1.0, 0.0], [0.0, 0.6]])
+    opmat = assemble_Q(model, grid, SolverConfig(n_steps=4), 0.1)
+    kernel = opmat.matrix.copy()
+    tracemalloc.start()
+    try:
+        sv = singular_values(opmat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the SVD works in the kernel's own storage: no N x N copy of it
+    assert peak < grid.n**2 * 8 // 4
+    assert opmat.matrix is None
+    with pytest.raises(AttributeError):
+        opmat.column_masses()
+    with pytest.raises(AttributeError):
+        opmat.save(str(tmp_path / "operator"))
+    # numpy and scipy may link different LAPACK builds, so the values agree
+    # to round-off of the largest, not bit for bit
+    ref = grid.cell_volume * np.linalg.svd(kernel, compute_uv=False)
+    assert np.abs(sv - ref).max() <= 1e-13 * ref[0]

@@ -381,6 +381,21 @@ def test_axis_aligned_generator_is_monotone(case, dt, seed):
     assert raw.min() >= -config.linear_solver_tol * np.abs(raw).max()
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=_axis_aligned_case(), dt=st.floats(1e-4, 1.0))
+def test_inverse_without_a12_is_nonnegative(case, dt):
+    # M is strictly column-dominant, so SuperLU factors it without row
+    # exchanges and L and U keep the M-matrix signs: every entry of
+    # S = lu.solve(I) is a sum of nonnegative terms, >= 0 in floating point
+    # too, and a dense step of a nonnegative state needs no clamp
+    model, grid = case
+    _march(model, grid, SolverConfig(n_steps=1), np.ones(grid.n), 0.0, dt, record=False)
+    (step,) = model.steps.values()
+    S = step.lu.solve(np.eye(grid.n))
+    assert S.min() >= 0.0
+    assert step.inverse is None or np.array_equal(step.inverse, S)
+
+
 def test_mixed_term_voids_certificate():
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [8, 8])
     model = constant_model([0.0, 0.0], [[1.0, 0.4], [0.0, 1.0]])
