@@ -22,12 +22,13 @@ from .grid import _read_table
 class DiffusionModel:
     """Vectorized coefficient evaluation.
 
-    ``drift_fn(points, t)`` maps an (N, dim) array to (N, dim);
-    ``beta_fn(points, t)`` maps it to (N, dim, dim).  The arrays that
-    ``drift_at`` and ``beta_at`` return may be read-only views (a constant
-    coefficient is broadcast, not copied), so callers must not write into
-    them; one with stride 0 along the points may be read as its first row
-    alone.  ``steps`` holds the time steps that :mod:`decrem.kolmogorov`
+    ``drift_fn(points, t)`` maps (N, dim) points to (N, dim), ``beta_fn``
+    to (N, dim, dim); other points raise ShapeMismatch.  What ``drift_at``
+    and ``beta_at`` return may be a read-only view (a constant coefficient
+    is broadcast), so callers must not write into it.  One with stride 0
+    along the points is the same at every point, and at every time unless
+    the model is ``time_dependent``; :func:`decrem.simulate` then reads it
+    once per call.  ``steps`` holds the time steps that :mod:`decrem.kolmogorov`
     keeps for the model, those of its latest step size within a byte
     budget, each with its factor and, time-homogeneous, its certified A_h
     and dense inverse, so that the marches of one command share them.
@@ -41,17 +42,18 @@ class DiffusionModel:
         self.steps = {}
 
     def drift_at(self, points, t):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.asarray(self._drift_fn(points, float(t)), dtype=float)
-        if out.shape != (points.shape[0], self.dim):
-            raise ShapeMismatch(f"drift returned shape {out.shape}")
-        return out
+        return self._at(self._drift_fn, "drift", points, t, ())
 
     def beta_at(self, points, t):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.asarray(self._beta_fn(points, float(t)), dtype=float)
-        if out.shape != (points.shape[0], self.dim, self.dim):
-            raise ShapeMismatch(f"beta returned shape {out.shape}")
+        return self._at(self._beta_fn, "beta", points, t, (self.dim,))
+
+    def _at(self, fn, name, points, t, tail):
+        points = np.asarray(points, dtype=float)
+        if points.shape[1:] != (self.dim,):
+            raise ShapeMismatch(f"points of shape {points.shape} are not (N, {self.dim})")
+        out = np.asarray(fn(points, float(t)), dtype=float)
+        if out.shape != points.shape + tail:
+            raise ShapeMismatch(f"{name} returned shape {out.shape}")
         return out
 
 

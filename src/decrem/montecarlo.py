@@ -17,7 +17,8 @@ draws raw words only up to the last survivor's slot, and is then advanced to
 the next step's block.  Absorbed particles keep their slots but turn no
 words into normals, evaluate no coefficients and are not stepped.  Each step
 works on the survivors only, in working rows of no fixed order (the last
-rows fill those of the rows that exit); slots, and so streams, stay put.
+rows fill those of the rows that exit); slots, and so streams, stay put.  A
+coefficient the same at every particle and step is read once per call.
 
 Absorption uses end-of-step exit detection: a particle found outside the
 open box after a step is frozen there and never moves again.  Discrete exit
@@ -109,6 +110,25 @@ def _strictly_inside(positions, grid):
     return ok
 
 
+class _Coefficient:
+    """``at`` along the survivors of one ``simulate`` call, times a factor if
+    given.  For a time-homogeneous model, a value with stride 0 along more
+    than one point is one row, held for the call with its product per factor."""
+
+    def __init__(self, model, at):
+        self.at, self.homogeneous, self.held = at, not model.time_dependent, {}
+
+    def __call__(self, x, t, factor=None):
+        if None not in self.held:  # the row, under None, once read
+            c = self.at(x, t)
+            if not self.homogeneous or c.shape[0] == 1 or c.strides[0] != 0:
+                return c if factor is None else c * factor
+            self.held[None] = c[:1]
+        if factor not in self.held:
+            self.held[factor] = self.held[None] * factor
+        return self.held[factor]
+
+
 def simulate(model, grid, ensemble, T, dt=None):
     """Advance the ensemble to exactly time T (last step shortened).
 
@@ -136,6 +156,8 @@ def simulate(model, grid, ensemble, T, dt=None):
     t = ensemble.t
     k0 = ensemble.step_offset
     bg = Philox(key=int(ensemble.seed) & _KEY_MASK, counter=k0 * _STEP_STRIDE)
+    normals = np.empty((n, dim))  # the survivors' normals of one step
+    drift, beta = _Coefficient(model, model.drift_at), _Coefficient(model, model.beta_at)
     for k in range(k0, k0 + n_steps):
         if live.size == 0:
             break
@@ -145,17 +167,14 @@ def simulate(model, grid, ensemble, T, dt=None):
         bg.advance(_STEP_STRIDE - (words + 3) // 4)  # the counter moved 1 per 4 words
         u >>= np.uint64(11)
         # Generator.random's double; it can be exactly 0, which ndtri maps to -inf
-        z = u * 2.0**-53
+        z = np.multiply(u, 2.0**-53, out=normals[: live.size])
         ndtri(np.maximum(z, 5e-324, out=z), out=z)
-        # a coefficient broadcast along the particles (stride 0) is read as one row
-        f, b = model.drift_at(x, t), model.beta_at(x, t)
-        f, b = (c[:1] if c.strides[0] == 0 else c for c in (f, b))
         if dim == 1:  # (b * sqrt(step)) * z rounds unlike einsum's sqrt(step) * (b z)
-            z *= b[:, :, 0] * np.sqrt(step)
-            z += f * step
+            z *= beta(x, t, np.sqrt(step))[:, :, 0]
+            z += drift(x, t, step)
             x += z
         else:
-            x += f * step + np.sqrt(step) * np.einsum("nij,nj->ni", b, z)
+            x += drift(x, t, step) + np.sqrt(step) * np.einsum("nij,nj->ni", beta(x, t), z)
         inside = _strictly_inside(x, grid)
         gone = np.flatnonzero(~inside)
         if gone.size:

@@ -46,6 +46,28 @@ def test_drift_shape_checked():
         model.drift_at(np.zeros((4, 2)), 0.0)
 
 
+def test_points_must_be_n_by_dim():
+    flat = np.array([0.1, 0.2, 0.3])  # three 1-D points, not one 3-D point
+    for model in (constant_model([0.5], [[1.0]]), ou_model(2.0, [0.3], 1.0)):
+        for at in (model.drift_at, model.beta_at):
+            with pytest.raises(ShapeMismatch, match="not \\(N, 1\\)"):
+                at(flat, 0.0)
+    model = constant_model([0.5, -0.5], np.eye(2))
+    for at in (model.drift_at, model.beta_at):
+        with pytest.raises(ShapeMismatch, match="not \\(N, 2\\)"):
+            at(np.zeros((2, 1)), 0.0)
+
+
+def test_points_of_n_by_dim_evaluate():
+    pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    model = constant_model([0.5, -0.5], [[1.0, 0.2], [0.0, 0.7]])
+    assert np.array_equal(model.drift_at(pts, 0.0), np.tile([0.5, -0.5], (3, 1)))
+    assert np.array_equal(model.beta_at(pts, 0.0), np.tile([[1.0, 0.2], [0.0, 0.7]], (3, 1, 1)))
+    ou = ou_model(2.0, [0.3], 1.0)
+    assert np.allclose(ou.drift_at(pts[:, :1], 0.0), -2.0 * (pts[:, :1] - 0.3))
+    assert ou.beta_at(pts[:, :1], 0.0).shape == (3, 1, 1)
+
+
 def test_ou_drift_points_at_center():
     model = ou_model(2.0, [0.3], 1.0)
     f = model.drift_at(np.array([[0.8]]), 0.0)

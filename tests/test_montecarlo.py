@@ -161,6 +161,7 @@ def _surviving_steps_cases():
     grid2 = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
     heat = constant_model([0.0], [[1.0]])
     const2 = constant_model([0.8, -0.5], [[0.9, 0.3], [-0.2, 0.6]])
+    ou1 = ou_model(1.5, [0.4], [[0.9]])  # drift varies, beta is fixed
     ou = ou_model([1.5, 0.7], [0.4, 0.6], [[0.9, 0.3], [-0.2, 0.6]])
     table, grid_t = _time_dependent_table()
     # (model, grid, particles, T, dt, expected steps); 0.37 / 7e-3 leaves
@@ -168,6 +169,7 @@ def _surviving_steps_cases():
     return {
         "heat-1d": (heat, grid1, 3000, 0.3, 1e-3, 300),
         "heat-1d-short-last-step": (heat, grid1, 3000, 0.37, 7e-3, 53),
+        "ou-1d-short-last-step": (ou1, grid1, 3000, 0.37, 7e-3, 53),
         "constant-2d-offdiag-beta": (const2, grid2, 3000, 0.2, 1e-3, 200),
         "ou-2d-offdiag-beta": (ou, grid2, 3000, 0.2, 1e-3, 200),
         "tabulated-series-2d": (table, grid_t, 3000, 0.2, 2e-3, 100),
@@ -225,6 +227,53 @@ def test_simulate_matches_all_particle_stepper_at_high_exit_rates():
     assert alive[5].sum() > 1 and not alive[6].any()
 
 
+def _coefficient_reads_cases():
+    grid1 = make_grid(1, [0.0], [1.0], [64])
+    grid2 = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
+    table = tabulated_model(grid1, np.linspace(-1.0, 1.0, 64)[:, None], np.full((64, 1, 1), 0.8))
+    # the model of the high exit rate test: its beta has stride 0 along the
+    # points but changes with t
+    varying = DiffusionModel(
+        1,
+        lambda pts, t: np.where((pts > 0.9) | (t > 0.045), 1e3, 0.0),
+        lambda pts, t: np.broadcast_to(0.1 if t < 0.005 else 2.0, (pts.shape[0], 1, 1)),
+        time_dependent=True,
+    )
+    # (model, grid, T, dt, drift_at calls, beta_at calls); 20 steps, the
+    # last one shortened, which ends before the drift of 1e3 at t > 0.045
+    # empties the box
+    return {
+        "constant-1d": (constant_model([0.3], [[1.0]]), grid1, 0.0195, 1e-3, 1, 1),
+        "constant-2d": (constant_model([0.8, -0.5], [[0.9, 0.3], [-0.2, 0.6]]), grid2, 0.0195, 1e-3, 1, 1),
+        "ou-1d": (ou_model(1.5, [0.4], [[0.9]]), grid1, 0.0195, 1e-3, 20, 1),
+        "tabulated-1d": (table, grid1, 0.0195, 1e-3, 20, 20),
+        "time-dependent-1d": (varying, grid1, 0.0195, 1e-3, 20, 20),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_coefficient_reads_cases()))
+def test_coefficient_reads_per_simulate_call(case):
+    # a time-homogeneous coefficient with stride 0 along the points is read
+    # once per call; any other coefficient at every step
+    model, grid, T, dt, drift_calls, beta_calls = _coefficient_reads_cases()[case]
+    calls = {"drift_at": 0, "beta_at": 0}
+    for name in calls:
+        at = getattr(model, name)
+
+        def counted(x, t, at=at, name=name):
+            calls[name] += 1
+            return at(x, t)
+
+        setattr(model, name, counted)
+    ens = sample_initial(uniform_density(grid), 2000, seed=3)
+    out = simulate(model, grid, ens, T, dt=dt)
+    assert out.step_offset == 20 and out.alive.any()
+    assert calls == {"drift_at": drift_calls, "beta_at": beta_calls}
+    calls.update(drift_at=0, beta_at=0)
+    simulate(model, grid, out, 2 * T, dt=dt)  # each call reads afresh
+    assert calls == {"drift_at": drift_calls, "beta_at": beta_calls}
+
+
 def _digest(ensemble):
     return hashlib.sha256(ensemble.positions.tobytes() + ensemble.alive.tobytes()).hexdigest()
 
@@ -243,6 +292,10 @@ _GOLDEN = {
     "heat-1d-short-last-step": (
         "84016994154e150e68fa19cc5dcd931f4108c35c1e944ea835206bba783f2daf",
         "4d4f58246c7af4c2aee9140d3ae56006859175eb630cced4554f274356ae294c",
+    ),
+    "ou-1d-short-last-step": (
+        "7f65ea15371ce9af607e41a644db19bd9397670fa0ee1b44c045aee0a25a86f6",
+        "81170a1e5b4406165848040996f30408bcf327fcc8630b61d31a9d3531c11fdd",
     ),
     "ou-2d-offdiag-beta": (
         "520731aa4401cbd2851ff04b556a1ee30a2edb0756d34533163792cc223122ef",

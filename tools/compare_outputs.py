@@ -8,9 +8,11 @@ BASE and HEAD are checkouts of the repository.  The inputs are the
 benchmark's: ``perfbench/workloads.py`` of this repository draws the
 ``run.VARIANTS`` inputs of every workload from each of ``SEEDS``, as
 ``perfbench/run.py`` does, and writes each as a config file (and, for
-``mc``, a density CSV).  Three 2-D ``mc`` inputs follow, so that the
-2-D particle path is compared too: a constant drift with off-diagonal
-``beta``, a ``linear-drift`` model and a tabulated series.  Then a 2-D
+``mc``, a density CSV).  Four more ``mc`` inputs follow, so that the
+particle paths the benchmark leaves out are compared too: in 2-D a
+constant drift with off-diagonal ``beta``, a ``linear-drift`` model and a
+tabulated series, and a 1-D ``linear-drift`` model, whose drift varies
+along the particles while its ``beta`` is fixed.  Then a 2-D
 tabulated series with diagonal ``beta`` goes through ``seed`` and through
 ``spectrum`` with ``assemble: true``, so that the steps a series keeps are
 compared on the resolvent, the Richardson check and the assembly.  The imports
@@ -61,7 +63,7 @@ def write_inputs(work):
                 cfg = wl.config(rng, "out", str(path))
                 (path / "config.json").write_text(json.dumps(cfg, indent=2))
                 cases.append((case, [wl.command, "config.json", *wl.extra_args(".")]))
-    return cases + write_mc_2d_inputs(work) + write_series_2d_inputs(work)
+    return cases + write_mc_inputs(work) + write_series_2d_inputs(work)
 
 
 MIXED_BETA = [[0.9, 0.3], [-0.2, 0.6]]
@@ -74,23 +76,31 @@ MC_2D_MODELS = {
     },
     "tabulated-series": {"family": "tabulated", "manifest": "series.json"},
 }
+MC_1D_MODELS = {
+    "linear-drift": {"family": "linear-drift", "rate": [1.5], "center": [0.4], "beta": [[0.9]]},
+}
 
 
-def write_mc_2d_inputs(work):
-    """Write one 2-D ``mc`` input per model of ``MC_2D_MODELS`` into
-    ``work/inputs/mc-2d-<model>``; returns (case, argv) pairs."""
+def write_mc_inputs(work):
+    """Write one ``mc`` input per model of ``MC_2D_MODELS`` and of
+    ``MC_1D_MODELS`` into ``work/inputs/mc-<dim>d-<model>``; returns
+    (case, argv) pairs."""
     import numpy as np
     from decrem import DensityField, make_grid
     from decrem.grid import _write_table
 
-    grid = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
-    x, y = grid.nodes().T
-    v = np.sin(np.pi * x) * np.sin(np.pi * y / 1.2)
-    rho = DensityField(grid, v / (v.sum() * grid.cell_volume))
+    domains = {
+        2: {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.2], "n_cells": [10, 12]},
+        1: {"dim": 1, "lo": [0.0], "hi": [1.0], "n_cells": [32]},
+    }
     rng = np.random.default_rng(4)
     cases = []
-    for label, model in MC_2D_MODELS.items():
-        case = f"mc-2d-{label}"
+    models = [(2, *m) for m in MC_2D_MODELS.items()] + [(1, *m) for m in MC_1D_MODELS.items()]
+    for dim, label, model in models:
+        grid = make_grid(**domains[dim])
+        v = np.prod(np.sin(np.pi * grid.nodes() / grid.hi), axis=1)  # lo is 0
+        rho = DensityField(grid, v / (v.sum() * grid.cell_volume))
+        case = f"mc-{dim}d-{label}"
         path = work / "inputs" / case
         path.mkdir(parents=True)
         rho.to_csv(path / "rho.csv")
@@ -103,7 +113,7 @@ def write_mc_2d_inputs(work):
             manifest = {"times": SERIES_TIMES, "files": files}
             (path / "series.json").write_text(json.dumps(manifest))
         cfg = {
-            "domain": {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.2], "n_cells": [10, 12]},
+            "domain": domains[dim],
             "model": model,
             "time": {"T": 0.2, "n_steps": 16},
             "mc": {"n_particles": 4000, "dt": 2e-3, "seed": 17},
