@@ -6,24 +6,8 @@ dotted.path=value`` overrides and ``--rho`` (evolve, mc) or ``--solution``
 echoes the effective config and writes a SHA-256 manifest; with no timestamps
 or absolute paths in reports, a rerun of one config and seed is identical.
 
-Every failure mode maps to a stable exit code:
-
-====  =====================================
-   0  success
-   1  unexpected internal error
-   2  config error (parse, unknown key, bad value)
-   3  ellipticity violation
-   4  gamma identically zero
-   5  gamma negative
-   6  inner linear solve failure
-   7  outer iteration did not converge
-   8  seed density negativity beyond tolerance
-   9  decrement residual too large
-  10  dense assembly cap exceeded
-  11  field/grid shape mismatch
-  12  sampling input not a density
-  13  stored solution failed verification
-====  =====================================
+Every failure mode maps to a stable exit code, the ``exit_code`` of its
+class in :mod:`decrem.errors`; 0 is success and 1 an unexpected error.
 """
 
 from __future__ import annotations
@@ -39,21 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    ConfigError,
-    EllipticityViolation,
-    GammaNegative,
-    GammaZero,
-    LinearSolveFailure,
-    NegativityViolation,
-    NoConvergence,
-    NotADensity,
-    ResidualTooLarge,
-    ShapeMismatch,
-    ToolkitError,
-    VerificationFailed,
-)
+from .errors import ConfigError, NoConvergence, ToolkitError, VerificationFailed
 from .fredholm import _check_cap, assemble_Q, propagator_action, singular_values, spectral_radius
 from .grid import DensityField, _write_json, _write_rows, make_grid, mass
 from .kolmogorov import SCHEME, SolverConfig, evolve, save_trajectory
@@ -65,21 +35,6 @@ from .seedpipe import (
     realize_gamma,
     run_seed,
     verify_seed,
-)
-
-EXIT_CODES = (
-    (ConfigError, 2),
-    (EllipticityViolation, 3),
-    (GammaZero, 4),
-    (GammaNegative, 5),
-    (LinearSolveFailure, 6),
-    (NoConvergence, 7),
-    (NegativityViolation, 8),
-    (ResidualTooLarge, 9),
-    (CapExceeded, 10),
-    (ShapeMismatch, 11),
-    (NotADensity, 12),
-    (VerificationFailed, 13),
 )
 
 _DEFAULTS = {
@@ -555,7 +510,7 @@ def main(argv=None):
         return run(cfg, base_dir, getattr(args, needs))
     except ToolkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return next((code for klass, code in EXIT_CODES if isinstance(exc, klass)), 1)
+        return exc.exit_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

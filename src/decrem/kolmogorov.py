@@ -6,10 +6,11 @@ product a*p with odd reflection across the boundary faces, which pins the
 zero Dirichlet value on the faces themselves.  Drift terms use first-order
 upwind flux splitting with no inflow through the faces.  Time is stepped by
 implicit Euler, the one scheme: its step matrix I - dt*A_h is an M-matrix
-(columnwise diagonally dominant, nonpositive off-diagonal), so the exact
-step preserves nonnegativity and strictly loses mass.  A scheme that keeps
-positivity for every dt is at most first order (Bolley & Crouzeix 1978), so
-no higher-order scheme is offered.  Mixed-derivative terms in 2-d break the
+(columnwise diagonally dominant, nonpositive off-diagonal), so the step
+preserves nonnegativity, in floating point too with no clamp (see
+:func:`_march`), and strictly loses mass.  A scheme that keeps positivity
+for every dt is at most first order (Bolley & Crouzeix 1978), so no
+higher-order scheme is offered.  Mixed-derivative terms in 2-d break the
 M-matrix structure and are flagged.
 
 Every assembly of A_h first certifies that 2a = beta beta^T is finite and
@@ -341,16 +342,15 @@ def _march(model, grid, config, values, s, T, record):
     ``record`` it holds all K + 1 states and is returned; otherwise it
     holds one chunk, restarted from its last state, and the final state
     is returned.  Under the certified dense inverse step k writes S @ p
-    with no check of its own, and the finiteness of a chunk's products,
-    taken before the clamp so that a -inf it would zero still counts, is
-    checked once per chunk of at most ``_CHUNK`` steps; a bad product
-    raises :class:`LinearSolveFailure` naming the first bad step.
-    Otherwise every chunk is one step, whose two rows swap instead of
-    restarting: solved through the step's factor, fetched anew for a
-    tabulated series, and checked by :func:`_check`.  Negative round-off is
-    clamped only when ``values`` is nonnegative and no step so far had an
-    a12 term, where the exact solution is provably nonnegative, and never
-    under an S with no negative entry, whose products are nonnegative too.
+    with no check of its own, and the finiteness of a chunk's states is
+    checked once per chunk of at most ``_CHUNK`` steps; a bad state raises
+    :class:`LinearSolveFailure` naming the first bad step.  Otherwise every
+    chunk is one step, whose two rows swap instead of restarting: solved
+    through the step's factor, fetched anew for a tabulated series, and
+    checked by :func:`_check`.  Nothing is clamped: without an a12 term M
+    is strictly column-dominant, so SuperLU pivots on its diagonal, L and U
+    keep the M-matrix signs, and the solve and S @ p of a nonnegative state
+    add up nonnegative terms only.
 
     Returns the times, whether a step had an a12 term, and the states.
     """
@@ -363,9 +363,6 @@ def _march(model, grid, config, values, s, T, record):
     chunk = 1 if S is None else min(K, _CHUNK)
     states = np.empty((K + 1 if record else chunk + 1,) + np.shape(values))
     states[0] = values
-    clamp = (S is None or S.min() < 0.0) and not mixed and bool(np.all(states[0] >= 0.0))
-    # a dense step's products before the clamp, for the finiteness check
-    raw = np.empty((chunk,) + states.shape[1:]) if clamp and S is not None else None
     last = 0
     for k0 in range(0, K, chunk):
         m = min(chunk, K - k0)
@@ -376,23 +373,17 @@ def _march(model, grid, config, values, s, T, record):
         else:
             states[0] = states[last]
             block = states[: m + 1]
-        products = block[1:] if raw is None else raw[:m]
-        for x, out, nxt in zip(block[:-1], products, block[1:]):
+        for x, out in zip(block[:-1], block[1:]):
             if S is not None:
                 S.dot(x, out=out)
             else:  # a chunk of one: this is step k0
                 step = step_at(k0)
                 mixed |= step.mixed
-                clamp = clamp and not mixed
                 # SuperLU returns F-ordered blocks; the row takes a C-ordered copy
                 out[...] = step.lu.solve(x)
                 _check(step.M, config.linear_solver_tol, x, out, k0)
-            if clamp:
-                # The exact M-matrix step maps nonnegative to nonnegative,
-                # so any negative entry is round-off of the solve.
-                np.maximum(out, 0.0, out=nxt)
-        if S is not None:  # products[j] is the product of step k0 + j
-            finite = np.isfinite(products.reshape(m, -1)).all(axis=1)
+        if S is not None:  # block[j + 1] is the state of step k0 + j
+            finite = np.isfinite(block[1:].reshape(m, -1)).all(axis=1)
             if not finite.all():
                 bad = k0 + int(np.argmin(finite))
                 raise LinearSolveFailure(f"solve at step {bad} is not finite")

@@ -203,10 +203,7 @@ def run_seed(
     else:
         residual, decrement, curve = _decrement(model, grid, config, rho, alpha, gamma.field, T)
     if residual > tol:
-        raise ResidualTooLarge(
-            f"decrement residual {residual:.3e} exceeds tol {tol:g}",
-            residual=residual,
-        )
+        raise ResidualTooLarge(f"decrement residual {residual:.3e} exceeds tol {tol:g}")
     return SeedSolution(
         gamma=gamma,
         u0=u0_field,

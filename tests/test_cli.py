@@ -1,16 +1,18 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decrem import DensityField, make_grid
+from decrem import DensityField, errors, make_grid
 from decrem.cli import load_config, main
 from decrem.errors import ConfigError
 from decrem.kolmogorov import DENSE_MAX_N
@@ -195,6 +197,24 @@ def test_help_names_every_command(capsys):
         main(["-h"])
     assert exc.value.code == 0
     assert "{seed,evolve,spectrum,mc,verify}" in capsys.readouterr().out
+
+
+def test_readme_exit_code_table_matches_the_classes():
+    # every row names the class that carries its code, and every class of
+    # decrem.errors has exactly one row
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\d+) \| [^|]+ \|(?: `(\w+)`[^|]*)? *\|$", section, re.M)
+    assert [int(code) for code, _ in rows] == list(range(14))
+    named = {name: int(code) for code, name in rows if name}
+    classes = {
+        name: cls for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.ToolkitError)
+    }
+    assert set(named) == set(classes)
+    for name, code in named.items():
+        assert classes[name].exit_code == code, name
+    assert rows[0] == ("0", "")  # success names no class
 
 
 def test_cli_import_leaves_scipy_special_to_the_particles():

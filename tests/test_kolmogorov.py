@@ -1,7 +1,6 @@
 import gc
 import itertools
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from decrem import kolmogorov
 from decrem.kolmogorov import (
     _CHUNK,
     DENSE_MAX_N,
+    PANEL,
     _check,
     _march,
     _steps,
@@ -334,15 +334,16 @@ def test_column_sums_certify_mass_loss(grid64, heat):
 
 @st.composite
 def _axis_aligned_case(draw):
-    """A random grid of 1 or 2 axes and a constant, linear-drift or
-    tabulated model with diagonal beta, so a12 == 0."""
+    """A random grid of 1 or 2 axes and a constant, linear-drift,
+    tabulated or 3-sample tabulated series model with diagonal beta, so
+    a12 == 0."""
     dim = draw(st.sampled_from([1, 2]))
     n_cells = draw(st.lists(st.integers(4, 12), min_size=dim, max_size=dim))
     lo = draw(st.lists(st.floats(-2.0, 1.0), min_size=dim, max_size=dim))
     width = draw(st.lists(st.floats(0.05, 4.0), min_size=dim, max_size=dim))
     grid = make_grid(dim, lo, np.add(lo, width), n_cells)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    family = draw(st.sampled_from(["constant", "linear-drift", "tabulated"]))
+    family = draw(st.sampled_from(["constant", "linear-drift", "tabulated", "series"]))
     beta = np.diag(rng.uniform(0.05, 3, dim))
     if family == "constant":
         model = constant_model(rng.uniform(-5, 5, dim), beta)
@@ -350,9 +351,15 @@ def _axis_aligned_case(draw):
         center = np.add(lo, rng.uniform(0, 1, dim) * width)
         model = ou_model(rng.uniform(0, 5, dim), center, beta)
     else:
-        beta = np.zeros((grid.n, dim, dim))
-        beta[:, range(dim), range(dim)] = rng.uniform(0.05, 3, (grid.n, dim))
-        model = tabulated_model(grid, rng.uniform(-5, 5, (grid.n, dim)), beta)
+        samples = []
+        for _ in range(3 if family == "series" else 1):
+            beta = np.zeros((grid.n, dim, dim))
+            beta[:, range(dim), range(dim)] = rng.uniform(0.05, 3, (grid.n, dim))
+            samples.append((rng.uniform(-5, 5, (grid.n, dim)), beta))
+        if family == "series":
+            model = tabulated_model(grid, None, None, times=[0.0, 0.1, 0.3], series=samples)
+        else:
+            model = tabulated_model(grid, *samples[0])
     return model, grid
 
 
@@ -369,16 +376,30 @@ def test_axis_aligned_generator_is_monotone(case, dt, seed):
     sums = np.asarray(A.sum(axis=0)).ravel()
     size = np.asarray(abs(A).sum(axis=0)).ravel()
     assert np.all(sums <= 1e-14 * size)
-    values = np.random.default_rng(seed).random(grid.n)
+    rng = np.random.default_rng(seed)
+    values = rng.random(grid.n)
     values[values < 0.3] = 0.0
+    values[rng.integers(grid.n)] = 1.0  # at least one positive entry
     config = SolverConfig(n_steps=1)
-    assert np.all(_march(model, grid, config, values, 0.0, dt, record=False)[2] >= 0.0)
-    # the clamp of the march only removes round-off of the solve: the
-    # unclamped step through the factor is nonnegative to the solver tolerance
+    out = _march(model, grid, config, values, 0.0, dt, record=False)[2]
+    assert not np.signbit(out).any()
+    # why the march needs no clamp: M is strictly column-dominant, so
+    # SuperLU pivots on its diagonal, L and U keep the M-matrix signs, and
+    # a solve of nonnegative data adds up nonnegative terms only, -0.0 included
     (step,) = model.steps.values()
-    raw = step.lu.solve(values)
-    _check(step.M, config.linear_solver_tol, values, raw, 0)
-    assert raw.min() >= -config.linear_solver_tol * np.abs(raw).max()
+    lu = step.lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    for factor in (lu.L.tocoo(), lu.U.tocoo()):
+        assert np.all(factor.data[factor.row != factor.col] <= 0.0)
+    assert np.all(lu.U.diagonal() > 0.0)
+    x = lu.solve(values)
+    _check(step.M, config.linear_solver_tol, values, x, 0)
+    assert not np.signbit(x).any()
+    # a unit-mass panel, as assemble_Q marches it
+    m = min(PANEL, grid.n)
+    units = np.zeros((grid.n, m))
+    units[np.arange(m), np.arange(m)] = 1.0 / grid.cell_volume
+    assert not np.signbit(lu.solve(units)).any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,12 +408,13 @@ def test_inverse_without_a12_is_nonnegative(case, dt):
     # M is strictly column-dominant, so SuperLU factors it without row
     # exchanges and L and U keep the M-matrix signs: every entry of
     # S = lu.solve(I) is a sum of nonnegative terms, >= 0 in floating point
-    # too, and a dense step of a nonnegative state needs no clamp
+    # too, and a dense step of a nonnegative state needs no clamp; no entry
+    # is -0.0 either
     model, grid = case
     _march(model, grid, SolverConfig(n_steps=1), np.ones(grid.n), 0.0, dt, record=False)
     (step,) = model.steps.values()
     S = step.lu.solve(np.eye(grid.n))
-    assert S.min() >= 0.0
+    assert not np.signbit(S).any()
     assert step.inverse is None or np.array_equal(step.inverse, S)
 
 
@@ -434,21 +456,16 @@ def _dense_solve(M):
 def _reference_march(model, grid, config, values, s, T, factor=_splu_solve):
     """The per-step sparse march: solves through ``factor`` of I - dt*A_h,
     formed once for a time-homogeneous model and at every step for a
-    tabulated series, then the positivity clamp."""
+    tabulated series."""
     dt = (T - s) / config.n_steps
     times = s + dt * np.arange(config.n_steps + 1)
-    clamp = bool(np.all(values >= 0.0))
-    mixed = False
     solve = None
     p = np.array(values, dtype=float)
     for k in range(config.n_steps):
         if solve is None or model.time_dependent:
-            A, m = build_stencil(model, grid, times[k + 1])
-            mixed |= m
+            A = build_stencil(model, grid, times[k + 1])[0]
             solve = factor(identity(grid.n, format="csr") - dt * A)
         p = solve(p)
-        if clamp and not mixed:
-            np.maximum(p, 0.0, out=p)
     return p
 
 
@@ -516,40 +533,6 @@ def test_sparse_path_is_unchanged(monkeypatch):
             assert np.array_equal(out, ref)
 
 
-def _shifted(solve):
-    """``solve`` with its result moved down by 1e-13 of its largest entry,
-    well inside the residual check of a factored step."""
-    def shifted(rhs):
-        x = solve(rhs)
-        return x - 1e-13 * np.abs(x).max()
-    return shifted
-
-
-@pytest.mark.parametrize("sign", ["nonnegative", "mixed-sign"])
-def test_factored_clamp_bites_wherever_armed(monkeypatch, sign):
-    # the exact factored step rarely leaves round-off to clamp; a shifted
-    # solve leaves some wherever a unit mass at one end has not yet spread
-    grid = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 1])
-    model = constant_model([0.3], [[1.0]])
-    config = SolverConfig(n_steps=4)
-    values = np.zeros(grid.n)
-    values[0] = 1.0
-    if sign == "mixed-sign":
-        values[-1] = -1e-3
-
-    def shifted_splu(*args, **kwargs):
-        lu = splu(*args, **kwargs)
-        return SimpleNamespace(solve=_shifted(lu.solve), nnz=lu.nnz)
-
-    monkeypatch.setattr(kolmogorov, "splu", shifted_splu)
-    out = _march(model, grid, config, values, 0.0, 0.001, record=False)[2]
-    ref = _reference_march(
-        model, grid, config, values, 0.0, 0.001, factor=lambda M: _shifted(_splu_solve(M))
-    )
-    assert np.array_equal(out, ref)
-    assert (out.min() == 0.0) == (sign == "nonnegative")
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     case=st.sampled_from(["constant-1d", "series-2d", "series-2d-a12"]),
@@ -591,16 +574,11 @@ def test_uncertified_inverse_falls_back(heat):
 
 
 def _dense_reference(step, n_steps, values):
-    """Every state of the per-step dense march through a kept step: S @ p,
-    then the positivity clamp, armed when ``values`` is nonnegative and the
-    step has no a12 term."""
-    clamp = bool(np.all(values >= 0.0))
+    """Every state of the per-step dense march through a kept step: S @ p."""
     p = np.array(values, dtype=float)
     rows = [p]
     for _ in range(n_steps):
         p = step.inverse @ p
-        if clamp and not step.mixed:
-            np.maximum(p, 0.0, out=p)
         rows.append(p)
     return np.array(rows)
 
@@ -626,12 +604,20 @@ def test_buffered_march_matches_per_step_dense(case, n_steps, sign, record):
     assert step.inverse is not None
     ref = _dense_reference(step, n_steps, values)
     assert np.array_equal(out, ref if record else ref[-1])
-    # the inverse of an M-matrix is nonnegative, so the clamp rarely bites;
-    # a shifted S makes it bite wherever it is armed
-    step.inverse = step.inverse - 0.05 * step.inverse.max()
-    out = _march(model, grid, config, values, 0.0, 0.3, record=record)[2]
-    ref = _dense_reference(step, n_steps, values)
-    assert np.array_equal(out, ref if record else ref[-1])
+
+
+def test_negative_zero_input_keeps_its_sign_through_the_factor(heat):
+    # nothing is clamped, so the one sign bit a march can keep is that of an
+    # input that is -0.0 in every entry: each factored solve adds up -0.0
+    # terms only; one positive entry leaves no sign bit set
+    grid = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 3])
+    config = SolverConfig(n_steps=4)
+    zeros = np.full(grid.n, -0.0)
+    out = _march(heat, grid, config, zeros, 0.0, 0.1, record=True)[2]
+    assert not out.any() and np.signbit(out).all()
+    zeros[grid.n // 2] = 1.0
+    out = _march(heat, grid, config, zeros, 0.0, 0.1, record=True)[2]
+    assert not np.signbit(out[1:]).any()
 
 
 @pytest.mark.parametrize("case", ["dense", "sparse"])
@@ -661,16 +647,8 @@ def test_dense_step_rejects_non_finite(heat):
     config = SolverConfig(n_steps=2 * _CHUNK + 4)
     ones = np.ones(grid.n)
     # the first bad step lies in the second chunk, and a bad first entry
-    # of the input fails step 0; -inf is what the clamp of the
-    # nonnegative march would have turned into 0
+    # of the input fails step 0; a -inf stays in the state like a +inf
     k = _CHUNK + 7
-    # the clamp is armed on this input: over the k finite steps of the
-    # negative poison, row 0 of every state is clamped to 0
-    short = SolverConfig(n_steps=k)
-    _march(heat, grid, short, ones, 0.0, 0.5, record=False)
-    (step,) = heat.steps.values()
-    step.inverse = _poisoned(grid.n, k, -1.0)
-    assert not _march(heat, grid, short, ones, 0.0, 0.5, record=True)[2][1:, 0].any()
     for sign, record in itertools.product((-1.0, 1.0), (True, False)):
         heat.steps.clear()  # a step made afresh
         _march(heat, grid, config, ones, 0.0, 0.5, record=False)

@@ -15,7 +15,10 @@ tabulated series, and a 1-D ``linear-drift`` model, whose drift varies
 along the particles while its ``beta`` is fixed.  Then a 2-D
 tabulated series with diagonal ``beta`` goes through ``seed`` and through
 ``spectrum`` with ``assemble: true``, so that the steps a series keeps are
-compared on the resolvent, the Richardson check and the assembly.  The imports
+compared on the resolvent, the Richardson check and the assembly.  Last,
+the time-homogeneous ``seed-2d`` model on 12 x 12 nodes, above
+``DENSE_MAX_N``, goes through ``seed``, so that its steps, and those of
+``verify`` and ``evolve`` on its solution, are factored solves.  The imports
 write no bytecode, so the benchmark directory is left as it was.  Each
 input runs through ``python -m decrem`` of both trees, from a directory of
 its own holding the same files and with the same relative ``output_dir``,
@@ -63,7 +66,8 @@ def write_inputs(work):
                 cfg = wl.config(rng, "out", str(path))
                 (path / "config.json").write_text(json.dumps(cfg, indent=2))
                 cases.append((case, [wl.command, "config.json", *wl.extra_args(".")]))
-    return cases + write_mc_inputs(work) + write_series_2d_inputs(work)
+    cases += write_mc_inputs(work) + write_series_2d_inputs(work)
+    return cases + write_seed_2d_input(work)
 
 
 MIXED_BETA = [[0.9, 0.3], [-0.2, 0.6]]
@@ -160,6 +164,31 @@ def write_series_2d_inputs(work):
         (path / "config.json").write_text(json.dumps(cfg, indent=2))
         cases.append((case, [command, "config.json"]))
     return cases
+
+
+def write_seed_2d_input(work):
+    """Write a ``seed`` input of the ``seed-2d`` model on 12 x 12 = 144
+    nodes, with K = 32 and a bump, into ``work/inputs/seed-2d-12x12``;
+    returns its (case, argv) pair in a list."""
+    from decrem.kolmogorov import DENSE_MAX_N
+    from workloads import BETA_2D, DRIFT_2D
+
+    assert 12 * 12 > DENSE_MAX_N  # every step goes through the factor
+    case = "seed-2d-12x12"
+    path = work / "inputs" / case
+    path.mkdir(parents=True)
+    cfg = {
+        "domain": {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.0], "n_cells": [12, 12]},
+        "model": {"family": "constant", "drift": DRIFT_2D, "beta": BETA_2D},
+        "time": {"T": 0.3, "n_steps": 32},
+        "gamma": {"kind": "bump", "lo": [0.2, 0.3], "hi": [0.65, 0.75]},
+        # K = 32 leaves a refined residual of about 1.4e-2, above the default
+        # 5e-3; seed must pass for verify and evolve to run on its solution
+        "tolerances": {"verify_tol": 2e-2},
+        "output_dir": "out",
+    }
+    (path / "config.json").write_text(json.dumps(cfg, indent=2))
+    return [(case, ["seed", "config.json"])]
 
 
 def run(tree, cwd, argv):
