@@ -2,9 +2,15 @@
 
 One parser reads the command, its JSON config, repeated ``--set
 dotted.path=value`` overrides and ``--rho`` (evolve, mc) or ``--solution``
-(verify); a missing or unwanted one exits 2.  The command resolves defaults,
-echoes the effective config and writes a SHA-256 manifest; with no timestamps
-or absolute paths in reports, a rerun of one config and seed is identical.
+(verify); a missing or unwanted one exits 2.  Every command runs in one
+frame, :func:`main`: it loads the config with its defaults, builds the grid,
+the model and ``(SolverConfig, T)`` and hands them to the command's runner.
+The runner writes its outputs, prints its summary and returns the names it
+wrote with the failure it found after writing, or None; ``main`` then echoes
+the effective config to ``config.echo.json``, hashes every name into
+``manifest.json`` and raises that failure, so a run that exits 7 or 13
+after writing leaves a manifest too.  With no timestamps or absolute paths
+in reports, a rerun of one config and seed is identical.
 
 Every failure mode maps to a stable exit code, the ``exit_code`` of its
 class in :mod:`decrem.errors`; 0 is success and 1 an unexpected error.
@@ -13,7 +19,6 @@ class in :mod:`decrem.errors`; 0 is success and 1 an unexpected error.
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import math
@@ -113,12 +118,11 @@ def load_config(path, overrides=()):
             raise ConfigError(f"config is missing required key {key!r}")
     if not isinstance(cfg["output_dir"], str) or not cfg["output_dir"]:
         raise ConfigError(f"output_dir must be a non-empty string: {cfg['output_dir']!r}")
-    merged = copy.deepcopy(cfg)
     for block, defaults in _DEFAULTS.items():
-        target = merged.setdefault(block, {})
+        target = cfg.setdefault(block, {})
         for k, v in defaults.items():
             target.setdefault(k, v)
-    return merged
+    return cfg
 
 
 _MAX_COUNT = 10**8  # above any run that fits in memory
@@ -187,9 +191,9 @@ def _build_gamma(cfg, grid, base_dir):
     if "gamma" not in cfg:
         raise ConfigError("this command needs a gamma block in the config")
     spec = dict(cfg["gamma"])
-    if spec.get("kind") == "csv":
-        spec["file"] = os.path.join(base_dir, spec["file"])
     try:
+        if spec.get("kind") == "csv":
+            spec["file"] = os.path.join(base_dir, spec["file"])
         return realize_gamma(grid, spec)
     except (KeyError, ValueError, TypeError, OSError) as exc:
         raise ConfigError(f"bad gamma block: {exc}") from exc
@@ -259,10 +263,7 @@ def _verifiable(config):
         )
 
 
-def cmd_seed(cfg, base_dir):
-    grid = _build_grid(cfg)
-    model = _build_model(cfg, grid, base_dir)
-    config, T = _build_solver(cfg)
+def cmd_seed(cfg, base_dir, grid, model, config, T, _):
     _verifiable(config)
     gamma = _build_gamma(cfg, grid, base_dir)
     tol = _tolerances(cfg)
@@ -285,42 +286,32 @@ def cmd_seed(cfg, base_dir):
     names = [os.path.join("solution", n) for n in solution.save(os.path.join(out_dir, "solution"))]
     names.append(_save_json(out_dir, "verification.json",
                             verification.to_json_dict(solution.residual)))
-    _write_manifest(out_dir, names, cfg)
     print(f"alpha     {solution.alpha:.12g}")
     print(f"residual  {solution.residual:.3e} ({solution.resolvent.method}, "
           f"{solution.resolvent.iterations} operator applications)")
     print(f"verify    refined residual {verification.residual_refined:.3e}, "
           f"time error {verification.time_error_est:.3e}, "
           f"mass decreasing: {verification.mass_decreasing}")
-    if not verification.passed:
-        raise VerificationFailed(
-            f"refined residual {verification.residual_refined:.3e} exceeds "
-            f"verify_tol {tol['verify_tol']:g} or mass curve not decreasing"
-        )
-    return 0
+    return names, None if verification.passed else VerificationFailed(
+        f"refined residual {verification.residual_refined:.3e} exceeds "
+        f"verify_tol {tol['verify_tol']:g} or mass curve not decreasing"
+    )
 
 
-def cmd_evolve(cfg, base_dir, rho_path):
-    grid = _build_grid(cfg)
-    model = _build_model(cfg, grid, base_dir)
-    config, T = _build_solver(cfg)
+def cmd_evolve(cfg, base_dir, grid, model, config, T, rho_path):
     rho = _read_rho(grid, rho_path)
     traj = evolve(model, grid, config, rho, 0.0, T)
     out_dir = cfg["output_dir"]
     traj_dir = os.path.join(out_dir, "trajectory")
     names = [os.path.join("trajectory", n) for n in save_trajectory(traj, traj_dir)]
-    _write_manifest(out_dir, names, cfg)
     print(f"evolved to T={T:g} in {config.n_steps} steps ({SCHEME})")
     print(f"final mass {traj.masses[-1]:.12g}")
     if not traj.positivity_certified:
         print("warning: positivity not certified: the model has an a12 (cross-diffusion) term")
-    return 0
+    return names, None
 
 
-def cmd_spectrum(cfg, base_dir):
-    grid = _build_grid(cfg)
-    model = _build_model(cfg, grid, base_dir)
-    config, T = _build_solver(cfg)
+def cmd_spectrum(cfg, base_dir, grid, model, config, T, _):
     spec = cfg["spectrum"]
     max_iter = _count(spec["max_iter"], "spectrum.max_iter")
     cap = _count(spec["cap"], "spectrum.cap")
@@ -354,14 +345,11 @@ def cmd_spectrum(cfg, base_dir):
         )
         names.append("singular_values.csv")
     names.append(_save_json(out_dir, "spectrum.json", payload))
-    _write_manifest(out_dir, names, cfg)
     print(f"spectral radius {est.value:.9g} "
           f"(converged: {est.converged}, {est.iterations} iterations)")
-    if not est.converged:
-        raise NoConvergence(
-            f"power iteration did not stabilize in {max_iter} iterations"
-        )
-    return 0
+    return names, None if est.converged else NoConvergence(
+        f"power iteration did not stabilize in {max_iter} iterations"
+    )
 
 
 def _coarsen(values, grid, bins):
@@ -373,10 +361,7 @@ def _coarsen(values, grid, bins):
     return w.reshape(-1)
 
 
-def cmd_mc(cfg, base_dir, rho_path):
-    grid = _build_grid(cfg)
-    model = _build_model(cfg, grid, base_dir)
-    config, T = _build_solver(cfg)
+def cmd_mc(cfg, base_dir, grid, model, config, T, rho_path):
     mc = cfg["mc"]
     n = _count(mc["n_particles"], "mc.n_particles")
     bins = min(_count(mc["bins"], "mc.bins"), min(grid.n_cells))
@@ -414,17 +399,13 @@ def cmd_mc(cfg, base_dir, rho_path):
         "dt": dt,
     }
     names.append(_save_json(out_dir, "comparison.json", comparison))
-    _write_manifest(out_dir, names, cfg)
     print(f"master seed {int(seed)}")
     print(f"survival: mc {estimate.survival:.6f} vs pde {comparison['survival_pde']:.6f}")
     print(f"z-scores within +-4: {100.0 * comparison['frac_abs_z_le_4']:.1f}%")
-    return 0
+    return names, None
 
 
-def cmd_verify(cfg, base_dir, solution_dir):
-    grid = _build_grid(cfg)
-    model = _build_model(cfg, grid, base_dir)
-    config, T = _build_solver(cfg)
+def cmd_verify(cfg, base_dir, grid, model, config, T, solution_dir):
     _verifiable(config)
     gamma = _build_gamma(cfg, grid, base_dir)
     tol = _tolerances(cfg)
@@ -452,22 +433,22 @@ def cmd_verify(cfg, base_dir, solution_dir):
     os.makedirs(out_dir, exist_ok=True)
     names = [_save_json(out_dir, "verification.json",
                         verification.to_json_dict(stored_residual))]
-    _write_manifest(out_dir, names, cfg)
     print(f"refined residual {verification.residual_refined:.3e} "
           f"(stored {stored_residual:.3e}), "
           f"time error {verification.time_error_est:.3e}")
     print(f"mass decreasing: {verification.mass_decreasing}")
     if not verification.passed:
-        raise VerificationFailed(
+        return names, VerificationFailed(
             f"solution in {solution_dir} fails re-evolution: refined residual "
             f"{verification.residual_refined:.3e} > {tol['verify_tol']:g} "
             f"or mass curve not decreasing"
         )
     print("verification passed")
-    return 0
+    return names, None
 
 
-# command -> (runner, the one option it needs, help); the option goes to the runner
+# command -> (runner, the one option it needs, help); main passes the runner
+# the built run and that option's value, None for a command that needs none
 _COMMANDS = {
     "seed": (cmd_seed, None, "construct, verify and export a seed density"),
     "evolve": (cmd_evolve, "rho", "evolve a density and export the trajectory"),
@@ -505,9 +486,14 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, args.overrides)
         base_dir = os.path.dirname(os.path.abspath(args.config))
-        if needs is None:
-            return run(cfg, base_dir)
-        return run(cfg, base_dir, getattr(args, needs))
+        grid = _build_grid(cfg)
+        model = _build_model(cfg, grid, base_dir)
+        config, T = _build_solver(cfg)
+        names, failure = run(cfg, base_dir, grid, model, config, T, vars(args).get(needs))
+        _write_manifest(cfg["output_dir"], names, cfg)
+        if failure is not None:
+            raise failure
+        return 0
     except ToolkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

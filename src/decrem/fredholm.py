@@ -170,7 +170,9 @@ def resolvent_dense(opmat, gamma):
 
 def singular_values(opmat):
     """Singular values of the kernel matrix times the cell volume, largest first.
-    The SVD takes the kernel and works in its storage: ``opmat.matrix`` is None."""
+    The SVD takes the kernel and works in its storage: ``opmat.matrix`` is None.
+    Their last bits depend on the BLAS thread count, so they are byte-stable
+    only at a fixed one."""
     Q, opmat.matrix = opmat.matrix, None
     return opmat.grid.cell_volume * svd(Q, compute_uv=False, overwrite_a=True)
 

@@ -15,7 +15,8 @@ M-matrix structure and are flagged.
 
 Every assembly of A_h first certifies that 2a = beta beta^T is finite and
 positive definite at every node, and every march certifies its ends s and
-T too, so a march is certified wherever a step reads the coefficients.
+T too, unless a kept step already carries that certificate, so a march is
+certified wherever a step reads the coefficients.
 
 Every time step from t_k to t_{k+1} solves M p_new = p with the step
 matrix M = I - dt*A_h(t_{k+1}).  The sparse generator is assembled straight
@@ -319,7 +320,11 @@ def _steps(model, grid, config, s, T):
     its step to t_{k+1}: a time-homogeneous model's one step, fetched here,
     or a series' step at each time.  Ellipticity is certified at s and T
     here, through A_h or directly for a series, whose steps read the
-    coefficients at t_1, ..., t_K only, so s is certified here or nowhere."""
+    coefficients at t_1, ..., t_K only, so s is certified here or nowhere.
+    A series skips an end whose certificate a kept step carries: its step
+    to t_K certified T when it was built, and its step to t_1 came from a
+    march with this dt through t_1, which certified every time up to t_1,
+    s included."""
     if not T > s:
         raise ValueError(f"need s < T, got s={s}, T={T}")
     times = _step_times(config, s, T)
@@ -327,8 +332,9 @@ def _steps(model, grid, config, s, T):
     tol = config.linear_solver_tol
     if model.time_dependent:
         pts = grid.nodes()
-        for t in (s, T):
-            _certify(eval_a(model, pts, t), pts, t)
+        for t, step_to in ((s, times[1]), (T, times[-1])):
+            if (grid, tol, dt, step_to) not in model.steps:
+                _certify(eval_a(model, pts, t), pts, t)
         return times, lambda k: _step(model, grid, tol, dt, times[k + 1])
     step = _step(model, grid, tol, dt, s)
     return times, lambda k: step

@@ -975,6 +975,27 @@ def test_cmd_seed_rejects_malformed_config(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["seed", "verify"])
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"gamma": {"kind": "csv"}},
+        {"gamma": {"kind": "csv", "file": 5}},
+        {"gamma": {"kind": "tiles", "values": [1.0, 2.0]}},
+        {"model": {"family": "linear-drift", "center": [0.5]}},
+    ],
+    ids=["csv-without-file", "csv-file-not-a-path", "tiles-without-shape",
+         "linear-drift-without-rate"],
+)
+def test_block_missing_a_required_key_exits_2(tmp_path, capsys, command, patch):
+    path = tmp_path / "run.json"
+    write_config(path, **patch)
+    solution = ["--solution", str(tmp_path / "solution")] if command == "verify" else []
+    assert main([command, str(path), *solution]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _write_series(tmp_path, degenerate_at):
     """A tabulated series over [0, 0.5] sampled at 0, 0.25 and 0.5, with
     beta 0 at the sample ``degenerate_at`` and 1 at the others; returns the
@@ -1121,18 +1142,33 @@ def test_cmd_spectrum_over_cap_exits_10_before_any_work(tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
-def test_failed_verification_exits_13_after_writing(tmp_path):
+def _manifest_names(out):
+    return {e["name"] for e in json.loads((out / "manifest.json").read_text())["files"]}
+
+
+def test_failed_verification_exits_13_after_writing(tmp_path, capsys):
     # no refined march meets verify_tol = 1e-12: seed and verify both write
-    # verification.json with passed false, then exit 13
+    # verification.json with passed false, then exit 13; both leave the
+    # summary on stdout and a manifest of every file they wrote
     path = tmp_path / "run.json"
     write_config(path)
     strict = ["--set", "tolerances.verify_tol=1e-12"]
     assert main(["seed", str(path)] + strict) == 13
-    assert json.loads((tmp_path / "out" / "verification.json").read_text())["passed"] is False
-    assert _verify(path, tmp_path / "out" / "solution", tmp_path / "v") == 0
-    args = ["verify", str(path), "--solution", str(tmp_path / "out" / "solution")]
+    out = tmp_path / "out"
+    assert json.loads((out / "verification.json").read_text())["passed"] is False
+    assert _manifest_names(out) == {str(p.relative_to(out)) for p in out.rglob("*")
+                                    if p.is_file() and p.name != "manifest.json"}
+    stdout = capsys.readouterr().out
+    assert all(line in stdout for line in ("alpha ", "residual ", "verify    refined"))
+    assert _verify(path, out / "solution", tmp_path / "v") == 0
+    args = ["verify", str(path), "--solution", str(out / "solution")]
+    capsys.readouterr()
     assert main(args + strict + ["--set", f"output_dir={tmp_path / 'v2'}"]) == 13
     assert json.loads((tmp_path / "v2" / "verification.json").read_text())["passed"] is False
+    assert _manifest_names(tmp_path / "v2") == {"verification.json", "config.echo.json"}
+    stdout = capsys.readouterr().out
+    assert "refined residual" in stdout and "mass decreasing: " in stdout
+    assert "verification passed" not in stdout
 
 
 def test_cmd_evolve_warns_without_positivity_certificate(tmp_path, capsys):

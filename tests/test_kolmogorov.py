@@ -21,6 +21,7 @@ from decrem import (
     mass,
     mass_curve,
     ou_model,
+    propagator_action,
     tabulated_model,
 )
 from decrem import kolmogorov
@@ -894,6 +895,24 @@ def test_march_certifies_series_ends(monkeypatch, where):
     with pytest.raises(EllipticityViolation) as err:
         _steps(table, grid, SolverConfig(n_steps=8), 0.0, 0.5)
     assert err.value.t == where and err.value.eigenvalue == 0.0
+    assert calls == []
+
+
+def test_kept_series_is_not_certified_again(monkeypatch):
+    # every step of the march is kept, and its steps to t_1 and t_K carry
+    # the certificates of both ends, so a second application reads no
+    # coefficients at all
+    table, grid = _series(None)
+    act = propagator_action(table, grid, SolverConfig(n_steps=8), 0.5)
+    first = act(np.ones(grid.n))
+    calls = []
+
+    def counted(model, pts, t):
+        calls.append(t)
+        return eval_a(model, pts, t)
+
+    monkeypatch.setattr(kolmogorov, "eval_a", counted)
+    assert np.array_equal(act(np.ones(grid.n)), first)
     assert calls == []
 
 

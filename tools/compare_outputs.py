@@ -18,18 +18,23 @@ tabulated series with diagonal ``beta`` goes through ``seed`` and through
 compared on the resolvent, the Richardson check and the assembly.  Last,
 the time-homogeneous ``seed-2d`` model on 12 x 12 nodes, above
 ``DENSE_MAX_N``, goes through ``seed``, so that its steps, and those of
-``verify`` and ``evolve`` on its solution, are factored solves.  The imports
+``verify`` and ``evolve`` on its solution, are factored solves.  Then two
+1-D inputs fail after writing: a ``seed`` whose ``verify_tol`` of 1e-12 no
+refined march meets (exit 13), and a ``spectrum`` whose power iteration
+stops after ``max_iter`` = 1 (exit 7).  The imports
 write no bytecode, so the benchmark directory is left as it was.  Each
 input runs through ``python -m decrem`` of both trees, from a directory of
 its own holding the same files and with the same relative ``output_dir``,
 so ``config.echo.json`` and ``manifest.json`` compare as well.  Every
-``seed`` solution that a tree writes is then checked by ``decrem verify``
-and evolved by ``decrem evolve`` of that tree.  BLAS runs on one thread, since
-the dense time steps are BLAS products whose bits depend on it.
+``seed`` solution that a tree writes, whether its verification passed (exit
+0) or not (exit 13), is then checked by ``decrem verify`` with the same
+config, and evolved by ``decrem evolve``, of that tree.  BLAS runs on one
+thread, since the dense time steps are BLAS products whose bits depend on it.
 
-The script prints each command whose exit code or standard output differs
-and each output file whose bytes differ, then a summary.  It exits 0 either
-way: the comparison is tracked, not a gate.
+The script prints each command whose exit code, standard output or, for a
+non-zero exit, last line of standard error differs and each output file
+whose bytes differ, then a summary.  It exits 0 either way: the comparison
+is tracked, not a gate.
 """
 
 import argparse
@@ -67,7 +72,7 @@ def write_inputs(work):
                 (path / "config.json").write_text(json.dumps(cfg, indent=2))
                 cases.append((case, [wl.command, "config.json", *wl.extra_args(".")]))
     cases += write_mc_inputs(work) + write_series_2d_inputs(work)
-    return cases + write_seed_2d_input(work)
+    return cases + write_seed_2d_input(work) + write_late_failure_inputs(work)
 
 
 MIXED_BETA = [[0.9, 0.3], [-0.2, 0.6]]
@@ -191,25 +196,52 @@ def write_seed_2d_input(work):
     return [(case, ["seed", "config.json"])]
 
 
+def write_late_failure_inputs(work):
+    """Write a ``seed`` input that exits 13 and a ``spectrum`` input that
+    exits 7, each after writing its outputs, into
+    ``work/inputs/<command>-late-failure``; returns (case, argv) pairs."""
+    cfg = {
+        "domain": {"dim": 1, "lo": [0.0], "hi": [1.0], "n_cells": [32]},
+        "model": {"family": "constant", "drift": [0.3], "beta": [[1.0]]},
+        "time": {"T": 0.5, "n_steps": 32},
+        "gamma": {"kind": "eigenmode"},
+        "tolerances": {"verify_tol": 1e-12},
+        "spectrum": {"max_iter": 1},
+        "output_dir": "out",
+    }
+    cases = []
+    for command in ("seed", "spectrum"):
+        case = f"{command}-late-failure"
+        path = work / "inputs" / case
+        path.mkdir(parents=True)
+        (path / "config.json").write_text(json.dumps(cfg, indent=2))
+        cases.append((case, [command, "config.json"]))
+    return cases
+
+
 def run(tree, cwd, argv):
-    """Run ``python -m decrem argv`` of ``tree`` in ``cwd``; returns (exit code, stdout)."""
+    """Run ``python -m decrem argv`` of ``tree`` in ``cwd``; returns (exit
+    code, stdout, the last line of stderr, or None when the run exits 0)."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"), OPENBLAS_NUM_THREADS="1")
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     done = subprocess.run(
         [sys.executable, "-m", "decrem", *argv], cwd=cwd, env=env,
         capture_output=True, text=True,
     )
-    return done.returncode, done.stdout
+    last = (done.stderr.splitlines() or [""])[-1] if done.returncode else None
+    return done.returncode, done.stdout, last
 
 
 def run_tree(tree, label, work, cases):
-    """Every command of every case through ``tree``; returns {(case, command): (code, stdout)}."""
+    """Every command of every case through ``tree``; returns
+    {(case, command): (code, stdout, last stderr line)}."""
     results = {}
     for case, argv in cases:
         cwd = work / label / case
         shutil.copytree(work / "inputs" / case, cwd)
         results[case, argv[0]] = run(tree, cwd, argv)
-        if argv[0] == "seed" and results[case, "seed"][0] == 0:
+        # exit 13 comes after the solution is written
+        if argv[0] == "seed" and results[case, "seed"][0] in (0, 13):
             follow = (
                 ("verify", ["--solution", "out/solution", "--set", "output_dir=verify"]),
                 ("evolve", ["--rho", "out/solution/rho.csv", "--set", "output_dir=evolve"]),
@@ -236,7 +268,7 @@ def compare(base_tree, head_tree, work):
             differing_runs += 1
             codes = [r[0] if r else "not run" for r in (base.get(key), head.get(key))]
             print(f"differs: {key[1]} on {key[0]}: exit {codes[0]} -> {codes[1]}"
-                  + ("" if codes[0] != codes[1] else ", standard output"))
+                  + ("" if codes[0] != codes[1] else ", standard output or error"))
     compared = differing_files = 0
     for case, _ in cases:
         tops = work / "base" / case, work / "head" / case
@@ -246,8 +278,9 @@ def compare(base_tree, head_tree, work):
             if not all(p.is_file() for p in paths) or paths[0].read_bytes() != paths[1].read_bytes():
                 differing_files += 1
                 print(f"differs: {case}/{name}")
-    tally = [Counter(code for code, _ in r.values()) for r in (base, head)]
-    print(f"{len(runs)} runs, {differing_runs} with another exit code or standard output "
+    tally = [Counter(code for code, *_ in r.values()) for r in (base, head)]
+    print(f"{len(runs)} runs, {differing_runs} with another exit code, standard output "
+          f"or last standard error line "
           f"(exit codes: base {dict(tally[0])}, head {dict(tally[1])}); "
           f"{compared} files, {differing_files} with other bytes")
 
