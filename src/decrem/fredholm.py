@@ -24,7 +24,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CapExceeded, NoConvergence
 from .grid import DensityField, _write_json
-from .kolmogorov import PANEL, SCHEME, _march, _steps
+from .kolmogorov import SCHEME, _march, _steps
 
 
 @dataclass
@@ -94,8 +94,8 @@ class SpectralEstimate:
 
 
 def propagator_action(model, grid, config, T, record=False):
-    """Q over [0, T] as a callable on flat vectors or (n, m) blocks of them,
-    for power and Krylov iterations and the dense assembly.
+    """Q over [0, T] as a callable on flat vectors, for power and Krylov
+    iterations.
 
     The model is certified here, by the preamble of every march, not at the
     first call.  The model keeps the steps of the calls' step size, so all
@@ -116,20 +116,17 @@ def _check_cap(grid, cap):
 def assemble_Q(model, grid, config, T, cap=4096):
     """Dense diagnostic assembly of Q, one column per unit-mass cell density.
 
-    Applies :func:`propagator_action` to the unit masses ``PANEL`` cells at
-    a time, all panels through the steps a power iteration over the same T
-    left kept, and writes each panel's columns into the N x N result,
-    which is column-major as :meth:`OperatorMatrix.save` writes it.
+    The N x N result, column-major as :meth:`OperatorMatrix.save` writes
+    it, starts as the unit masses, 1/cell_volume on its diagonal, and one
+    :func:`_march` steps it in its own storage, ``PANEL`` columns at a
+    time, through the steps a power iteration over the same T left kept.
+    The march fetches each step once, so a series factors each of its
+    steps at most once per assembly.
     """
     _check_cap(grid, cap)
-    n = grid.n
-    act = propagator_action(model, grid, config, T)
-    Q = np.empty((n, n), order="F")
-    for j in range(0, n, PANEL):
-        m = min(PANEL, n - j)
-        units = np.zeros((n, m))
-        units[j + np.arange(m), np.arange(m)] = 1.0 / grid.cell_volume
-        Q[:, j : j + m] = act(units)
+    Q = np.zeros((grid.n, grid.n), order="F")
+    np.fill_diagonal(Q, 1.0 / grid.cell_volume)
+    _march(model, grid, config, Q, 0.0, T, record=False)
     return OperatorMatrix(matrix=Q, grid=grid, T=float(T), n_steps=config.n_steps)
 
 
@@ -171,10 +168,15 @@ def resolvent_dense(opmat, gamma):
 def singular_values(opmat):
     """Singular values of the kernel matrix times the cell volume, largest first.
     The SVD takes the kernel and works in its storage: ``opmat.matrix`` is None.
-    Their last bits depend on the BLAS thread count, so they are byte-stable
-    only at a fixed one."""
+    A kernel with a NaN or an infinity raises svd's ValueError first, from
+    its sum, which is finite only if every entry is, and so without svd's
+    N x N mask.  Their last bits depend on the BLAS thread count, so they
+    are byte-stable only at a fixed one."""
     Q, opmat.matrix = opmat.matrix, None
-    return opmat.grid.cell_volume * svd(Q, compute_uv=False, overwrite_a=True)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN: not finite
+        if not np.isfinite(Q.sum()):
+            raise ValueError("array must not contain infs or NaNs")
+    return opmat.grid.cell_volume * svd(Q, compute_uv=False, overwrite_a=True, check_finite=False)
 
 
 def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200):

@@ -31,8 +31,9 @@ relative residual exceeds ``linear_solver_tol`` raises
 from the factor and used only under a certificate that bounds the relative
 residual of every product S @ p, round-off included, by
 ``linear_solver_tol``.  One loop, :func:`_march`, takes every step of a
-march of a vector or of an (n, m) block of them, and :func:`evolve` keeps
-its states, read-only, as the trajectory.
+march of a vector, or of an (n, m) block of them in the block's own
+storage, and :func:`evolve` keeps its states, read-only, as the
+trajectory.
 
 This module alone decides which marches share a factor, by the one keep
 rule of :func:`_step`.
@@ -65,9 +66,12 @@ DENSE_MAX_N = 128
 #: a march without ``record`` buffers no more rows than this.
 _CHUNK = 32
 
-#: Columns per block: :func:`fredholm.assemble_Q` marches unit masses in
-#: panels this wide, and a factored block step checks its residual by them.
-PANEL = 64
+#: Columns per panel: :func:`_march` steps a block, the kernel of
+#: :func:`fredholm.assemble_Q`, this many columns at a time, so a step
+#: holds a few n x PANEL temporaries beside it.  Measured on one CPU, the
+#: SuperLU solve of the 28 x 28 factor takes 13-15 us per column at 32
+#: and at 64 alike, so the narrower panel costs no time.
+PANEL = 32
 
 #: Bytes of the steps one model keeps, 12 per nonzero of each sparse matrix
 #: and 8 per entry of a dense inverse; the first step of a size is kept past
@@ -292,21 +296,12 @@ def _certified_inverse(M, lu, tol):
 
 
 def _check(M, tol, rhs, x, k):
-    """Relative 2-norm residual of the solve of step ``k``, column by column,
-    ``PANEL`` columns at a time so that a block gets no full-size temporary."""
-    tol2 = tol**2
-    if x.ndim == 1:
-        d = rhs - M @ x
-        ok = d @ d <= tol2 * (rhs @ rhs)
-    else:
-        ok = True
-        for j in range(0, x.shape[1], PANEL):
-            r = rhs[:, j : j + PANEL]
-            d = r - M @ x[:, j : j + PANEL]
-            sq = np.einsum("ij,ij->j", d, d)
-            ok &= bool(np.all(sq <= tol2 * np.einsum("ij,ij->j", r, r)))
-    # the comparisons are written so that a NaN residual fails too
-    if not ok:
+    """Relative 2-norm residual of the solve ``x`` of step ``k``: of the
+    vector, or of each column of the panel."""
+    d = rhs - M @ x
+    sq = np.einsum("i...,i...->...", d, d)
+    # the comparison is written so that a NaN residual fails too
+    if not np.all(sq <= tol**2 * np.einsum("i...,i...->...", rhs, rhs)):
         raise LinearSolveFailure(f"solve at step {k} missed relative residual {tol:g}")
 
 
@@ -341,59 +336,75 @@ def _steps(model, grid, config, s, T):
 
 
 def _march(model, grid, config, values, s, T, record):
-    """March the flat vector, or (n, m) block, ``values`` over every
-    implicit-Euler step from s to T, the stepping core.
+    """March the flat vector ``values``, or the (n, m) block ``values`` in
+    its own storage, over every implicit-Euler step from s to T: the
+    stepping core.
 
-    The states go through one buffer, a chunk of steps at a time: with
-    ``record`` it holds all K + 1 states and is returned; otherwise it
-    holds one chunk, restarted from its last state, and the final state
-    is returned.  Under the certified dense inverse step k writes S @ p
-    with no check of its own, and the finiteness of a chunk's states is
-    checked once per chunk of at most ``_CHUNK`` steps; a bad state raises
-    :class:`LinearSolveFailure` naming the first bad step.  Otherwise every
-    chunk is one step, whose two rows swap instead of restarting: solved
-    through the step's factor, fetched anew for a tabulated series, and
-    checked by :func:`_check`.  Nothing is clamped: without an a12 term M
-    is strictly column-dominant, so SuperLU pivots on its diagonal, L and U
-    keep the M-matrix signs, and the solve and S @ p of a nonnegative state
-    add up nonnegative terms only.
+    Its one loop fetches each step once, a tabulated series' step of each
+    time or a time-homogeneous model's one step.  Under the certified
+    dense inverse S a step is the product S @ p, otherwise a solve through
+    the step's factor, checked by :func:`_check`.  A block is stepped
+    ``PANEL`` columns at a time, and each panel's new state, its product
+    checked finite or its solve checked, is written back in place.  A
+    vector's states go through one buffer, a chunk of steps at a time:
+    with ``record`` it holds all K + 1 states and is returned; otherwise it
+    holds one chunk, restarted from its last state, and the final state is
+    returned.  Under S a chunk is at most ``_CHUNK`` steps, and its states'
+    finiteness is checked once at its end; a bad state raises
+    :class:`LinearSolveFailure` naming the first bad step.  Through the
+    factor a chunk is one step, whose two rows swap instead of restarting.
+    Nothing is clamped: without an a12 term M is strictly column-dominant,
+    so SuperLU pivots on its diagonal, L and U keep the M-matrix signs, and
+    the solve and S @ p of a nonnegative state add up nonnegative terms
+    only.
 
-    Returns the times, whether a step had an a12 term, and the states.
+    Returns the times, whether a step had an a12 term, and the states, or
+    the block itself.
     """
     times, step_at = _steps(model, grid, config, s, T)
-    if model.time_dependent:  # the loop fetches and reads each step
-        S, mixed = None, False
-    else:
-        S, mixed = step_at(0).inverse, step_at(0).mixed
-    K = config.n_steps
-    chunk = 1 if S is None else min(K, _CHUNK)
-    states = np.empty((K + 1 if record else chunk + 1,) + np.shape(values))
-    states[0] = values
+    S = None if model.time_dependent else step_at(0).inverse
+    K, tol, mixed = config.n_steps, config.linear_solver_tol, False
+    in_place = np.ndim(values) == 2
+    chunk = 1 if S is None or in_place else min(K, _CHUNK)
+    if not in_place:
+        states = np.empty((K + 1 if record else chunk + 1,) + np.shape(values))
+        states[0] = values
     last = 0
     for k0 in range(0, K, chunk):
         m = min(chunk, K - k0)
+        step = step_at(k0)
+        mixed |= step.mixed
+        if in_place:  # a chunk of one step, panel by panel
+            for j in range(0, values.shape[1], PANEL):
+                x = values[:, j : j + PANEL]
+                new = step.lu.solve(x) if S is None else S @ x
+                if S is None:
+                    _check(step.M, tol, x, new, k0)
+                elif not np.isfinite(new).all():
+                    raise LinearSolveFailure(f"solve at step {k0} is not finite")
+                x[...] = new
+            continue
         if record:
-            block = states[k0 : k0 + m + 1]
+            rows = states[k0 : k0 + m + 1]
         elif chunk == 1:  # the two rows take turns, so no state is copied
-            block = states[::-1] if k0 % 2 else states
+            rows = states[::-1] if k0 % 2 else states
         else:
             states[0] = states[last]
-            block = states[: m + 1]
-        for x, out in zip(block[:-1], block[1:]):
+            rows = states[: m + 1]
+        for x, out in zip(rows[:-1], rows[1:]):
             if S is not None:
                 S.dot(x, out=out)
             else:  # a chunk of one: this is step k0
-                step = step_at(k0)
-                mixed |= step.mixed
-                # SuperLU returns F-ordered blocks; the row takes a C-ordered copy
                 out[...] = step.lu.solve(x)
-                _check(step.M, config.linear_solver_tol, x, out, k0)
-        if S is not None:  # block[j + 1] is the state of step k0 + j
-            finite = np.isfinite(block[1:].reshape(m, -1)).all(axis=1)
+                _check(step.M, tol, x, out, k0)
+        if S is not None:  # rows[j + 1] is the state of step k0 + j
+            finite = np.isfinite(rows[1:]).all(axis=1)
             if not finite.all():
                 bad = k0 + int(np.argmin(finite))
                 raise LinearSolveFailure(f"solve at step {bad} is not finite")
         last = m
+    if in_place:
+        return times, mixed, values
     return times, mixed, states if record else states[K % 2 if chunk == 1 else last].copy()
 
 

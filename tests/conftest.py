@@ -16,6 +16,7 @@ from decrem import (
     constant_model,
     make_grid,
     propagator_action,
+    tabulated_model,
 )
 from decrem.grid import _write_table
 
@@ -29,6 +30,19 @@ def apply_Q(model, grid, config, xi, T):
     """One application of the time-T operator Q to the field ``xi``, through
     a propagator of its own."""
     return DensityField(grid, propagator_action(model, grid, config, T)(xi.values))
+
+
+def diagonal_series(grid):
+    """A 3-sample tabulated series over [0, 0.3] on the 2-D ``grid``, with
+    random drift and a random diagonal beta."""
+    rng = np.random.default_rng(5)
+    samples = []
+    for _ in range(3):
+        beta = np.zeros((grid.n, 2, 2))
+        beta[:, 0, 0] = rng.uniform(0.8, 1.2, grid.n)
+        beta[:, 1, 1] = rng.uniform(0.6, 0.9, grid.n)
+        samples.append((rng.uniform(-0.5, 0.5, (grid.n, 2)), beta))
+    return tabulated_model(grid, None, None, times=[0.0, 0.15, 0.3], series=samples)
 
 
 def write_coefficient_csv(grid, path, drift_values, beta_values):

@@ -28,7 +28,7 @@ from decrem import (
 )
 from decrem import fredholm, kolmogorov
 from decrem.kolmogorov import PANEL
-from conftest import apply_Q, sampled_sine
+from conftest import apply_Q, diagonal_series, sampled_sine
 
 DECAY_1 = np.exp(-np.pi**2 / 2)
 
@@ -212,8 +212,8 @@ def _count_Q(monkeypatch):
 
 
 def test_assembly_marches_panels_through_Q(heat, monkeypatch):
-    # 150 nodes: two full panels and one of 22 columns, every step of them
-    # taken by a march of propagator_action
+    # 150 nodes: four full panels and one of 22 columns, every step taken
+    # once by one march of the kernel, panel by panel
     grid = make_grid(1, [0.0], [1.0], [150])
     config = SolverConfig(n_steps=6)
     applied = _count_Q(monkeypatch)
@@ -227,8 +227,10 @@ def test_assembly_marches_panels_through_Q(heat, monkeypatch):
     # every factored step checks its residual once
     monkeypatch.setattr(kolmogorov, "_check", counted_check)
     opmat = assemble_Q(heat, grid, config, 0.2)
-    assert len(applied) == -(-grid.n // PANEL) == 3
-    assert steps == 3 * list(range(config.n_steps))
+    assert len(applied) == 1
+    panels = -(-grid.n // PANEL)
+    assert panels == 5
+    assert steps == [k for k in range(config.n_steps) for _ in range(panels)]
     j = 140
     delta = np.zeros(grid.n)
     delta[j] = 1.0 / grid.cell_volume
@@ -249,6 +251,73 @@ def test_assembly_peak_memory_below_two_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 2 * grid.n**2 * 8
+
+
+def test_assembly_peak_memory_below_the_kernel_and_four_panels():
+    # the kernel is its own march buffer: beside it a step holds a panel's
+    # solve, its residual and their temporaries
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [28, 28])
+    model = constant_model([0.2, -0.1], [[1.0, 0.0], [0.0, 0.7]])
+    config = SolverConfig(n_steps=4)
+    assemble_Q(model, grid, config, 0.5)  # the kept generator is no part of the peak
+    tracemalloc.start()
+    try:
+        assemble_Q(model, grid, config, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n**2 * 8 + 4 * grid.n * PANEL * 8
+
+
+@pytest.mark.parametrize("case", ["dense-10x10", "sparse-12x12", "series-10x12"])
+def test_assembled_kernel_is_Q_of_each_unit_mass(case, monkeypatch):
+    # every column of the kernel, marched in its own storage a panel at a
+    # time, holds the bits of a march of its unit mass alone; the series
+    # keeps only its first step, so the assembly and each march factor anew
+    drifted = constant_model([0.2, -0.1], [[1.0, 0.0], [0.0, 0.7]])
+    if case == "series-10x12":
+        monkeypatch.setattr(kolmogorov, "KEEP_BYTES", 0)
+        grid = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
+        model = diagonal_series(grid)
+    else:
+        n = 10 if case == "dense-10x10" else 12
+        grid, model = make_grid(2, [0.0, 0.0], [1.0, 1.0], [n, n]), drifted
+    config = SolverConfig(n_steps=16)
+    Q = assemble_Q(model, grid, config, 0.3).matrix
+    (first, *_) = model.steps.values()
+    assert (first.inverse is not None) == (case == "dense-10x10")
+    units = np.eye(grid.n) / grid.cell_volume
+    act = propagator_action(model, grid, config, 0.3)
+    columns = np.column_stack([act(u) for u in units])
+    if first.inverse is None:
+        assert np.array_equal(Q, columns)
+    else:
+        # a dense step of a vector is a BLAS matrix-vector product, whose
+        # last bits may differ from those of the matrix product that steps
+        # the kernel: the kernel holds the bits of S^K times the unit masses
+        ref = units
+        for _ in range(config.n_steps):
+            ref = first.inverse @ ref
+        assert np.array_equal(Q, ref)
+        assert np.abs(Q - columns).max() <= 1e-14 * np.abs(Q).max()
+
+
+def test_series_assembly_factors_each_step_once(monkeypatch):
+    # a budget of 0 bytes keeps only the first step of the series, and the
+    # assembly still fetches, so factors, each of its K steps once
+    monkeypatch.setattr(kolmogorov, "KEEP_BYTES", 0)
+    calls = []
+    splu = kolmogorov.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(kolmogorov, "splu", counted)
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
+    config = SolverConfig(n_steps=24)
+    assemble_Q(diagonal_series(grid), grid, config, 0.3)
+    assert len(calls) == config.n_steps
 
 
 def test_resolvent_respects_budget(heat, grid64, monkeypatch):
@@ -390,3 +459,27 @@ def test_singular_values_take_the_kernel(tmp_path):
     # to round-off of the largest, not bit for bit
     ref = grid.cell_volume * np.linalg.svd(kernel, compute_uv=False)
     assert np.abs(sv - ref).max() <= 1e-13 * ref[0]
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]], ids=["nan", "inf", "-inf", "inf-pair"]
+)
+def test_singular_values_reject_non_finite_before_lapack(bad, monkeypatch):
+    # the kernel's sum stands in for svd's own N x N check: every kernel
+    # that check rejects raises its ValueError before the SVD runs, and a
+    # finite kernel keeps the bits of the checked SVD
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [6, 5])
+    opmat = assemble_Q(constant_model([0.4, -0.3], [[1.0, 0.0], [0.0, 0.6]]), grid,
+                       SolverConfig(n_steps=4), 0.1)
+    kernel = opmat.matrix.copy()
+    ref = grid.cell_volume * fredholm.svd(kernel.copy(), compute_uv=False)
+    calls = []
+    svd = fredholm.svd
+    monkeypatch.setattr(fredholm, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    sv = singular_values(dataclasses.replace(opmat, matrix=kernel.copy(order="F")))
+    assert sv.tobytes() == ref.tobytes() and calls == [1]
+    poisoned = kernel.copy(order="F")
+    poisoned.flat[[7, 23][: len(bad)]] = bad
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        singular_values(dataclasses.replace(opmat, matrix=poisoned))
+    assert calls == [1]

@@ -648,18 +648,20 @@ def test_dense_step_rejects_non_finite(heat):
     config = SolverConfig(n_steps=2 * _CHUNK + 4)
     ones = np.ones(grid.n)
     # the first bad step lies in the second chunk, and a bad first entry
-    # of the input fails step 0; a -inf stays in the state like a +inf
+    # of the input fails step 0; a -inf stays in the state like a +inf; a
+    # block, stepped in place a step at a time, names the same step
     k = _CHUNK + 7
-    for sign, record in itertools.product((-1.0, 1.0), (True, False)):
+    for sign, record in itertools.product((-1.0, 1.0), (True, False, "block")):
         heat.steps.clear()  # a step made afresh
         _march(heat, grid, config, ones, 0.0, 0.5, record=False)
         (step,) = heat.steps.values()
         assert step.inverse is not None
         step.inverse = _poisoned(grid.n, k, sign)
+        values = np.ones((grid.n, 3), order="F") if record == "block" else ones
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             LinearSolveFailure, match=f"solve at step {k} is not"
         ):
-            _march(heat, grid, config, ones, 0.0, 0.5, record=record)
+            _march(heat, grid, config, values, 0.0, 0.5, record=record is True)
     bad = ones.copy()
     bad[3] = np.nan
     fresh = constant_model([0.0], [[1.0]])  # heat keeps the poisoned step

@@ -15,13 +15,12 @@ from decrem import (
     mass,
     realize_gamma,
     run_seed,
-    tabulated_model,
     verify_seed,
 )
 from decrem import kolmogorov
 from decrem.fredholm import assemble_Q
 from decrem.kolmogorov import build_stencil
-from conftest import apply_Q, sampled_sine
+from conftest import apply_Q, diagonal_series, sampled_sine
 
 ALPHA_ORACLE = (1.0 - np.exp(-np.pi**2 / 2)) * np.pi / 2  # ~1.5595
 
@@ -312,20 +311,13 @@ def _series_2d():
     """A 3-sample tabulated series over [0, 0.3] on a 10 x 10 box, with
     random drift and a random diagonal beta."""
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 10])
-    rng = np.random.default_rng(5)
-    samples = []
-    for _ in range(3):
-        beta = np.zeros((grid.n, 2, 2))
-        beta[:, 0, 0] = rng.uniform(0.8, 1.2, grid.n)
-        beta[:, 1, 1] = rng.uniform(0.6, 0.9, grid.n)
-        samples.append((rng.uniform(-0.5, 0.5, (grid.n, 2)), beta))
-    return grid, tabulated_model(grid, None, None, times=[0.0, 0.15, 0.3], series=samples)
+    return grid, diagonal_series(grid)
 
 
 def test_series_factors_each_step_time_once_per_step_size(monkeypatch):
     # every application of Q in run_seed marches through the same K kept
-    # steps, verify_seed's coarse march factors its K/2 and the panels of
-    # assemble_Q share their K; a budget of 0 bytes keeps only the first
+    # steps, verify_seed's coarse march factors its K/2 and assemble_Q
+    # fetches each of its K once; a budget of 0 bytes keeps only the first
     # step of a size, so the others are factored at every march, with the
     # same bits
     calls = []
@@ -355,5 +347,5 @@ def test_series_factors_each_step_time_once_per_step_size(monkeypatch):
         runs[budget] = (seeded, verified, len(calls)), (sol.alpha, fields, report, Q.tobytes())
     assert sol.resolvent.iterations == 5
     assert runs[full][0] == (32, 16, 8)
-    assert runs[0][0] == (1 + 31 * 5, 16, 8 + 7)  # two panels
+    assert runs[0][0] == (1 + 31 * 5, 16, 8)
     assert runs[full][1] == runs[0][1]

@@ -15,10 +15,13 @@ tabulated series, and a 1-D ``linear-drift`` model, whose drift varies
 along the particles while its ``beta`` is fixed.  Then a 2-D
 tabulated series with diagonal ``beta`` goes through ``seed`` and through
 ``spectrum`` with ``assemble: true``, so that the steps a series keeps are
-compared on the resolvent, the Richardson check and the assembly.  Last,
+compared on the resolvent, the Richardson check and the assembly.  Next,
 the time-homogeneous ``seed-2d`` model on 12 x 12 nodes, above
 ``DENSE_MAX_N``, goes through ``seed``, so that its steps, and those of
-``verify`` and ``evolve`` on its solution, are factored solves.  Then two
+``verify`` and ``evolve`` on its solution, are factored solves, and the
+same model on 10 x 10 nodes, within ``DENSE_MAX_N``, goes through
+``spectrum`` with ``assemble: true``, so that a kernel stepped by the
+dense inverse is compared too.  Then two
 1-D inputs fail after writing: a ``seed`` whose ``verify_tol`` of 1e-12 no
 refined march meets (exit 13), and a ``spectrum`` whose power iteration
 stops after ``max_iter`` = 1 (exit 7).  The imports
@@ -72,7 +75,8 @@ def write_inputs(work):
                 (path / "config.json").write_text(json.dumps(cfg, indent=2))
                 cases.append((case, [wl.command, "config.json", *wl.extra_args(".")]))
     cases += write_mc_inputs(work) + write_series_2d_inputs(work)
-    return cases + write_seed_2d_input(work) + write_late_failure_inputs(work)
+    cases += write_seed_2d_input(work) + write_spectrum_dense_input(work)
+    return cases + write_late_failure_inputs(work)
 
 
 MIXED_BETA = [[0.9, 0.3], [-0.2, 0.6]]
@@ -194,6 +198,29 @@ def write_seed_2d_input(work):
     }
     (path / "config.json").write_text(json.dumps(cfg, indent=2))
     return [(case, ["seed", "config.json"])]
+
+
+def write_spectrum_dense_input(work):
+    """Write a ``spectrum`` input with ``assemble: true`` of the ``seed-2d``
+    model on 10 x 10 = 100 nodes, with K = 128, into
+    ``work/inputs/spectrum-2d-10x10``; returns its (case, argv) pair in a
+    list."""
+    from decrem.kolmogorov import DENSE_MAX_N
+    from workloads import BETA_2D, DRIFT_2D
+
+    assert 10 * 10 <= DENSE_MAX_N  # every step is a product by the dense inverse
+    case = "spectrum-2d-10x10"
+    path = work / "inputs" / case
+    path.mkdir(parents=True)
+    cfg = {
+        "domain": {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.0], "n_cells": [10, 10]},
+        "model": {"family": "constant", "drift": DRIFT_2D, "beta": BETA_2D},
+        "time": {"T": 0.3, "n_steps": 128},
+        "spectrum": {"assemble": True},
+        "output_dir": "out",
+    }
+    (path / "config.json").write_text(json.dumps(cfg, indent=2))
+    return [(case, ["spectrum", "config.json"])]
 
 
 def write_late_failure_inputs(work):
