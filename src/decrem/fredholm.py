@@ -100,11 +100,13 @@ def propagator_action(model, grid, config, T, record=False):
     The model is certified here, by the preamble of every march, not at the
     first call.  The model keeps the steps of the calls' step size, so all
     calls march through the same factors and return the bits of a march on
-    steps made afresh.  With ``record`` a call returns every state of its
-    march, the last row being Q v.
+    steps made afresh.  The calls take the preamble's certificates, and a
+    series' A_h(T), from here, so each end is certified once.  With
+    ``record`` a call returns every state of its march, the last row being
+    Q v.
     """
-    _steps(model, grid, config, 0.0, T)
-    return lambda v: _march(model, grid, config, v, 0.0, T, record)[2]
+    steps = _steps(model, grid, config, 0.0, T)
+    return lambda v: _march(model, grid, config, v, 0.0, T, record, steps)[2]
 
 
 def _check_cap(grid, cap):

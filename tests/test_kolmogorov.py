@@ -123,7 +123,7 @@ def _reference_matrix(model, grid, t):
 
 
 def _assert_bit_identical(model, grid, t):
-    A = build_stencil(model, grid, t)[0]
+    A = build_stencil(model, grid, t)[0].tocsr()
     ref = _reference_matrix(model, grid, t)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A, part), getattr(ref, part)), part
@@ -313,6 +313,58 @@ def test_generator_matrix_2d_mixed():
         model = constant_model([0.1, -0.2], beta)
         assert np.sign(eval_a(model, grid.nodes(), 0.0)[0, 0, 1]) == sign
         _assert_bit_identical(model, grid, 0.0)
+
+
+def _assert_step_is_the_sparse_chain(model, grid, t, dt):
+    """A_h and the step matrix M of a new step carry the bits, the
+    canonical structure and the nnz of the sparse chain they replaced:
+    the probed A_h, and M = identity(n) - dt*A_h converted to CSC."""
+    ref = _reference_matrix(model, grid, t)
+    ref_M = (identity(grid.n, format="csr") - dt * ref).tocsc()
+    model.steps.clear()
+    step = kolmogorov._step(model, grid, 1e-10, dt, t)
+    M, shared = step.M, step.stencil is not None  # a series keeps no A_h
+    A = step.stencil[0] if shared else build_stencil(model, grid, t)[0]
+    for mat, want in ((A.tocsr(), ref), (A, ref.tocsc()), (M, ref_M)):
+        assert mat.format == want.format and mat.nnz == want.nnz
+        assert mat.has_sorted_indices and np.all(mat.data != 0.0)
+        for part in ("indptr", "indices", "data"):
+            got, exp = getattr(mat, part), getattr(want, part)
+            assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes(), part
+    for part in ("indptr", "indices") if shared else ():
+        assert np.shares_memory(getattr(M, part), getattr(A, part)), part
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.3 / 128, 0.7])
+def test_step_matrix_is_the_sparse_chain(dt):
+    # 1-d and 2-d, zero and nonzero drift, an a12 term, a tabulated series
+    rng = np.random.default_rng(43)
+    grid1 = make_grid(1, [0.0], [1.0], [16])
+    grid2 = make_grid(2, [0.0, -0.5], [1.0, 1.2], [9, 7])
+    cases = [
+        (constant_model([0.0], [[1.0]]), grid1),
+        (ou_model(2.0, [0.3], 1.0), grid1),
+        (constant_model([0.0, 0.0], [[1.0, 0.0], [0.0, 0.7]]), grid2),
+        (constant_model([0.2, -0.1], [[1.0, 0.0], [0.0, 0.7]]), grid2),
+        (constant_model([0.1, -0.2], [[1.0, -0.4], [0.2, 1.0]]), grid2),
+        (_random_series(grid2, rng, cross=True), grid2),
+    ]
+    for model, grid in cases:
+        for t in (0.0, 0.13):
+            _assert_step_is_the_sparse_chain(model, grid, t, dt)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    drift=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=2),
+    beta=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    dt=st.floats(1e-5, 2.0),
+)
+def test_step_matrix_is_the_sparse_chain_property(dim, drift, beta, dt):
+    beta = np.reshape(beta, (2, 2))[:dim, :dim] + 2.5 * np.eye(dim)
+    grid = make_grid(dim, [0.0] * dim, [1.0] * dim, [6, 5][:dim])
+    _assert_step_is_the_sparse_chain(constant_model(drift[:dim], beta), grid, 0.0, dt)
 
 
 def test_column_sums_certify_mass_loss(grid64, heat):
@@ -738,7 +790,7 @@ def _kept_bytes(model):
     matrix a step holds and 8 per entry of its inverse."""
     total = 0
     for s in model.steps.values():
-        nnz = s.lu.nnz + s.M.nnz + (0 if s.A is None else s.A.nnz)
+        nnz = s.lu.nnz + s.M.nnz + (0 if s.stencil is None else s.stencil[0].nnz)
         total += 12 * nnz + (0 if s.inverse is None else s.inverse.nbytes)
     return total
 
@@ -782,7 +834,7 @@ def test_kept_steps_stay_within_the_byte_budget(monkeypatch):
 
 def test_march_builds_an_unkept_first_step_once(monkeypatch):
     # a march whose first step time is not kept builds and factors each of
-    # its steps once, the first one included
+    # its steps once, the first one included; its preamble builds A_h(t_K)
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [5, 6])
     model = _random_series(grid, np.random.default_rng(47), cross=False)
     config = SolverConfig(n_steps=4)
@@ -790,7 +842,7 @@ def test_march_builds_an_unkept_first_step_once(monkeypatch):
     _march(model, grid, config, np.ones(grid.n), 0.0, 0.1, record=False)
     calls = _count_builds(monkeypatch)
     _march(model, grid, config, np.ones(grid.n), 0.1, 0.2, record=False)
-    assert len(calls) == 4 and np.allclose(calls, [0.125, 0.15, 0.175, 0.2])
+    assert len(calls) == 4 and np.allclose(calls, [0.2, 0.125, 0.15, 0.175])
     assert len(model.steps) == 1 and np.isclose(next(iter(model.steps))[3], 0.025)
 
 
@@ -808,7 +860,7 @@ def test_new_step_size_factors_after_the_old_steps_are_gone(monkeypatch, heat):
             _march(model, g, SolverConfig(n_steps=8), np.ones(g.n), 0.0, 0.5, record=False)
             kept = model.steps.values()
             old = [weakref.ref(s.M if s.inverse is None else s.inverse) for s in kept]
-            A = next(iter(model.steps.values())).A
+            A = next(iter(model.steps.values())).stencil
             assert (A is None) == (model is table)
             alive = []
             splu = kolmogorov.splu
@@ -822,7 +874,7 @@ def test_new_step_size_factors_after_the_old_steps_are_gone(monkeypatch, heat):
             monkeypatch.setattr(kolmogorov, "splu", splu)
             assert len(old) == (1 if model is heat else 8)
             assert alive == [False] * (1 if model is heat else 4)
-            assert next(iter(model.steps.values())).A is A
+            assert next(iter(model.steps.values())).stencil is A
     finally:
         gc.enable()
 
@@ -880,6 +932,83 @@ def test_build_stencil_certifies_ellipticity(beta, smallest):
     assert model.steps == {}  # no step is kept without a certificate
 
 
+def _rotated(low, high, angle):
+    """The symmetric 2 x 2 matrix with eigenvalues ``low`` and ``high``,
+    turned by ``angle``."""
+    c, s = np.cos(angle), np.sin(angle)
+    turn = np.array([[c, -s], [s, c]])
+    return turn @ np.diag([low, high]) @ turn.T
+
+
+def _assert_certificate_matches_eigvalsh(bbT, expect=None):
+    """The closed-form certificate of the one-node 2 x 2 matrix beta
+    beta^T = ``bbT`` passes or fails as ``expect`` says, by default as the
+    sign of eigvalsh's smallest eigenvalue says where it is more than a few
+    ulps of the largest from 0; when it fails it names that eigenvalue to
+    those few ulps."""
+    low, high = np.linalg.eigvalsh(bbT)
+    ulps = 32 * np.finfo(float).eps * max(abs(low), abs(high))
+    if expect is None:
+        expect = "pass" if low > ulps else "fail" if low < -ulps else None
+    try:
+        kolmogorov._certify(0.5 * bbT[None], np.zeros((1, 2)), 0.0)
+    except EllipticityViolation as err:
+        assert expect != "pass"
+        assert err.eigenvalue <= 0.0 and abs(err.eigenvalue - low) <= ulps
+    else:
+        assert expect != "fail"
+
+
+@pytest.mark.parametrize(
+    "bbT, expect",
+    [
+        (_rotated(1e-12, 1.0, 0.3), "pass"),
+        (_rotated(1e-290, 1e-280, 1.1), "pass"),
+        (np.diag([1e300, 1e-300]), "pass"),
+        (_rotated(-1e-8, 1e4, 0.7), "fail"),
+        (np.array([[1.0, 1.0 - 2**-30], [1.0 - 2**-30, 1.0]]), "pass"),
+        (np.array([[1.0, 1.0 + 2**-30], [1.0 + 2**-30, 1.0]]), "fail"),
+        (np.array([[4.0, 2.0], [2.0, 1.0]]), "fail"),
+        (np.zeros((2, 2)), "fail"),
+        (np.array([[1e300, 5e299], [5e299, 1e300]]), "pass"),
+    ],
+    ids=["graded", "graded-tiny", "graded-range", "graded-indefinite",
+         "near-singular", "near-singular-indefinite", "singular", "zero", "large"],
+)
+def test_closed_form_certificate_matches_eigvalsh(bbT, expect):
+    _assert_certificate_matches_eigvalsh(bbT, expect)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scales=st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=2),
+    negative=st.booleans(),
+    angle=st.floats(0.0, np.pi),
+)
+def test_closed_form_certificate_matches_eigvalsh_property(scales, negative, angle):
+    # |lambda_min| <= lambda_max, as for every beta beta^T up to round-off
+    low, high = 10.0 ** np.sort(scales)
+    _assert_certificate_matches_eigvalsh(_rotated(-low if negative else low, high, angle))
+
+
+@pytest.mark.parametrize(
+    "bbT",
+    [
+        [[1e308, 1e308], [1e308, 1e308]],  # lambda_max overflows; singular
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[np.inf, np.inf], [np.inf, np.inf]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+    ],
+    ids=["overflowing-max", "inf", "inf-all", "nan"],
+)
+def test_closed_form_certificate_refuses_overflow(bbT):
+    # the 2-d case of test_build_stencil_certifies_ellipticity without its
+    # errstate: the certificate itself warns of nothing
+    with pytest.raises(EllipticityViolation) as err:
+        kolmogorov._certify(0.5 * np.array([bbT]), np.zeros((1, 2)), 0.0)
+    assert not 0.0 < err.value.eigenvalue < np.inf
+
+
 def _series(where):
     """A tabulated series over [0, 0.5] sampled at 0, 0.25 and 0.5 whose
     beta is 0 at the sample ``where`` and 1 at the others."""
@@ -891,13 +1020,14 @@ def _series(where):
 @pytest.mark.parametrize("where", [0.0, 0.5])
 def test_march_certifies_series_ends(monkeypatch, where):
     # no step evaluates the coefficients at s: the preamble of a march
-    # certifies both ends, before any A_h
+    # certifies both ends before any step, s directly and T through the
+    # A_h(T) that its step to T takes
     table, grid = _series(where)
     calls = _count_builds(monkeypatch)
     with pytest.raises(EllipticityViolation) as err:
         _steps(table, grid, SolverConfig(n_steps=8), 0.0, 0.5)
     assert err.value.t == where and err.value.eigenvalue == 0.0
-    assert calls == []
+    assert calls == ([] if where == 0.0 else [0.5])
 
 
 def test_kept_series_is_not_certified_again(monkeypatch):
@@ -918,12 +1048,38 @@ def test_kept_series_is_not_certified_again(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("budget", [kolmogorov.KEEP_BYTES, 0])
+def test_fresh_series_certifies_each_end_once_per_propagator_action(monkeypatch, budget):
+    # construction certifies t = 0 directly and t = 0.5 through A_h(0.5),
+    # which the first application's step to 0.5 takes; neither end is read
+    # again, and the factors and the kept steps are those of a plain march
+    table, grid = _series(None)
+    monkeypatch.setattr(kolmogorov, "KEEP_BYTES", budget)
+    calls, factors, splu = [], [], kolmogorov.splu
+
+    def counted(model, pts, t):
+        calls.append(t)
+        return eval_a(model, pts, t)
+
+    monkeypatch.setattr(kolmogorov, "eval_a", counted)
+    monkeypatch.setattr(kolmogorov, "splu", lambda *a, **k: factors.append(1) or splu(*a, **k))
+    config = SolverConfig(n_steps=8)
+    act = propagator_action(table, grid, config, 0.5)
+    act(np.ones(grid.n))
+    assert calls == [0.0, 0.5] + [0.0625 * k for k in range(1, 8)]
+    assert len(factors) == 8
+    kept = range(1, 9 if budget else 2)
+    tol = config.linear_solver_tol
+    assert list(table.steps) == [(grid, tol, 0.0625, 0.0625 * k) for k in kept]
+
+
 def test_series_degenerate_inside_fails_at_the_step_that_reads_it(monkeypatch):
     # implicit euler with 8 steps evaluates t = 0.0625 k, so step 3
-    # builds A_h at the degenerate sample t = 0.25, after three steps
+    # builds A_h at the degenerate sample t = 0.25, after three steps and
+    # the preamble's A_h(t_K)
     table, grid = _series(0.25)
     calls = _count_builds(monkeypatch)
     with pytest.raises(EllipticityViolation) as err:
         _march(table, grid, SolverConfig(n_steps=8), np.ones(grid.n), 0.0, 0.5, record=False)
     assert err.value.t == 0.25
-    assert calls == [0.0625, 0.125, 0.1875, 0.25]
+    assert calls == [0.5, 0.0625, 0.125, 0.1875, 0.25]
