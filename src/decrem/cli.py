@@ -385,7 +385,7 @@ def cmd_mc(cfg, base_dir, grid, model, config, T, rho_path):
     estimate = estimate_density(ensemble, grid)
     q = _coarsen(final, grid, bins)
     counts = _coarsen(estimate.histogram.values, grid, bins) * n
-    qc = np.clip(q, 1e-12, 1.0)
+    qc = np.clip(q, 1e-12, 1.0 - 1e-12)
     z = (counts / n - q) / np.sqrt(qc * (1.0 - qc) / n)
     out_dir = cfg["output_dir"]
     mc_dir = os.path.join(out_dir, "mc")

@@ -37,9 +37,10 @@ relative residual exceeds ``linear_solver_tol`` raises
 from the factor and used only under a certificate that bounds the relative
 residual of every product S @ p, round-off included, by
 ``linear_solver_tol``.  One loop, :func:`_march`, takes every step of a
-march of a vector, or of an (n, m) block of them in the block's own
-storage, and :func:`evolve` keeps its states, read-only, as the
-trajectory.
+march, with one buffer rule: a vector steps through K + 1 rows when its
+states are kept and two when they are not, an (n, m) block of vectors in
+its own storage.  :func:`evolve` keeps the K + 1 states, read-only, as
+the trajectory.
 
 This module alone decides which marches share a factor, by the one keep
 rule of :func:`_step`.
@@ -68,10 +69,6 @@ SCHEME = "implicit-euler"
 #: forming the inverse is repaid within about 40 steps, at n = 256 only
 #: after about 200 steps, and at n = 512 the dense step is the slower one.
 DENSE_MAX_N = 128
-
-#: Steps of a dense march between two finiteness checks of its products;
-#: a march without ``record`` buffers no more rows than this.
-_CHUNK = 32
 
 #: Columns per panel: :func:`_march` steps a block, the kernel of
 #: :func:`fredholm.assemble_Q`, this many columns at a time, so a step
@@ -334,7 +331,8 @@ def _step_times(config, s, T):
 def _steps(model, grid, config, s, T):
     """The times t_0 = s < ... < t_K = T of a march and, as a function of k,
     its step to t_{k+1}: a time-homogeneous model's one step, fetched here
-    and then from the model's kept steps, or a series' step at each time.  Ellipticity is certified at s and T
+    for its certificate and by each march from the model's kept steps, or
+    a series' step at each time.  Ellipticity is certified at s and T
     here, through A_h for a time-homogeneous model.  A series' steps read
     the coefficients at t_1, ..., t_K only, so s is certified directly, here
     or nowhere, and t_K through A_h(t_K), which its step to t_K then takes.
@@ -364,72 +362,61 @@ def _march(model, grid, config, values, s, T, record, steps=None):
     stepping core.  ``steps``, if given, is what :func:`_steps` returned for
     this march, which then certifies nothing again.
 
-    Its one loop fetches each step once, a tabulated series' step of each
-    time or a time-homogeneous model's one step.  Under the certified
-    dense inverse S a step is the product S @ p, otherwise a solve through
-    the step's factor, checked by :func:`_check`.  A block is stepped
-    ``PANEL`` columns at a time, and each panel's new state, its product
-    checked finite or its solve checked, is written back in place.  A
-    vector's states go through one buffer, a chunk of steps at a time:
-    with ``record`` it holds all K + 1 states and is returned; otherwise it
-    holds one chunk, restarted from its last state, and the final state is
-    returned.  Under S a chunk is at most ``_CHUNK`` steps, and its states'
-    finiteness is checked once at its end; a bad state raises
-    :class:`LinearSolveFailure` naming the first bad step.  Through the
-    factor a chunk is one step, whose two rows swap instead of restarting.
-    Nothing is clamped: without an a12 term M is strictly column-dominant,
-    so SuperLU pivots on its diagonal, L and U keep the M-matrix signs, and
-    the solve and S @ p of a nonnegative state add up nonnegative terms
-    only.
+    A time-homogeneous model's one step is fetched once, a tabulated
+    series' step of each time once.  Under the certified dense inverse S a
+    step is the product S @ p, otherwise a solve through the step's
+    factor, checked by :func:`_check`.  A block is stepped ``PANEL``
+    columns at a time, and each panel's new state, its product checked
+    finite or its solve checked, is written back in place.  A vector steps
+    through ``rows`` states, K + 1 with ``record`` and 2 without: step k
+    reads row k % rows and writes row (k + 1) % rows.  Under S only the
+    final state is checked finite: one non-finite entry of p makes every
+    entry of S @ p non-finite, so a bad step leaves every later state bad.
+    The error names the first bad step, read from the recorded states; an
+    unrecorded march is replayed recorded to find it.  Nothing is clamped:
+    without an a12 term M is strictly column-dominant, so SuperLU pivots
+    on its diagonal, L and U keep the M-matrix signs, and the solve and
+    S @ p of a nonnegative state add up nonnegative terms only.
 
-    Returns the times, whether a step had an a12 term, and the states, or
-    the block itself.
+    Returns the times, whether a step had an a12 term, and the states
+    (all K + 1 with ``record``, else the final one), or the block itself.
     """
     times, step_at = steps or _steps(model, grid, config, s, T)
-    S = None if model.time_dependent else step_at(0).inverse
     K, tol, mixed = config.n_steps, config.linear_solver_tol, False
-    in_place = np.ndim(values) == 2
-    chunk = 1 if S is None or in_place else min(K, _CHUNK)
-    if not in_place:
-        states = np.empty((K + 1 if record else chunk + 1,) + np.shape(values))
+    kept = None if model.time_dependent else step_at(0)
+    S = None if kept is None else kept.inverse
+    block = np.ndim(values) == 2
+    if not block:
+        rows = K + 1 if record else 2
+        states = np.empty((rows,) + np.shape(values))
         states[0] = values
-    last = 0
-    for k0 in range(0, K, chunk):
-        m = min(chunk, K - k0)
-        step = step_at(k0)
+    for k in range(K):
+        step = kept or step_at(k)
         mixed |= step.mixed
-        if in_place:  # a chunk of one step, panel by panel
+        if block:
             for j in range(0, values.shape[1], PANEL):
                 x = values[:, j : j + PANEL]
                 new = step.lu.solve(x) if S is None else S @ x
                 if S is None:
-                    _check(step.M, tol, x, new, k0)
+                    _check(step.M, tol, x, new, k)
                 elif not np.isfinite(new).all():
-                    raise LinearSolveFailure(f"solve at step {k0} is not finite")
+                    raise LinearSolveFailure(f"solve at step {k} is not finite")
                 x[...] = new
             continue
-        if record:
-            rows = states[k0 : k0 + m + 1]
-        elif chunk == 1:  # the two rows take turns, so no state is copied
-            rows = states[::-1] if k0 % 2 else states
+        x, out = states[k % rows], states[(k + 1) % rows]
+        if S is None:
+            out[...] = step.lu.solve(x)
+            _check(step.M, tol, x, out, k)
         else:
-            states[0] = states[last]
-            rows = states[: m + 1]
-        for x, out in zip(rows[:-1], rows[1:]):
-            if S is not None:
-                S.dot(x, out=out)
-            else:  # a chunk of one: this is step k0
-                out[...] = step.lu.solve(x)
-                _check(step.M, tol, x, out, k0)
-        if S is not None:  # rows[j + 1] is the state of step k0 + j
-            finite = np.isfinite(rows[1:]).all(axis=1)
-            if not finite.all():
-                bad = k0 + int(np.argmin(finite))
-                raise LinearSolveFailure(f"solve at step {bad} is not finite")
-        last = m
-    if in_place:
+            S.dot(x, out=out)
+    if block:
         return times, mixed, values
-    return times, mixed, states if record else states[K % 2 if chunk == 1 else last].copy()
+    if S is not None and not np.isfinite(states[K % rows]).all():
+        if not record:  # replayed keeping every state, which raises there
+            states = _march(model, grid, config, values, s, T, True, (times, step_at))[2]
+        bad = int(np.argmin(np.isfinite(states[1:]).all(axis=1)))
+        raise LinearSolveFailure(f"solve at step {bad} is not finite")
+    return times, mixed, states if record else states[K % rows].copy()
 
 
 def evolve(model, grid, config, rho, s, T):

@@ -451,6 +451,30 @@ def test_cmd_mc_and_determinism(tmp_path):
     assert report["seed"] == 123
 
 
+def test_cmd_mc_one_bin_holding_all_the_mass_has_finite_z(tmp_path, capsys):
+    # over a horizon of 1e-20 no mass leaves the one bin, on either side:
+    # q = 1, whose variance q (1 - q) / n the clip keeps away from 0
+    grid = make_grid(1, [0.0], [1.0], [16])
+    DensityField(grid, np.ones(grid.n)).to_csv(tmp_path / "rho.csv")
+    path = tmp_path / "run.json"
+    write_config(
+        path,
+        domain={"n_cells": [16]},
+        time={"T": 1e-20, "n_steps": 1},
+        mc={"n_particles": 1000, "dt": 1e-20, "bins": 1, "seed": 3},
+    )
+    assert main(["mc", str(path), "--rho", str(tmp_path / "rho.csv")]) == 0
+    assert "z-scores within +-4: 100.0%" in capsys.readouterr().out
+
+    def refuse(name):
+        raise ValueError(f"comparison.json holds {name}, which is not JSON")
+
+    text = (tmp_path / "out" / "comparison.json").read_text()
+    comparison = json.loads(text, parse_constant=refuse)
+    assert comparison["max_abs_z"] == 0.0
+    assert comparison["frac_abs_z_le_4"] == 1.0
+
+
 def test_cmd_mc_generates_and_echoes_seed(tmp_path, capsys):
     path = tmp_path / "run.json"
     write_config(path)

@@ -26,7 +26,6 @@ from decrem import (
 )
 from decrem import kolmogorov
 from decrem.kolmogorov import (
-    _CHUNK,
     DENSE_MAX_N,
     PANEL,
     _check,
@@ -638,21 +637,18 @@ def _dense_reference(step, n_steps, values):
 
 @pytest.mark.parametrize("record", [True, False])
 @pytest.mark.parametrize("sign", ["nonnegative", "mixed-sign"])
-@pytest.mark.parametrize(
-    "n_steps",
-    [_CHUNK - 3, 2 * _CHUNK, 2 * _CHUNK + 5],
-    ids=["part-chunk", "whole-chunks", "chunks-and-tail"],
-)
+@pytest.mark.parametrize("n_steps", [1, 37, 64], ids=["one-step", "odd", "even"])
 @pytest.mark.parametrize("case", sorted(_dense_cases()))
 def test_buffered_march_matches_per_step_dense(case, n_steps, sign, record):
-    # fewer steps than one chunk, a multiple of it, and more steps than a
-    # multiple: every way the chunk loop can end
+    # a vector steps through K + 1 rows or two, step k from row k % rows to
+    # row (k + 1) % rows: one step, and an unrecorded march ending in
+    # either of its two rows; one step size, which every case certifies
     model, grid = _dense_cases()[case]
     config = SolverConfig(n_steps=n_steps)
     values = np.random.default_rng(11).random(grid.n)
     if sign == "mixed-sign":
         values -= 0.4
-    out = _march(model, grid, config, values, 0.0, 0.3, record=record)[2]
+    out = _march(model, grid, config, values, 0.0, 0.005 * n_steps, record=record)[2]
     (step,) = model.steps.values()
     assert step.inverse is not None
     ref = _dense_reference(step, n_steps, values)
@@ -678,7 +674,7 @@ def test_mass_curve_is_per_field_mass(case, heat):
     n = 40 if case == "dense" else DENSE_MAX_N + 3
     grid = make_grid(1, [0.0], [1.0], [n])
     rho = DensityField(grid, np.random.default_rng(5).random(n))
-    traj = evolve(heat, grid, SolverConfig(n_steps=_CHUNK + 3), rho, 0.0, 0.2)
+    traj = evolve(heat, grid, SolverConfig(n_steps=35), rho, 0.0, 0.2)
     expected = [(float(t), mass(f)) for t, f in zip(traj.times, traj.fields)]
     assert [(t, m.hex()) for t, m in mass_curve(traj)] == [
         (t, m.hex()) for t, m in expected
@@ -697,13 +693,14 @@ def _poisoned(n, k, sign):
 
 def test_dense_step_rejects_non_finite(heat):
     grid = make_grid(1, [0.0], [1.0], [16])
-    config = SolverConfig(n_steps=2 * _CHUNK + 4)
+    config = SolverConfig(n_steps=68)
     ones = np.ones(grid.n)
-    # the first bad step lies in the second chunk, and a bad first entry
-    # of the input fails step 0; a -inf stays in the state like a +inf; a
-    # block, stepped in place a step at a time, names the same step
-    k = _CHUNK + 7
-    for sign, record in itertools.product((-1.0, 1.0), (True, False, "block")):
+    # a bad step inside the march and a bad last step, and a bad first
+    # entry of the input fails step 0; a -inf stays in the state like a
+    # +inf; an unrecorded march, checked at its end only, and a block,
+    # stepped in place a step at a time, name the same step
+    cases = itertools.product((39, config.n_steps - 1), (-1.0, 1.0), (True, False, "block"))
+    for k, sign, record in cases:
         heat.steps.clear()  # a step made afresh
         _march(heat, grid, config, ones, 0.0, 0.5, record=False)
         (step,) = heat.steps.values()
@@ -844,6 +841,43 @@ def test_march_builds_an_unkept_first_step_once(monkeypatch):
     _march(model, grid, config, np.ones(grid.n), 0.1, 0.2, record=False)
     assert len(calls) == 4 and np.allclose(calls, [0.2, 0.125, 0.15, 0.175])
     assert len(model.steps) == 1 and np.isclose(next(iter(model.steps))[3], 0.025)
+
+
+def _count_fetches(monkeypatch):
+    calls = []
+    step = kolmogorov._step
+
+    def counted(model, grid, tol, dt, t, stencil=None):
+        calls.append(t)
+        return step(model, grid, tol, dt, t, stencil)
+
+    monkeypatch.setattr(kolmogorov, "_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["sparse", "dense", "series"])
+def test_march_fetches_a_homogeneous_step_once(monkeypatch, case):
+    # a kept time-homogeneous step is fetched twice, once by _steps for its
+    # certificate and once by _march, whatever K; a series' steps once each
+    if case == "sparse":
+        grid, K = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 1]), 16
+        model = constant_model([0.3], [[1.0]])
+    elif case == "dense":
+        grid, K = make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 10]), 128
+        model = constant_model([0.2, -0.1], [[1.0, 0.0], [0.0, 0.7]])
+    else:
+        grid, K = make_grid(2, [0.0, 0.0], [1.0, 1.0], [6, 7]), 8
+        model = _random_series(grid, np.random.default_rng(48), cross=False)
+    config = SolverConfig(n_steps=K)
+    _march(model, grid, config, np.ones(grid.n), 0.0, 0.2, record=False)
+    if case != "series":
+        (step,) = model.steps.values()
+        assert (step.inverse is None) == (case == "sparse")
+    calls = _count_fetches(monkeypatch)
+    for record in (False, True):
+        calls.clear()
+        times = _march(model, grid, config, np.ones(grid.n), 0.0, 0.2, record=record)[0]
+        assert calls == ([0.0, 0.0] if case != "series" else list(times[1:]))
 
 
 def test_new_step_size_factors_after_the_old_steps_are_gone(monkeypatch, heat):
