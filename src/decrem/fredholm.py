@@ -11,7 +11,8 @@ The resolvent solve is restarted GMRES (Saad & Schultz 1986) on I - Q with
 the matrix-free application.  The eigenvalues of Q are about e^{-lambda_k T}
 and cluster at 0, so a few Krylov steps reach the tolerance at any horizon,
 where the Neumann series would contract only at e^{-lambda_1 T}.  The
-applications of Q over one grid, config and T share the model's kept steps.
+applications of Q over one grid, config and T march through the model's
+one propagator, so they share its steps.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CapExceeded, NoConvergence
 from .grid import DensityField, _write_json
-from .kolmogorov import SCHEME, _march, _steps
+from .kolmogorov import SCHEME, _march, _propagator
 
 
 @dataclass
@@ -97,16 +98,14 @@ def propagator_action(model, grid, config, T, record=False):
     """Q over [0, T] as a callable on flat vectors, for power and Krylov
     iterations.
 
-    The model is certified here, by the preamble of every march, not at the
-    first call.  The model keeps the steps of the calls' step size, so all
-    calls march through the same factors and return the bits of a march on
-    steps made afresh.  The calls take the preamble's certificates, and a
-    series' A_h(T), from here, so each end is certified once.  With
-    ``record`` a call returns every state of its march, the last row being
-    Q v.
+    The model's propagator over [0, T] is built here, so the model is
+    certified now, not at the first call, and each end once.  Every call
+    marches through that propagator, so through the same factors, and
+    returns the bits of a march on steps made afresh.  With ``record`` a
+    call returns every state of its march, the last row being Q v.
     """
-    steps = _steps(model, grid, config, 0.0, T)
-    return lambda v: _march(model, grid, config, v, 0.0, T, record, steps)[2]
+    _propagator(model, grid, config, 0.0, T)
+    return lambda v: _march(model, grid, config, v, 0.0, T, record)[2]
 
 
 def _check_cap(grid, cap):
@@ -121,9 +120,9 @@ def assemble_Q(model, grid, config, T, cap=4096):
     The N x N result, column-major as :meth:`OperatorMatrix.save` writes
     it, starts as the unit masses, 1/cell_volume on its diagonal, and one
     :func:`_march` steps it in its own storage, ``PANEL`` columns at a
-    time, through the steps a power iteration over the same T left kept.
-    The march fetches each step once, so a series factors each of its
-    steps at most once per assembly.
+    time, through the model's propagator, which a power iteration over the
+    same T leaves with its steps kept.  The march takes each step once, so
+    a series factors each of its steps at most once per assembly.
     """
     _check_cap(grid, cap)
     Q = np.zeros((grid.n, grid.n), order="F")
@@ -188,7 +187,7 @@ def solve_resolvent(model, grid, config, gamma, T, tol=1e-10, max_iter=200):
     final relative L2 residual included, and never exceeds ``max_iter``:
     a GMRES cycle of restart length m applies Q m + 1 times, so m is capped
     to fit the budget.  A final residual above ``tol`` raises NoConvergence.
-    Every application marches through the model's kept steps, and keeps
+    Every application marches through the model's propagator, and keeps
     its states until the next, for the report's masses.
     """
     act = propagator_action(model, grid, config, T, record=True)  # certifies first

@@ -15,9 +15,9 @@ M-matrix structure and are flagged.
 
 Every assembly of A_h first certifies that 2a = beta beta^T is finite and
 positive definite at every node, in 2-d by the closed form of the smaller
-eigenvalue of a 2 x 2 matrix, and every march certifies its ends s and T
-too, unless a kept step already carries that certificate, so a march is
-certified wherever a step reads the coefficients.
+eigenvalue of a 2 x 2 matrix, and every :class:`Propagator` certifies its
+ends s and T when it is built, so a march is certified wherever a step
+reads the coefficients.
 
 Every time step from t_k to t_{k+1} solves M p_new = p with the step
 matrix M = I - dt*A_h(t_{k+1}).  The sparse generator is written straight
@@ -42,8 +42,10 @@ states are kept and two when they are not, an (n, m) block of vectors in
 its own storage.  :func:`evolve` keeps the K + 1 states, read-only, as
 the trajectory.
 
-This module alone decides which marches share a factor, by the one keep
-rule of :func:`_step`.
+A :class:`Propagator` owns the steps of one march over [s, T]: it factors
+each when first needed and keeps them within ``KEEP_BYTES``.  A model
+keeps its latest propagator, which every :func:`_march` over the same
+grid, config, s and T goes through.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +80,8 @@ DENSE_MAX_N = 128
 #: and at 64 alike, so the narrower panel costs no time.
 PANEL = 32
 
-#: Bytes of the steps one model keeps, 12 per nonzero of each sparse matrix
-#: and 8 per entry of a dense inverse; the first step of a size is kept past
+#: Bytes of the steps one propagator keeps, 12 per nonzero of each sparse
+#: matrix and 8 per entry of a dense inverse; its first step is kept past
 #: it.  A series keeps all 128 steps of a march on 32 x 32 nodes and 38 on
 #: 64 x 64, for about 65 MB more peak RSS (README has the measurements).
 KEEP_BYTES = 64 << 20
@@ -227,69 +230,13 @@ def build_stencil(model, grid, t):
 
 @dataclass
 class _Step:
-    """One step matrix M = I - dt*A_h(t): A_h as :func:`build_stencil`
-    returned it (None for a tabulated series, whose steps never share it),
-    whether it has an a12 term, M, its sparse factor, the certified dense
-    inverse or None, and ``kept``, the bytes of its model's kept steps up to
-    it, itself included.  It holds no reference back to the model, so both
-    go without the cycle collector."""
+    """One step matrix M = I - dt*A_h(t): whether A_h has an a12 term, M,
+    its sparse factor and the certified dense inverse or None."""
 
-    stencil: object
     mixed: bool
     M: object
     lu: object
     inverse: object
-    kept: int
-
-
-def _step(model, grid, tol, dt, t, stencil=None):
-    """The step of size ``dt`` to time ``t``: the model's kept one, or new.
-
-    A model keeps the steps of one ``(grid, tol, dt)`` at a time in
-    ``model.steps``, a tabulated series one per t and a time-homogeneous
-    model one, whose A_h is built at ``t``.  A new step size drops the kept
-    steps before it factors; a time-homogeneous model first takes A_h from
-    them if the grid is the same.  ``stencil``, if given, is
-    :func:`build_stencil` at ``t``, built by the caller.  M is formed in
-    A_h's compressed arrays and shares its index arrays: -(dt*a) off the
-    diagonal and 1.0 - dt*a on it, the bits of I - dt*A_h, as x - y is
-    x + (-y).  Only a time-homogeneous step on at most ``DENSE_MAX_N``
-    nodes forms the certified inverse.  A step is kept if it is the first
-    of its size or the kept bytes stay within ``KEEP_BYTES``.
-    """
-    series = model.time_dependent
-    key = (grid, tol, dt, t if series else None)
-    steps = model.steps
-    if key in steps:
-        return steps[key]
-    old_key = next(iter(steps), None)
-    if old_key is not None and not series and old_key[0] == grid:
-        stencil = steps[old_key].stencil
-    if old_key is not None and old_key[:3] != key[:3]:
-        steps.clear()
-    A, mixed, diag = stencil = stencil or build_stencil(model, grid, t)
-    M = csc_matrix((A.data * -dt, A.indices, A.indptr), shape=A.shape)
-    M.data[diag] += 1.0
-    try:
-        # M is structurally symmetric; default partial pivoting
-        lu = splu(M, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise LinearSolveFailure(
-            f"step matrix at t={t:g} could not be factored: {exc}"
-        ) from exc
-    inverse = None
-    if series:
-        stencil = None  # only a time-homogeneous model shares its A_h
-    elif grid.n <= DENSE_MAX_N:
-        inverse = _certified_inverse(M, lu, tol)
-    nnz = lu.nnz + M.nnz + (0 if stencil is None else A.nnz)
-    kept = 12 * nnz + (0 if inverse is None else inverse.nbytes)
-    if steps:
-        kept += next(reversed(steps.values())).kept
-    step = _Step(stencil, mixed, M, lu, inverse, kept)
-    if not steps or kept <= KEEP_BYTES:
-        steps[key] = step
-    return step
 
 
 def _certified_inverse(M, lu, tol):
@@ -328,100 +275,154 @@ def _step_times(config, s, T):
     return s + (T - s) / config.n_steps * np.arange(config.n_steps + 1)
 
 
-def _steps(model, grid, config, s, T):
-    """The times t_0 = s < ... < t_K = T of a march and, as a function of k,
-    its step to t_{k+1}: a time-homogeneous model's one step, fetched here
-    for its certificate and by each march from the model's kept steps, or
-    a series' step at each time.  Ellipticity is certified at s and T
-    here, through A_h for a time-homogeneous model.  A series' steps read
-    the coefficients at t_1, ..., t_K only, so s is certified directly, here
-    or nowhere, and t_K through A_h(t_K), which its step to t_K then takes.
-    A series skips an end whose certificate a kept step carries: its step
-    to t_K certified t_K when it was built, and its step to t_1 came from a
-    march with this dt through t_1, which certified every time up to t_1,
-    s included."""
-    if not T > s:
-        raise ValueError(f"need s < T, got s={s}, T={T}")
-    times = _step_times(config, s, T)
-    dt = (T - s) / config.n_steps
-    tol = config.linear_solver_tol
-    if model.time_dependent:
-        if (grid, tol, dt, times[1]) not in model.steps:
+class Propagator:
+    """The implicit-Euler march of ``model`` on ``grid`` over [s, T]: its
+    read-only step times, its certificate, and ``steps``, k to the kept
+    step to t_{k+1}.  Several can be held and marched at once.
+
+    Built, it certifies both ends.  A time-homogeneous model's one step,
+    to every t_{k+1}, is factored here from ``stencil``, its A_h, built at
+    s or handed over as ``_stencil`` by a propagator on the same grid.  A
+    series' steps read the coefficients at t_1, ..., t_K only, so s is
+    certified directly and t_K through ``stencil``, A_h(t_K), which its
+    step to t_K takes.  Each step is factored when first needed and kept
+    while the kept bytes stay within ``KEEP_BYTES``, the first always.  It
+    refers to its model weakly, so a model and the propagator in its slot
+    go without the cycle collector, and it marches only while the model
+    lives.
+    """
+
+    def __init__(self, model, grid, config, s, T, _stencil=None):
+        if not T > s:
+            raise ValueError(f"need s < T, got s={s}, T={T}")
+        self.model, self.grid, self.config = weakref.proxy(model), grid, config
+        self.s, self.T, self.dt = s, T, (T - s) / config.n_steps
+        self.times = _step_times(config, s, T)
+        self.times.setflags(write=False)
+        self.steps, self.kept = {}, 0
+        if model.time_dependent:
             pts = grid.nodes()
             _certify(eval_a(model, pts, s), pts, s)
-        # A_h(t_K) for the step to t_K, or False (no stencil) where that step is kept
-        end = (grid, tol, dt, times[-1]) not in model.steps and build_stencil(model, grid, times[-1])
-        return times, lambda k: _step(model, grid, tol, dt, times[k + 1], k == len(times) - 2 and end)
-    _step(model, grid, tol, dt, s)  # the one step, fetched here for its certificate
-    return times, lambda k: _step(model, grid, tol, dt, s)
-
-
-def _march(model, grid, config, values, s, T, record, steps=None):
-    """March the flat vector ``values``, or the (n, m) block ``values`` in
-    its own storage, over every implicit-Euler step from s to T: the
-    stepping core.  ``steps``, if given, is what :func:`_steps` returned for
-    this march, which then certifies nothing again.
-
-    A time-homogeneous model's one step is fetched once, a tabulated
-    series' step of each time once.  Under the certified dense inverse S a
-    step is the product S @ p, otherwise a solve through the step's
-    factor, checked by :func:`_check`.  A block is stepped ``PANEL``
-    columns at a time, and each panel's new state, its product checked
-    finite or its solve checked, is written back in place.  A vector steps
-    through ``rows`` states, K + 1 with ``record`` and 2 without: step k
-    reads row k % rows and writes row (k + 1) % rows.  Under S only the
-    final state is checked finite: one non-finite entry of p makes every
-    entry of S @ p non-finite, so a bad step leaves every later state bad.
-    The error names the first bad step, read from the recorded states; an
-    unrecorded march is replayed recorded to find it.  Nothing is clamped:
-    without an a12 term M is strictly column-dominant, so SuperLU pivots
-    on its diagonal, L and U keep the M-matrix signs, and the solve and
-    S @ p of a nonnegative state add up nonnegative terms only.
-
-    Returns the times, whether a step had an a12 term, and the states
-    (all K + 1 with ``record``, else the final one), or the block itself.
-    """
-    times, step_at = steps or _steps(model, grid, config, s, T)
-    K, tol, mixed = config.n_steps, config.linear_solver_tol, False
-    kept = None if model.time_dependent else step_at(0)
-    S = None if kept is None else kept.inverse
-    block = np.ndim(values) == 2
-    if not block:
-        rows = K + 1 if record else 2
-        states = np.empty((rows,) + np.shape(values))
-        states[0] = values
-    for k in range(K):
-        step = kept or step_at(k)
-        mixed |= step.mixed
-        if block:
-            for j in range(0, values.shape[1], PANEL):
-                x = values[:, j : j + PANEL]
-                new = step.lu.solve(x) if S is None else S @ x
-                if S is None:
-                    _check(step.M, tol, x, new, k)
-                elif not np.isfinite(new).all():
-                    raise LinearSolveFailure(f"solve at step {k} is not finite")
-                x[...] = new
-            continue
-        x, out = states[k % rows], states[(k + 1) % rows]
-        if S is None:
-            out[...] = step.lu.solve(x)
-            _check(step.M, tol, x, out, k)
+            self.stencil = build_stencil(model, grid, self.times[-1])
         else:
-            S.dot(x, out=out)
-    if block:
-        return times, mixed, values
-    if S is not None and not np.isfinite(states[K % rows]).all():
-        if not record:  # replayed keeping every state, which raises there
-            states = _march(model, grid, config, values, s, T, True, (times, step_at))[2]
-        bad = int(np.argmin(np.isfinite(states[1:]).all(axis=1)))
-        raise LinearSolveFailure(f"solve at step {bad} is not finite")
-    return times, mixed, states if record else states[K % rows].copy()
+            self.stencil = _stencil or build_stencil(model, grid, s)
+            self.step(0)
+
+    def step(self, k):
+        """The step to t_{k+1}, kept or built now.
+
+        M is formed in A_h's compressed arrays and shares its index arrays:
+        -(dt*a) off the diagonal and 1.0 - dt*a on it, the bits of
+        I - dt*A_h, as x - y is x + (-y).  Only a time-homogeneous step on
+        at most ``DENSE_MAX_N`` nodes forms the certified inverse, and only
+        its bytes count A_h, which a series' steps do not keep.
+        """
+        if k in self.steps:
+            return self.steps[k]
+        series = self.model.time_dependent
+        t = self.times[k + 1] if series else self.s
+        last = not series or k == len(self.times) - 2
+        A, mixed, diag = self.stencil if last else build_stencil(self.model, self.grid, t)
+        M = csc_matrix((A.data * -self.dt, A.indices, A.indptr), shape=A.shape)
+        M.data[diag] += 1.0
+        try:
+            # M is structurally symmetric; default partial pivoting
+            lu = splu(M, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise LinearSolveFailure(
+                f"step matrix at t={t:g} could not be factored: {exc}"
+            ) from exc
+        dense = not series and self.grid.n <= DENSE_MAX_N
+        inverse = _certified_inverse(M, lu, self.config.linear_solver_tol) if dense else None
+        size = 12 * (lu.nnz + M.nnz + (0 if series else A.nnz)) + getattr(inverse, "nbytes", 0)
+        step = _Step(mixed, M, lu, inverse)
+        if not self.steps or self.kept + size <= KEEP_BYTES:
+            self.steps[k] = step
+            self.kept += size
+        return step
+
+    def march(self, values, record):
+        """March the flat vector ``values``, or the (n, m) block ``values``
+        in its own storage, over every step from s to T: the stepping core.
+
+        Under the certified dense inverse S a step is the product S @ p,
+        otherwise a solve through the step's factor, checked by
+        :func:`_check`.  A block is stepped ``PANEL`` columns at a time, and
+        each panel's new state, its product checked finite or its solve
+        checked, is written back in place.  A vector steps through ``rows``
+        states, K + 1 with ``record`` and 2 without: step k reads row
+        k % rows and writes row (k + 1) % rows.  Under S only the final
+        state is checked finite: one non-finite entry of p makes every entry
+        of S @ p non-finite, so a bad step leaves every later state bad.
+        The error names the first bad step, read from the recorded states;
+        an unrecorded march is replayed recorded to find it.  Nothing is
+        clamped: without an a12 term M is strictly column-dominant, so
+        SuperLU pivots on its diagonal, L and U keep the M-matrix signs,
+        and the solve and S @ p of a nonnegative state add up nonnegative
+        terms only.
+
+        Returns the times, whether a step had an a12 term, and the states
+        (all K + 1 with ``record``, else the final one), or the block itself.
+        """
+        K, tol, mixed = self.config.n_steps, self.config.linear_solver_tol, False
+        one = None if self.model.time_dependent else self.step(0)
+        S = None if one is None else one.inverse
+        block = np.ndim(values) == 2
+        if not block:
+            rows = K + 1 if record else 2
+            states = np.empty((rows,) + np.shape(values))
+            states[0] = values
+        for k in range(K):
+            step = one or self.step(k)
+            mixed |= step.mixed
+            if block:
+                for j in range(0, values.shape[1], PANEL):
+                    x = values[:, j : j + PANEL]
+                    new = step.lu.solve(x) if S is None else S @ x
+                    if S is None:
+                        _check(step.M, tol, x, new, k)
+                    elif not np.isfinite(new).all():
+                        raise LinearSolveFailure(f"solve at step {k} is not finite")
+                    x[...] = new
+                continue
+            x, out = states[k % rows], states[(k + 1) % rows]
+            if S is None:
+                out[...] = step.lu.solve(x)
+                _check(step.M, tol, x, out, k)
+            else:
+                S.dot(x, out=out)
+        if block:
+            return self.times, mixed, values
+        if S is not None and not np.isfinite(states[K % rows]).all():
+            if not record:  # replayed keeping every state, which raises there
+                states = self.march(values, True)[2]
+            bad = int(np.argmin(np.isfinite(states[1:]).all(axis=1)))
+            raise LinearSolveFailure(f"solve at step {bad} is not finite")
+        return self.times, mixed, states if record else states[K % rows].copy()
+
+
+def _propagator(model, grid, config, s, T):
+    """The model's latest propagator if it has this grid, config, s and T,
+    else a new one in its place: the old one goes before the new one
+    factors, and hands a time-homogeneous model's A_h over on the same grid."""
+    prop, model.propagator = model.propagator, None
+    if prop is None or (prop.grid, prop.config, prop.s, prop.T) != (grid, config, s, T):
+        same = prop is not None and prop.grid == grid and not model.time_dependent
+        stencil, prop = prop.stencil if same else None, None  # the old one goes here
+        prop = Propagator(model, grid, config, s, T, stencil)
+    model.propagator = prop
+    return prop
+
+
+def _march(model, grid, config, values, s, T, record):
+    """:meth:`Propagator.march` through the model's propagator for [s, T],
+    the one entry of every march in the package."""
+    return _propagator(model, grid, config, s, T).march(values, record)
 
 
 def evolve(model, grid, config, rho, s, T):
     """Evolve the density ``rho`` from time s to T, keeping every snapshot
-    and its mass; the model keeps the steps, as every :func:`_march` does.
+    and its mass, through the model's propagator, as every :func:`_march`.
 
     Positivity is certified when no step had an a12 term."""
     if rho.grid is not grid and rho.grid != grid:

@@ -28,10 +28,9 @@ class DiffusionModel:
     is broadcast), so callers must not write into it.  One with stride 0
     along the points is the same at every point, and at every time unless
     the model is ``time_dependent``; :func:`decrem.simulate` then reads it
-    once per call.  ``steps`` holds the time steps that :mod:`decrem.kolmogorov`
-    keeps for the model, those of its latest step size within a byte
-    budget, each with its factor and, time-homogeneous, its certified A_h
-    and dense inverse, so that the marches of one command share them.
+    once per call.  ``propagator`` holds the model's latest
+    :class:`decrem.kolmogorov.Propagator`, the certified steps of its latest
+    march, so that the marches of one command over [0, T] share them.
     """
 
     def __init__(self, dim, drift_fn, beta_fn, time_dependent=False):
@@ -39,7 +38,7 @@ class DiffusionModel:
         self._drift_fn = drift_fn
         self._beta_fn = beta_fn
         self.time_dependent = bool(time_dependent)
-        self.steps = {}
+        self.propagator = None
 
     def drift_at(self, points, t):
         return self._at(self._drift_fn, "drift", points, t, ())

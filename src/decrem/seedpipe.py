@@ -170,7 +170,7 @@ def run_seed(
     When the clamp of u0 removes nothing, rho = alpha * zeta and the
     resolvent's last application marched zeta: the decrement is
     rho - alpha * Q zeta, the mass curve alpha times that march's masses.
-    Otherwise rho is marched once, through the steps the resolvent kept.
+    Otherwise rho is marched once, through the resolvent's propagator.
     """
     if isinstance(gamma, DensityField):
         gamma = _validate_gamma(gamma)

@@ -313,7 +313,7 @@ def test_seed_dense_steps_determinism_across_threads(tmp_path):
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [10, 10])
     model = constant_model(cfg["model"]["drift"], cfg["model"]["beta"])
     _march(model, grid, SolverConfig(n_steps=128), np.ones(grid.n), 0.0, 0.3, record=False)
-    (step,) = model.steps.values()
+    (step,) = model.propagator.steps.values()
     assert step.inverse is not None
     outputs = []
     for threads in ("1", "4"):

@@ -284,7 +284,7 @@ def test_assembled_kernel_is_Q_of_each_unit_mass(case, monkeypatch):
         grid, model = make_grid(2, [0.0, 0.0], [1.0, 1.0], [n, n]), drifted
     config = SolverConfig(n_steps=16)
     Q = assemble_Q(model, grid, config, 0.3).matrix
-    (first, *_) = model.steps.values()
+    (first, *_) = model.propagator.steps.values()
     assert (first.inverse is not None) == (case == "dense-10x10")
     units = np.eye(grid.n) / grid.cell_volume
     act = propagator_action(model, grid, config, 0.3)

@@ -28,9 +28,9 @@ from decrem import kolmogorov
 from decrem.kolmogorov import (
     DENSE_MAX_N,
     PANEL,
+    Propagator,
     _check,
     _march,
-    _steps,
     build_stencil,
 )
 from conftest import sampled_sine
@@ -315,22 +315,22 @@ def test_generator_matrix_2d_mixed():
 
 
 def _assert_step_is_the_sparse_chain(model, grid, t, dt):
-    """A_h and the step matrix M of a new step carry the bits, the
-    canonical structure and the nnz of the sparse chain they replaced:
-    the probed A_h, and M = identity(n) - dt*A_h converted to CSC."""
-    ref = _reference_matrix(model, grid, t)
-    ref_M = (identity(grid.n, format="csr") - dt * ref).tocsc()
-    model.steps.clear()
-    step = kolmogorov._step(model, grid, 1e-10, dt, t)
-    M, shared = step.M, step.stencil is not None  # a series keeps no A_h
-    A = step.stencil[0] if shared else build_stencil(model, grid, t)[0]
+    """A_h and the step matrix M of the one step of a new propagator over
+    [t, t + dt] carry the bits, the canonical structure and the nnz of the
+    sparse chain they replaced: the probed A_h at the step's time, and
+    M = identity(n) - dt*A_h converted to CSC, with the propagator's dt."""
+    prop = Propagator(model, grid, SolverConfig(n_steps=1), t, t + dt)
+    ref = _reference_matrix(model, grid, prop.times[1])  # a homogeneous model reads no t
+    ref_M = (identity(grid.n, format="csr") - prop.dt * ref).tocsc()
+    # the one step takes the propagator's A_h: a series' A_h(T), else A_h
+    M, A = prop.step(0).M, prop.stencil[0]
     for mat, want in ((A.tocsr(), ref), (A, ref.tocsc()), (M, ref_M)):
         assert mat.format == want.format and mat.nnz == want.nnz
         assert mat.has_sorted_indices and np.all(mat.data != 0.0)
         for part in ("indptr", "indices", "data"):
             got, exp = getattr(mat, part), getattr(want, part)
             assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes(), part
-    for part in ("indptr", "indices") if shared else ():
+    for part in ("indptr", "indices"):
         assert np.shares_memory(getattr(M, part), getattr(A, part)), part
 
 
@@ -438,7 +438,7 @@ def test_axis_aligned_generator_is_monotone(case, dt, seed):
     # why the march needs no clamp: M is strictly column-dominant, so
     # SuperLU pivots on its diagonal, L and U keep the M-matrix signs, and
     # a solve of nonnegative data adds up nonnegative terms only, -0.0 included
-    (step,) = model.steps.values()
+    (step,) = model.propagator.steps.values()
     lu = step.lu
     assert np.array_equal(lu.perm_r, lu.perm_c)
     for factor in (lu.L.tocoo(), lu.U.tocoo()):
@@ -464,7 +464,7 @@ def test_inverse_without_a12_is_nonnegative(case, dt):
     # is -0.0 either
     model, grid = case
     _march(model, grid, SolverConfig(n_steps=1), np.ones(grid.n), 0.0, dt, record=False)
-    (step,) = model.steps.values()
+    (step,) = model.propagator.steps.values()
     S = step.lu.solve(np.eye(grid.n))
     assert not np.signbit(S).any()
     assert step.inverse is None or np.array_equal(step.inverse, S)
@@ -541,7 +541,7 @@ def test_dense_march_matches_sparse_reference(case, sign):
     if sign == "mixed-sign":
         values -= 0.4
     out = _march(model, grid, config, values, 0.0, 0.3, record=False)[2]
-    (step,) = model.steps.values()
+    (step,) = model.propagator.steps.values()
     assert step.inverse is not None
     ref = _reference_march(model, grid, config, values, 0.0, 0.3)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -604,7 +604,7 @@ def test_sparse_march_matches_dense_solves(case, seed, shift):
     config = SolverConfig(n_steps=16)
     values = rng.random(grid.n) - shift
     out = _march(model, grid, config, values, 0.0, 0.2, record=False)[2]
-    for step in model.steps.values():
+    for step in model.propagator.steps.values():
         assert step.lu is not None and step.inverse is None
     ref = _reference_march(model, grid, config, values, 0.0, 0.2, factor=_dense_solve)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -614,14 +614,14 @@ def test_uncertified_inverse_falls_back(heat):
     grid = make_grid(1, [0.0], [1.0], [32])
     values = sampled_sine(grid).values
     _march(heat, grid, SolverConfig(n_steps=8), values, 0.0, 0.5, record=False)
-    (step,) = heat.steps.values()
+    (step,) = heat.propagator.steps.values()
     assert step.inverse is not None
     # no inverse meets a relative residual of 1e-20: the steps go through
     # the sparse factor and its check, which raises
     config = SolverConfig(n_steps=8, linear_solver_tol=1e-20)
     with pytest.raises(LinearSolveFailure, match="step 0"):
         _march(heat, grid, config, values, 0.0, 0.5, record=False)
-    (step,) = heat.steps.values()
+    (step,) = heat.propagator.steps.values()
     assert step.lu is not None and step.inverse is None
 
 
@@ -649,7 +649,7 @@ def test_buffered_march_matches_per_step_dense(case, n_steps, sign, record):
     if sign == "mixed-sign":
         values -= 0.4
     out = _march(model, grid, config, values, 0.0, 0.005 * n_steps, record=record)[2]
-    (step,) = model.steps.values()
+    (step,) = model.propagator.steps.values()
     assert step.inverse is not None
     ref = _dense_reference(step, n_steps, values)
     assert np.array_equal(out, ref if record else ref[-1])
@@ -701,9 +701,9 @@ def test_dense_step_rejects_non_finite(heat):
     # stepped in place a step at a time, name the same step
     cases = itertools.product((39, config.n_steps - 1), (-1.0, 1.0), (True, False, "block"))
     for k, sign, record in cases:
-        heat.steps.clear()  # a step made afresh
+        heat.propagator = None  # a step made afresh
         _march(heat, grid, config, ones, 0.0, 0.5, record=False)
-        (step,) = heat.steps.values()
+        (step,) = heat.propagator.steps.values()
         assert step.inverse is not None
         step.inverse = _poisoned(grid.n, k, sign)
         values = np.ones((grid.n, 3), order="F") if record == "block" else ones
@@ -753,42 +753,42 @@ def test_homogeneous_generator_is_built_once_per_grid(monkeypatch, heat):
         config = SolverConfig(n_steps=len(ref.times) - 1)
         traj = evolve(heat, grid, config, rho, 0.0, 0.3)
         assert traj.states.tobytes() == ref.states.tobytes()
-        assert list(heat.steps) == [(grid, config.linear_solver_tol, 0.3 / config.n_steps, None)]
-        kept.extend(heat.steps.values())
+        assert heat.propagator.config == config and list(heat.propagator.steps) == [0]
+        kept.extend(heat.propagator.steps.values())
     assert (len(factors), len(calls)) == (3, 1)
     assert kept[0] is not kept[2]
     evolve(heat, grid, config, rho, 0.0, 0.3)
-    assert list(heat.steps.values()) == [kept[2]] and len(factors) == 3
+    assert list(heat.propagator.steps.values()) == [kept[2]] and len(factors) == 3
     other = make_grid(1, [0.0], [1.0], [20])
     evolve(heat, other, SolverConfig(n_steps=4), sampled_sine(other), 0.0, 0.3)
     assert len(calls) == 2
-    assert [key[0] for key in heat.steps] == [other]
+    assert heat.propagator.grid == other
 
 
 def test_model_and_kept_step_need_no_cycle_collector():
-    # the kept step holds no reference back to its model, so the two go
-    # with the model's last outside reference, the cyclic collector off
+    # the propagator in the model's slot refers to the model weakly and its
+    # kept step not at all, so all three go with the model's last outside
+    # reference, the cyclic collector off
     grid = make_grid(1, [0.0], [1.0], [16])
     gc.disable()
     try:
         model = constant_model([0.3], [[1.0]])
         evolve(model, grid, SolverConfig(n_steps=4), sampled_sine(grid), 0.0, 0.5)
-        (step,) = model.steps.values()
+        (step,) = model.propagator.steps.values()
         assert step.inverse is not None
-        refs = weakref.ref(model), weakref.ref(step)
+        refs = weakref.ref(model), weakref.ref(model.propagator), weakref.ref(step)
         del model, step
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
 
 
-def _kept_bytes(model):
-    """The bytes of a model's kept steps, 12 per nonzero of each sparse
-    matrix a step holds and 8 per entry of its inverse."""
+def _kept_bytes(prop):
+    """The bytes of a series propagator's kept steps, 12 per nonzero of
+    each sparse matrix a step holds and 8 per entry of its inverse."""
     total = 0
-    for s in model.steps.values():
-        nnz = s.lu.nnz + s.M.nnz + (0 if s.stencil is None else s.stencil[0].nnz)
-        total += 12 * nnz + (0 if s.inverse is None else s.inverse.nbytes)
+    for s in prop.steps.values():
+        total += 12 * (s.lu.nnz + s.M.nnz) + (0 if s.inverse is None else s.inverse.nbytes)
     return total
 
 
@@ -806,13 +806,14 @@ def test_kept_steps_stay_within_the_byte_budget(monkeypatch):
 
     keeps_all = table()
     ref = _march(keeps_all, grid, config, values, 0.0, 0.2, record=True)[2]
-    assert len(keeps_all.steps) == 16
-    budget = _kept_bytes(keeps_all) // 3
+    assert len(keeps_all.propagator.steps) == 16
+    budget = _kept_bytes(keeps_all.propagator) // 3
     monkeypatch.setattr(kolmogorov, "KEEP_BYTES", budget)
     model = table()
     for _ in range(2):
         assert np.array_equal(_march(model, grid, config, values, 0.0, 0.2, record=True)[2], ref)
-        assert 1 < len(model.steps) < 16 and _kept_bytes(model) <= budget
+        prop = model.propagator
+        assert 1 < len(prop.steps) < 16 and _kept_bytes(prop) == prop.kept <= budget
     monkeypatch.setattr(kolmogorov, "KEEP_BYTES", 0)
     factors = []
     splu = kolmogorov.splu
@@ -826,39 +827,25 @@ def test_kept_steps_stay_within_the_byte_budget(monkeypatch):
     big = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 1])
     for _ in range(2):
         _march(heat, big, config, np.ones(big.n), 0.0, 0.2, record=False)
-    assert len(factors) == 1 and len(heat.steps) == 1
-
-
-def test_march_builds_an_unkept_first_step_once(monkeypatch):
-    # a march whose first step time is not kept builds and factors each of
-    # its steps once, the first one included; its preamble builds A_h(t_K)
-    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [5, 6])
-    model = _random_series(grid, np.random.default_rng(47), cross=False)
-    config = SolverConfig(n_steps=4)
-    monkeypatch.setattr(kolmogorov, "KEEP_BYTES", 0)
-    _march(model, grid, config, np.ones(grid.n), 0.0, 0.1, record=False)
-    calls = _count_builds(monkeypatch)
-    _march(model, grid, config, np.ones(grid.n), 0.1, 0.2, record=False)
-    assert len(calls) == 4 and np.allclose(calls, [0.2, 0.125, 0.15, 0.175])
-    assert len(model.steps) == 1 and np.isclose(next(iter(model.steps))[3], 0.025)
+    assert len(factors) == 1 and len(heat.propagator.steps) == 1
 
 
 def _count_fetches(monkeypatch):
     calls = []
-    step = kolmogorov._step
+    step = Propagator.step
 
-    def counted(model, grid, tol, dt, t, stencil=None):
-        calls.append(t)
-        return step(model, grid, tol, dt, t, stencil)
+    def counted(self, k):
+        calls.append(k)
+        return step(self, k)
 
-    monkeypatch.setattr(kolmogorov, "_step", counted)
+    monkeypatch.setattr(Propagator, "step", counted)
     return calls
 
 
 @pytest.mark.parametrize("case", ["sparse", "dense", "series"])
 def test_march_fetches_a_homogeneous_step_once(monkeypatch, case):
-    # a kept time-homogeneous step is fetched twice, once by _steps for its
-    # certificate and once by _march, whatever K; a series' steps once each
+    # a march fetches a time-homogeneous model's one step once, whatever K,
+    # from the propagator that the first march built; a series' steps once each
     if case == "sparse":
         grid, K = make_grid(1, [0.0], [1.0], [DENSE_MAX_N + 1]), 16
         model = constant_model([0.3], [[1.0]])
@@ -871,19 +858,19 @@ def test_march_fetches_a_homogeneous_step_once(monkeypatch, case):
     config = SolverConfig(n_steps=K)
     _march(model, grid, config, np.ones(grid.n), 0.0, 0.2, record=False)
     if case != "series":
-        (step,) = model.steps.values()
+        (step,) = model.propagator.steps.values()
         assert (step.inverse is None) == (case == "sparse")
     calls = _count_fetches(monkeypatch)
     for record in (False, True):
         calls.clear()
-        times = _march(model, grid, config, np.ones(grid.n), 0.0, 0.2, record=record)[0]
-        assert calls == ([0.0, 0.0] if case != "series" else list(times[1:]))
+        _march(model, grid, config, np.ones(grid.n), 0.0, 0.2, record=record)
+        assert calls == ([0] if case != "series" else list(range(K)))
 
 
-def test_new_step_size_factors_after_the_old_steps_are_gone(monkeypatch, heat):
-    # the kept steps of the old size are dropped before the first factor of
-    # the new one, the cyclic collector off; a time-homogeneous model keeps
-    # its A_h on the same grid
+def test_propagator_dropped_from_the_slot_frees_its_factors_first(monkeypatch, heat):
+    # a march at a new step size replaces the model's propagator, which goes
+    # with its steps before the new one factors, the cyclic collector off;
+    # a time-homogeneous model hands its A_h over on the same grid
     grid = make_grid(1, [0.0], [1.0], [16])
     table_grid = make_grid(1, [0.0], [1.0], [8])
     series = [(np.zeros((8, 1)), np.ones((8, 1, 1)))] * 3
@@ -892,10 +879,9 @@ def test_new_step_size_factors_after_the_old_steps_are_gone(monkeypatch, heat):
     try:
         for model, g in ((heat, grid), (table, table_grid)):
             _march(model, g, SolverConfig(n_steps=8), np.ones(g.n), 0.0, 0.5, record=False)
-            kept = model.steps.values()
-            old = [weakref.ref(s.M if s.inverse is None else s.inverse) for s in kept]
-            A = next(iter(model.steps.values())).stencil
-            assert (A is None) == (model is table)
+            old = [weakref.ref(model.propagator)]
+            old += [weakref.ref(s) for s in model.propagator.steps.values()]
+            A = model.propagator.stencil
             alive = []
             splu = kolmogorov.splu
 
@@ -906,11 +892,40 @@ def test_new_step_size_factors_after_the_old_steps_are_gone(monkeypatch, heat):
             monkeypatch.setattr(kolmogorov, "splu", counted)
             _march(model, g, SolverConfig(n_steps=4), np.ones(g.n), 0.0, 0.5, record=False)
             monkeypatch.setattr(kolmogorov, "splu", splu)
-            assert len(old) == (1 if model is heat else 8)
+            assert len(old) == (2 if model is heat else 9)
             assert alive == [False] * (1 if model is heat else 4)
-            assert next(iter(model.steps.values())).stencil is A
+            assert (model.propagator.stencil is A) == (model is heat)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "series"])
+def test_two_propagators_alive_together_factor_once_each(monkeypatch, case):
+    # propagators at K and K/2 on one model, held at once and applied in
+    # either order, factor each of their steps once and march the bits of
+    # a march on steps made afresh
+    if case == "series":
+        grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [6, 7])
+    else:
+        grid = make_grid(1, [0.0], [1.0], [24 if case == "dense" else DENSE_MAX_N + 1])
+
+    def model():
+        if case == "series":
+            return _random_series(grid, np.random.default_rng(49), cross=False)
+        return constant_model([0.3], [[1.0]])
+
+    values = np.random.default_rng(50).random(grid.n)
+    configs = [SolverConfig(n_steps=16), SolverConfig(n_steps=8)]
+    fresh = [_march(model(), grid, c, values, 0.0, 0.2, record=False)[2] for c in configs]
+    factors = []
+    splu = kolmogorov.splu
+    monkeypatch.setattr(kolmogorov, "splu", lambda *a, **k: factors.append(1) or splu(*a, **k))
+    shared = model()
+    props = [Propagator(shared, grid, c, 0.0, 0.2) for c in configs]
+    for i in (1, 0, 1, 0):
+        assert props[i].march(values, False)[2].tobytes() == fresh[i].tobytes()
+    assert len(factors) == (24 if case == "series" else 2)
+    assert shared.propagator is None  # built by hand, neither is the model's
 
 
 def test_tabulated_series_builds_the_generator_every_step(monkeypatch):
@@ -926,8 +941,7 @@ def test_tabulated_series_builds_the_generator_every_step(monkeypatch):
         config = SolverConfig(n_steps=n_steps)
         traj = evolve(table, grid, config, rho, 0.0, 0.3)
     assert len(calls) == 16
-    tol, dt = config.linear_solver_tol, 0.3 / 10
-    assert list(table.steps) == [(grid, tol, dt, t) for t in traj.times[1:]]
+    assert table.propagator.config == config and list(table.propagator.steps) == list(range(10))
 
 
 def test_trajectory_fields_are_its_states(heat):
@@ -959,11 +973,11 @@ def test_build_stencil_certifies_ellipticity(beta, smallest):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         EllipticityViolation
     ) as err:
-        _steps(model, grid, SolverConfig(n_steps=4), 0.0, 1.0)
+        _march(model, grid, SolverConfig(n_steps=4), np.ones(grid.n), 0.0, 1.0, record=False)
     eig = err.value.eigenvalue
     assert eig <= 0.0 if np.isfinite(smallest) else not np.isfinite(eig)
     assert err.value.t == 0.0 and err.value.x.shape == (dim,)
-    assert model.steps == {}  # no step is kept without a certificate
+    assert model.propagator is None  # no propagator is kept without a certificate
 
 
 def _rotated(low, high, angle):
@@ -1053,13 +1067,13 @@ def _series(where):
 
 @pytest.mark.parametrize("where", [0.0, 0.5])
 def test_march_certifies_series_ends(monkeypatch, where):
-    # no step evaluates the coefficients at s: the preamble of a march
-    # certifies both ends before any step, s directly and T through the
+    # no step evaluates the coefficients at s: a propagator certifies both
+    # ends when it is built, before any step, s directly and T through the
     # A_h(T) that its step to T takes
     table, grid = _series(where)
     calls = _count_builds(monkeypatch)
     with pytest.raises(EllipticityViolation) as err:
-        _steps(table, grid, SolverConfig(n_steps=8), 0.0, 0.5)
+        Propagator(table, grid, SolverConfig(n_steps=8), 0.0, 0.5)
     assert err.value.t == where and err.value.eigenvalue == 0.0
     assert calls == ([] if where == 0.0 else [0.5])
 
@@ -1083,10 +1097,13 @@ def test_kept_series_is_not_certified_again(monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [kolmogorov.KEEP_BYTES, 0])
-def test_fresh_series_certifies_each_end_once_per_propagator_action(monkeypatch, budget):
-    # construction certifies t = 0 directly and t = 0.5 through A_h(0.5),
-    # which the first application's step to 0.5 takes; neither end is read
-    # again, and the factors and the kept steps are those of a plain march
+@pytest.mark.parametrize("s", [0.0, 0.25])
+def test_series_propagator_reads_each_time_once(monkeypatch, s, budget):
+    # built, a series propagator reads the coefficients at s, to certify
+    # it, and at T, for the A_h(T) that its step to T takes; a march then
+    # reads each other step time once, as it builds and factors that step,
+    # and keeps the step if it fits the budget, the first always; the next
+    # march reads and factors only the steps that were not kept
     table, grid = _series(None)
     monkeypatch.setattr(kolmogorov, "KEEP_BYTES", budget)
     calls, factors, splu = [], [], kolmogorov.splu
@@ -1097,14 +1114,18 @@ def test_fresh_series_certifies_each_end_once_per_propagator_action(monkeypatch,
 
     monkeypatch.setattr(kolmogorov, "eval_a", counted)
     monkeypatch.setattr(kolmogorov, "splu", lambda *a, **k: factors.append(1) or splu(*a, **k))
-    config = SolverConfig(n_steps=8)
-    act = propagator_action(table, grid, config, 0.5)
-    act(np.ones(grid.n))
-    assert calls == [0.0, 0.5] + [0.0625 * k for k in range(1, 8)]
-    assert len(factors) == 8
-    kept = range(1, 9 if budget else 2)
-    tol = config.linear_solver_tol
-    assert list(table.steps) == [(grid, tol, 0.0625, 0.0625 * k) for k in kept]
+    prop = Propagator(table, grid, SolverConfig(n_steps=8), s, 0.5)
+    assert calls == [s, 0.5] and factors == []
+    first = prop.march(np.ones(grid.n), False)[2]
+    assert calls[2:] == list(prop.times[1:-1]) and len(factors) == 8
+    kept = list(range(8)) if budget else [0]
+    assert list(prop.steps) == kept
+    calls.clear()
+    factors.clear()
+    assert prop.march(np.ones(grid.n), False)[2].tobytes() == first.tobytes()
+    rebuilt = [k for k in range(8) if k not in kept]
+    assert calls == [prop.times[k + 1] for k in rebuilt if k < 7]
+    assert len(factors) == len(rebuilt)
 
 
 def test_series_degenerate_inside_fails_at_the_step_that_reads_it(monkeypatch):

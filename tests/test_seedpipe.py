@@ -244,8 +244,8 @@ def test_unclamped_seed_takes_its_decrement_from_the_resolvent(monkeypatch, n_ce
     assert sol.negativity == 0.0 and evolves == []
     march = fredholm._march
 
-    def unrecorded(model, grid, config, values, s, T, record, steps=None):
-        times, mixed, final = march(model, grid, config, values, s, T, False, steps)
+    def unrecorded(model, grid, config, values, s, T, record):
+        times, mixed, final = march(model, grid, config, values, s, T, False)
         return times, mixed, final[None]
 
     monkeypatch.setattr(fredholm, "_march", unrecorded)

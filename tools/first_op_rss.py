@@ -14,8 +14,9 @@ four points:
 - ``import``: after importing ``decrem.cli``;
 - ``stencil``: after the first ``kolmogorov.build_stencil`` on the input's
   grid and model at t = 0;
-- ``step``: after the first ``kolmogorov._step`` at each of the input's two
-  step sizes, T/K and T/(K/2), on a fresh model;
+- ``step``: after a ``propagator_action`` at each of the input's two step
+  counts, K and K // 2, on a fresh model, which builds and factors its
+  steps;
 - ``op``: after one op of the workload's command on the input, through
   ``cli.main`` with output silenced.
 
@@ -49,7 +50,7 @@ import contextlib, io, json, resource, sys
 def peak():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 out = {}
-from decrem import cli, constant_model, make_grid, kolmogorov
+from decrem import SolverConfig, cli, constant_model, make_grid, kolmogorov, propagator_action
 out["import"] = peak()
 cfg = json.load(open("config.json"))
 d, m = cfg["domain"], cfg["model"]
@@ -58,8 +59,8 @@ kolmogorov.build_stencil(constant_model(m["drift"], m["beta"]), grid, 0.0)
 out["stencil"] = peak()
 T, K = cfg["time"]["T"], cfg["time"]["n_steps"]
 model = constant_model(m["drift"], m["beta"])
-for dt in (T / K, T / (K // 2)):
-    kolmogorov._step(model, grid, 1e-10, dt, 0.0)
+for k in (K, K // 2):
+    propagator_action(model, grid, SolverConfig(n_steps=k), T)
 out["step"] = peak()
 del model
 sink = io.StringIO()
