@@ -33,7 +33,7 @@ from .fredholm import _check_cap, assemble_Q, propagator_action, singular_values
 from .grid import DensityField, _write_json, _write_rows, make_grid, mass
 from .kolmogorov import SCHEME, SolverConfig, evolve, save_trajectory
 from .model import constant_model, load_tabulated, load_tabulated_series, ou_model
-from .montecarlo import default_dt, estimate_density, sample_initial, simulate
+from .montecarlo import estimate_density, sample_initial, simulate
 from .seedpipe import (
     check_contract,
     load_solution,
@@ -376,7 +376,6 @@ def cmd_mc(cfg, base_dir, grid, model, config, T, rho_path):
         raise ConfigError(f"mc.seed must be an integer, got {seed!r}")
     cfg["mc"]["seed"] = int(seed)
     rho = _read_rho(grid, rho_path)
-    dt = default_dt(model, grid, T) if dt is None else dt
     ensemble = sample_initial(rho, n, int(seed))
     # the march certifies every step's coefficients, so a model degenerate
     # inside (0, T) fails before the particles run
@@ -396,7 +395,7 @@ def cmd_mc(cfg, base_dir, grid, model, config, T, rho_path):
         "survival_pde": float(final.sum() * grid.cell_volume),
         "frac_abs_z_le_4": float(np.mean(np.abs(z) <= 4.0)),
         "max_abs_z": float(np.abs(z).max()),
-        "dt": dt,
+        "dt": ensemble.dt,
     }
     names.append(_save_json(out_dir, "comparison.json", comparison))
     print(f"master seed {int(seed)}")

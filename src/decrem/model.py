@@ -5,7 +5,8 @@ The generator uses a = (1/2) beta beta^T, which must be uniformly
 elliptic; :mod:`decrem.kolmogorov` certifies that on the coefficients it
 evaluates.  Three families cover the supported inputs: constant
 coefficients, linear drift toward a center (Ornstein-Uhlenbeck type), and
-coefficients tabulated on a grid.
+coefficients tabulated on the cells of a grid at one or more sample times,
+a steady table being one sample.
 """
 
 from __future__ import annotations
@@ -94,77 +95,54 @@ def ou_model(rate, center, beta):
     )
 
 
-class _Table:
-    """One time sample of tabulated coefficients on its own grid.
+def tabulated_model(grid, times, samples):
+    """Coefficients tabulated on the cells of ``grid``: one ``(drift_values,
+    beta_values)`` pair of ``samples`` per time of ``times``, which must
+    increase strictly.  A steady table is one sample, at any time.
 
     Evaluation is piecewise constant on cells: a query point reads the
-    coefficients of the cell it falls in (clipped to the box).  The table
-    grid must therefore be at least as fine as any solver grid used with it.
+    coefficients of the cell it falls in (clipped to the box), so the table
+    grid must be at least as fine as any solver grid used with it.  Between
+    two sample times it interpolates linearly; beyond the sampled range it
+    holds the end sample.  Unequal lengths, times that do not increase
+    strictly and a non-finite coefficient raise ValueError.
     """
-
-    def __init__(self, grid, drift_values, beta_values):
-        dim = grid.dim
-        drift_values = np.asarray(drift_values, dtype=float).reshape(grid.n, dim)
-        beta_values = np.asarray(beta_values, dtype=float).reshape(grid.n, dim, dim)
-        for name, values in (("drift", drift_values), ("beta", beta_values)):
-            bad = np.flatnonzero(~np.isfinite(values.reshape(grid.n, -1)).all(axis=1))
+    if len(times) != len(samples):
+        raise ValueError("times and samples must have equal length")
+    times = np.asarray(times, dtype=float)
+    if len(times) == 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be non-empty and strictly increasing")
+    n, dim = grid.n, grid.dim
+    tables = []  # [drift (n, dim), beta (n, dim, dim)] per sample
+    for drift_values, beta_values in samples:
+        pair = [
+            np.asarray(drift_values, dtype=float).reshape(n, dim),
+            np.asarray(beta_values, dtype=float).reshape(n, dim, dim),
+        ]
+        for name, values in zip(("drift", "beta"), pair):
+            bad = np.flatnonzero(~np.isfinite(values.reshape(n, -1)).all(axis=1))
             if bad.size:
                 raise ValueError(f"tabulated {name} is not finite at node {bad[0]}")
-        self.grid = grid
-        self.drift_values = drift_values
-        self.beta_values = beta_values
+        tables.append(pair)
 
-    def drift(self, points):
-        return self.drift_values[self.grid.cell_index(points)]
+    def interpolated(k):
+        """Coefficient k of each pair at (points, t), from the cells found
+        once: the sample at or before t, blended with the next one while t
+        lies strictly inside the sampled range."""
 
-    def beta(self, points):
-        return self.beta_values[self.grid.cell_index(points)]
+        def at(points, t):
+            cells = grid.cell_index(points)
+            j = max(int(np.searchsorted(times, t, side="right")) - 1, 0)
+            out = tables[j][k][cells]
+            if times[0] < t < times[-1]:
+                w = (t - times[j]) / (times[j + 1] - times[j])
+                if w > 0.0:
+                    out = (1.0 - w) * out + w * tables[j + 1][k][cells]
+            return out
 
+        return at
 
-def tabulated_model(grid, drift_values, beta_values, times=None, series=None):
-    """Coefficients tabulated on ``grid``.
-
-    Either pass one (drift_values, beta_values) sample for a steady model,
-    or ``times`` together with ``series`` = list of such pairs, in which
-    case evaluation interpolates linearly in time and holds the end samples
-    constant beyond the sampled range.  A non-finite coefficient raises
-    ValueError.
-    """
-    if series is None:
-        tables = [_Table(grid, drift_values, beta_values)]
-        times = np.array([0.0])
-    else:
-        if times is None or len(times) != len(series):
-            raise ValueError("times and series must have equal length")
-        times = np.asarray(times, dtype=float)
-        if len(times) == 0 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be non-empty and strictly increasing")
-        tables = [_Table(grid, fv, bv) for fv, bv in series]
-
-    def _weights(t):
-        if len(tables) == 1 or t <= times[0]:
-            return 0, 0, 0.0
-        if t >= times[-1]:
-            return len(tables) - 1, len(tables) - 1, 0.0
-        j = int(np.searchsorted(times, t, side="right") - 1)
-        w = (t - times[j]) / (times[j + 1] - times[j])
-        return j, j + 1, w
-
-    def drift_fn(points, t):
-        j0, j1, w = _weights(t)
-        out = tables[j0].drift(points)
-        if w > 0.0:
-            out = (1.0 - w) * out + w * tables[j1].drift(points)
-        return out
-
-    def beta_fn(points, t):
-        j0, j1, w = _weights(t)
-        out = tables[j0].beta(points)
-        if w > 0.0:
-            out = (1.0 - w) * out + w * tables[j1].beta(points)
-        return out
-
-    return DiffusionModel(grid.dim, drift_fn, beta_fn, time_dependent=len(tables) > 1)
+    return DiffusionModel(dim, interpolated(0), interpolated(1), time_dependent=len(tables) > 1)
 
 
 def _read_coefficients(grid, path):
@@ -179,8 +157,7 @@ def _read_coefficients(grid, path):
 
 def load_tabulated(grid, path):
     """Steady tabulated model from a single coefficient CSV."""
-    drift_values, beta_values = _read_coefficients(grid, path)
-    return tabulated_model(grid, drift_values, beta_values)
+    return tabulated_model(grid, [0.0], [_read_coefficients(grid, path)])
 
 
 def load_tabulated_series(grid, manifest_path):
@@ -197,7 +174,7 @@ def load_tabulated_series(grid, manifest_path):
         raise ShapeMismatch(f"{manifest_path}: times and files differ in length")
     base = os.path.dirname(os.path.abspath(manifest_path))
     series = [_read_coefficients(grid, os.path.join(base, f)) for f in files]
-    return tabulated_model(grid, None, None, times=times, series=series)
+    return tabulated_model(grid, times, series)
 
 
 def eval_a(model, points, t):

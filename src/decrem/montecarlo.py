@@ -92,10 +92,9 @@ def sample_initial(rho, n, seed):
     )
 
 
-def default_dt(model, grid, T, t=0.0):
-    """dt = min(1e-3 * T, h^2 / (4 max a)) unless overridden."""
-    pts = grid.nodes()
-    a = eval_a(model, pts, t)
+def default_dt(model, grid, T):
+    """dt = min(1e-3 * T, h^2 / (4 max a)), with a at the nodes at t = 0."""
+    a = eval_a(model, grid.nodes(), 0.0)
     if grid.dim == 1:
         a_max = float(np.max(np.abs(a[:, 0, 0])))
     else:
@@ -130,7 +129,8 @@ class _Coefficient:
 
 
 def simulate(model, grid, ensemble, T, dt=None):
-    """Advance the ensemble to exactly time T (last step shortened).
+    """Advance the ensemble to exactly time T (last step shortened), by
+    steps of ``dt``, :func:`default_dt` when None.
 
     The step count is fixed up front as ceil((T - t) / dt), with a remainder
     below 1e-9 of the horizon T - t taken as round-off, not as one more step.

@@ -167,10 +167,11 @@ def run_seed(
     is solved tighter (default ``min(1e-9, tol * 1e-3)``) so that residual
     stays within budget.
 
-    When the clamp of u0 removes nothing, rho = alpha * zeta and the
-    resolvent's last application marched zeta: the decrement is
-    rho - alpha * Q zeta, the mass curve alpha times that march's masses.
-    Otherwise rho is marched once, through the resolvent's propagator.
+    ``uT`` is the march of ``u0`` to T.  When the clamp of u0 removes
+    nothing, u0 = zeta and the resolvent's last application made that
+    march; otherwise u0 is marched once, through the resolvent's
+    propagator.  The decrement is rho - alpha * uT and the mass curve alpha
+    times that march's masses.
     """
     if isinstance(gamma, DensityField):
         gamma = _validate_gamma(gamma)
@@ -197,17 +198,19 @@ def run_seed(
     alpha = 1.0 / total
     rho = DensityField(grid, alpha * u0)
     if worst == 0.0:
-        decrement = DensityField(grid, rho.values - alpha * report.q_zeta.values)
-        residual = float(np.abs(decrement.values - alpha * gamma.field.values).max())
-        curve = list(zip(_step_times(config, 0.0, T).tolist(), (alpha * report.masses).tolist()))
+        final, masses = report.q_zeta.values, report.masses
     else:
-        residual, decrement, curve = _decrement(model, grid, config, rho, alpha, gamma.field, T)
+        traj = evolve(model, grid, config, u0_field, 0.0, T)
+        final, masses = traj.states[-1], traj.masses
+    decrement = DensityField(grid, rho.values - alpha * final)
+    residual = float(np.abs(decrement.values - alpha * gamma.field.values).max())
+    curve = list(zip(_step_times(config, 0.0, T).tolist(), (alpha * masses).tolist()))
     if residual > tol:
         raise ResidualTooLarge(f"decrement residual {residual:.3e} exceeds tol {tol:g}")
     return SeedSolution(
         gamma=gamma,
         u0=u0_field,
-        uT=report.q_zeta,
+        uT=DensityField(grid, final),
         rho=rho,
         alpha=alpha,
         residual=residual,

@@ -42,7 +42,7 @@ def diagonal_series(grid):
         beta[:, 0, 0] = rng.uniform(0.8, 1.2, grid.n)
         beta[:, 1, 1] = rng.uniform(0.6, 0.9, grid.n)
         samples.append((rng.uniform(-0.5, 0.5, (grid.n, 2)), beta))
-    return tabulated_model(grid, None, None, times=[0.0, 0.15, 0.3], series=samples)
+    return tabulated_model(grid, [0.0, 0.15, 0.3], samples)
 
 
 def write_coefficient_csv(grid, path, drift_values, beta_values):

@@ -371,8 +371,9 @@ def _property_cases():
     g1 = make_grid(1, [0.0], [1.0], [12])
     g2 = make_grid(2, [0.0, 0.0], [1.0, 1.0], [5, 4])
     ramp = tabulated_model(
-        g1, None, None, times=[0.0, 0.2],
-        series=[
+        g1,
+        [0.0, 0.2],
+        [
             (np.zeros((12, 1)), np.ones((12, 1, 1))),
             (np.full((12, 1), 1.5), np.full((12, 1, 1), 0.5)),
         ],

@@ -300,7 +300,7 @@ def test_generator_matrix_matches_apply(grid64):
         (rng.normal(size=(grid.n, 2)), rng.normal(size=(grid.n, 2, 2)) + 2 * np.eye(2))
         for _ in range(2)
     ]
-    table = tabulated_model(grid, None, None, times=[0.0, 1.0], series=series)
+    table = tabulated_model(grid, [0.0, 1.0], series)
     for t in (0.0, 0.37):
         _assert_bit_identical(table, grid, t)
 
@@ -403,15 +403,13 @@ def _axis_aligned_case(draw):
         center = np.add(lo, rng.uniform(0, 1, dim) * width)
         model = ou_model(rng.uniform(0, 5, dim), center, beta)
     else:
+        times = [0.0, 0.1, 0.3] if family == "series" else [0.0]
         samples = []
-        for _ in range(3 if family == "series" else 1):
+        for _ in times:
             beta = np.zeros((grid.n, dim, dim))
             beta[:, range(dim), range(dim)] = rng.uniform(0.05, 3, (grid.n, dim))
             samples.append((rng.uniform(-5, 5, (grid.n, dim)), beta))
-        if family == "series":
-            model = tabulated_model(grid, None, None, times=[0.0, 0.1, 0.3], series=samples)
-        else:
-            model = tabulated_model(grid, *samples[0])
+        model = tabulated_model(grid, times, samples)
     return model, grid
 
 
@@ -560,7 +558,7 @@ def _random_series(grid, rng, cross):
         if not cross:
             beta[:, 0, 1] = beta[:, 1, 0] = 0.0
         samples.append((drift, beta))
-    return tabulated_model(grid, None, None, times=[0.0, 0.1, 0.2], series=samples)
+    return tabulated_model(grid, [0.0, 0.1, 0.2], samples)
 
 
 def test_sparse_path_is_unchanged(monkeypatch):
@@ -874,7 +872,7 @@ def test_propagator_dropped_from_the_slot_frees_its_factors_first(monkeypatch, h
     grid = make_grid(1, [0.0], [1.0], [16])
     table_grid = make_grid(1, [0.0], [1.0], [8])
     series = [(np.zeros((8, 1)), np.ones((8, 1, 1)))] * 3
-    table = tabulated_model(table_grid, None, None, times=[0.0, 0.25, 0.5], series=series)
+    table = tabulated_model(table_grid, [0.0, 0.25, 0.5], series)
     gc.disable()
     try:
         for model, g in ((heat, grid), (table, table_grid)):
@@ -934,7 +932,7 @@ def test_tabulated_series_builds_the_generator_every_step(monkeypatch):
     rng = np.random.default_rng(44)
     grid = make_grid(1, [0.0], [1.0], [12])
     series = [(rng.normal(size=(grid.n, 1)), np.ones((grid.n, 1, 1))) for _ in range(2)]
-    table = tabulated_model(grid, None, None, times=[0.0, 0.3], series=series)
+    table = tabulated_model(grid, [0.0, 0.3], series)
     calls = _count_builds(monkeypatch)
     rho = DensityField(grid, rng.random(grid.n))
     for n_steps in (6, 10, 10):
@@ -1062,7 +1060,7 @@ def _series(where):
     beta is 0 at the sample ``where`` and 1 at the others."""
     grid = make_grid(1, [0.0], [1.0], [8])
     samples = [(np.zeros((8, 1)), np.full((8, 1, 1), float(t != where))) for t in (0.0, 0.25, 0.5)]
-    return tabulated_model(grid, None, None, times=[0.0, 0.25, 0.5], series=samples), grid
+    return tabulated_model(grid, [0.0, 0.25, 0.5], samples), grid
 
 
 @pytest.mark.parametrize("where", [0.0, 0.5])

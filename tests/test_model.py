@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from decrem import (
+    DomainGrid,
     ShapeMismatch,
     constant_model,
     eval_a,
@@ -80,7 +81,7 @@ def test_tabulated_lookup_at_cell_center():
     x = grid.axis_centers(0)
     drift = np.zeros((5, 1))
     beta = (1.0 + x).reshape(5, 1, 1)
-    model = tabulated_model(grid, drift, beta)
+    model = tabulated_model(grid, [0.0], [(drift, beta)])
     a = eval_a(model, np.array([[0.5]]), 0.0)
     assert a[0, 0, 0] == pytest.approx(0.5 * 1.5**2)  # 1.125
 
@@ -124,10 +125,47 @@ def test_tabulated_refined_query_grid():
     table = make_grid(1, [0.0], [1.0], [8])
     fine = make_grid(1, [0.0], [1.0], [16])
     x = table.axis_centers(0)
-    model = tabulated_model(
-        table, np.zeros((8, 1)), (1.0 + x).reshape(8, 1, 1)
-    )
+    model = tabulated_model(table, [0.0], [(np.zeros((8, 1)), (1.0 + x).reshape(8, 1, 1))])
     b = model.beta_at(fine.nodes(), 0.0)[:, 0, 0]
     assert np.array_equal(b[::2], b[1::2])
     assert np.array_equal(b[::2], 1.0 + x)
 
+
+def test_tabulated_series_finds_cells_once_per_call(monkeypatch):
+    # between two samples a coefficient blends both, read at cells found once
+    grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [4, 5])
+    rng = np.random.default_rng(3)
+    samples = [(rng.random((grid.n, 2)), rng.random((grid.n, 2, 2))) for _ in range(2)]
+    model = tabulated_model(grid, [0.0, 0.4], samples)
+    pts = rng.random((7, 2))
+    cells = grid.cell_index(pts)
+    calls = []
+    cell_index = DomainGrid.cell_index
+    monkeypatch.setattr(
+        DomainGrid, "cell_index", lambda self, p: calls.append(1) or cell_index(self, p)
+    )
+    w = (0.1 - 0.0) / (0.4 - 0.0)
+    for k, name in enumerate(("drift_at", "beta_at")):
+        calls.clear()
+        out = getattr(model, name)(pts, 0.1)
+        assert len(calls) == 1
+        blend = (1.0 - w) * samples[0][k][cells] + w * samples[1][k][cells]
+        assert out.tobytes() == blend.tobytes()
+
+
+_SAMPLE = (np.zeros((6, 1)), np.ones((6, 1, 1)))
+_NAN_BETA = np.where(np.arange(6)[:, None, None] == 3, np.nan, 1.0)
+
+
+@pytest.mark.parametrize(
+    "times, samples, match",
+    [
+        ([0.0, 1.0], [_SAMPLE], "equal length"),
+        ([0.5, 0.5], [_SAMPLE, _SAMPLE], "strictly increasing"),
+        ([0.0], [(_SAMPLE[0], _NAN_BETA)], "tabulated beta is not finite at node 3"),
+    ],
+    ids=["lengths", "times", "non-finite"],
+)
+def test_tabulated_model_rejects(times, samples, match):
+    with pytest.raises(ValueError, match=match):
+        tabulated_model(make_grid(1, [0.0], [1.0], [6]), times, samples)

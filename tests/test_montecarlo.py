@@ -153,7 +153,7 @@ def _time_dependent_table():
         )
         for _ in range(3)
     ]
-    return tabulated_model(grid, None, None, times=[0.0, 0.05, 0.12], series=series), grid
+    return tabulated_model(grid, [0.0, 0.05, 0.12], series), grid
 
 
 def _surviving_steps_cases():
@@ -230,7 +230,9 @@ def test_simulate_matches_all_particle_stepper_at_high_exit_rates():
 def _coefficient_reads_cases():
     grid1 = make_grid(1, [0.0], [1.0], [64])
     grid2 = make_grid(2, [0.0, 0.0], [1.0, 1.2], [10, 12])
-    table = tabulated_model(grid1, np.linspace(-1.0, 1.0, 64)[:, None], np.full((64, 1, 1), 0.8))
+    table = tabulated_model(
+        grid1, [0.0], [(np.linspace(-1.0, 1.0, 64)[:, None], np.full((64, 1, 1), 0.8))]
+    )
     # the model of the high exit rate test: its beta has stride 0 along the
     # points but changes with t
     varying = DiffusionModel(

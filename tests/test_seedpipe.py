@@ -264,10 +264,11 @@ def test_unclamped_seed_takes_its_decrement_from_the_resolvent(monkeypatch, n_ce
     assert np.abs(np.subtract(sol.mass_curve, curve)[:, 1]).max() <= 1e-15
 
 
-def test_clamped_seed_marches_rho_once(monkeypatch):
+def test_clamped_seed_marches_u0_once(monkeypatch):
     # the a12 term breaks the M-matrix and zeta dips below zero near a
-    # corner; the clamped rho is no longer alpha * zeta, so run_seed marches
-    # it once, and gets the bits of that march on steps made afresh
+    # corner; the clamped u0 is no longer zeta, so run_seed marches it once:
+    # uT is that march's final state, bit for bit, and the decrement, its
+    # residual and the mass curve come from it
     grid = make_grid(2, [0.0, 0.0], [1.0, 1.0], [8, 8])
     model = constant_model([0.0, 0.0], np.array([[1.0, 0.0], [0.9, 0.436]]))
     gamma = realize_gamma(grid, {"kind": "bump", "lo": [0.1, 0.1], "hi": [0.3, 0.3]})
@@ -277,12 +278,13 @@ def test_clamped_seed_marches_rho_once(monkeypatch):
     assert evolves == [64]
     assert -6e-6 < sol.negativity < -5.8e-6
     assert 3.6e-4 < sol.residual < 3.8e-4
-    residual, decrement, curve = seedpipe._decrement(
-        model, grid, config, sol.rho, sol.alpha, sol.gamma.field, 0.5
-    )
-    assert sol.residual == residual
-    assert sol.decrement.values.tobytes() == decrement.values.tobytes()
-    assert sol.mass_curve == curve
+    traj = evolve(model, grid, config, sol.u0, 0.0, 0.5)
+    assert sol.uT.values.tobytes() == traj.states[-1].tobytes()
+    decrement = sol.rho.values - sol.alpha * sol.uT.values
+    assert sol.decrement.values.tobytes() == decrement.tobytes()
+    assert sol.residual == float(np.abs(decrement - sol.alpha * sol.gamma.field.values).max())
+    curve = zip(traj.times.tolist(), (sol.alpha * traj.masses).tolist())
+    assert sol.mass_curve == list(curve)
 
 
 @pytest.mark.parametrize("n_cells", [[10, 10], [160]])

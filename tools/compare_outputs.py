@@ -8,11 +8,13 @@ BASE and HEAD are checkouts of the repository.  The inputs are the
 benchmark's: ``perfbench/workloads.py`` of this repository draws the
 ``run.VARIANTS`` inputs of every workload from each of ``SEEDS``, as
 ``perfbench/run.py`` does, and writes each as a config file (and, for
-``mc``, a density CSV).  Four more ``mc`` inputs follow, so that the
+``mc``, a density CSV).  Five more ``mc`` inputs follow, so that the
 particle paths the benchmark leaves out are compared too: in 2-D a
 constant drift with off-diagonal ``beta``, a ``linear-drift`` model and a
-tabulated series, and a 1-D ``linear-drift`` model, whose drift varies
-along the particles while its ``beta`` is fixed.  Then a 2-D
+tabulated series, a 1-D ``linear-drift`` model, whose drift varies
+along the particles while its ``beta`` is fixed, and a 1-D constant
+model that leaves ``mc.dt`` unset, so that the default step is compared
+(every other input sets it).  Then a 2-D
 tabulated series with diagonal ``beta`` goes through ``seed`` and through
 ``spectrum`` with ``assemble: true``, so that the steps a series keeps are
 compared on the resolvent, the Richardson check and the assembly.  Next,
@@ -24,7 +26,16 @@ same model on 10 x 10 nodes, within ``DENSE_MAX_N``, goes through
 dense inverse is compared too.  Then two
 1-D inputs fail after writing: a ``seed`` whose ``verify_tol`` of 1e-12 no
 refined march meets (exit 13), and a ``spectrum`` whose power iteration
-stops after ``max_iter`` = 1 (exit 7).  The imports
+stops after ``max_iter`` = 1 (exit 7).  Last come three ``seed`` inputs
+in forms that no other input reads: a steady coefficient table
+(``model.file``), a profile from a field file (``gamma.kind: csv``), and
+an 8 x 8 model whose a12 term makes zeta dip below zero, which
+``eps_neg`` = 1e-4 lets ``run_seed`` clamp.  Against a tree that stored
+``Q zeta`` as that clamped seed's ``uT.csv``, rather than the march of
+``u0.csv``, only that seed's ``decrement.csv``, ``uT.csv``,
+``report.json``, ``verification.json`` and ``manifest.json`` differ, with
+the ``verification.json`` and ``manifest.json`` of ``verify`` on its
+solution, which echoes the stored residual.  The imports
 write no bytecode, so the benchmark directory is left as it was.  Each
 input runs through ``python -m decrem`` of both trees, from a directory of
 its own holding the same files and with the same relative ``output_dir``,
@@ -76,7 +87,7 @@ def write_inputs(work):
                 cases.append((case, [wl.command, "config.json", *wl.extra_args(".")]))
     cases += write_mc_inputs(work) + write_series_2d_inputs(work)
     cases += write_seed_2d_input(work) + write_spectrum_dense_input(work)
-    return cases + write_late_failure_inputs(work)
+    return cases + write_late_failure_inputs(work) + write_seed_input_forms(work)
 
 
 MIXED_BETA = [[0.9, 0.3], [-0.2, 0.6]]
@@ -92,12 +103,14 @@ MC_2D_MODELS = {
 MC_1D_MODELS = {
     "linear-drift": {"family": "linear-drift", "rate": [1.5], "center": [0.4], "beta": [[0.9]]},
 }
+MC_DT = 2e-3  # every mc input but the last sets mc.dt to this
 
 
 def write_mc_inputs(work):
     """Write one ``mc`` input per model of ``MC_2D_MODELS`` and of
-    ``MC_1D_MODELS`` into ``work/inputs/mc-<dim>d-<model>``; returns
-    (case, argv) pairs."""
+    ``MC_1D_MODELS`` into ``work/inputs/mc-<dim>d-<model>``, then a 1-D
+    constant model that leaves ``mc.dt`` unset into
+    ``work/inputs/mc-1d-default-dt``; returns (case, argv) pairs."""
     import numpy as np
     from decrem import DensityField, make_grid
     from decrem.grid import _write_table
@@ -108,8 +121,10 @@ def write_mc_inputs(work):
     }
     rng = np.random.default_rng(4)
     cases = []
-    models = [(2, *m) for m in MC_2D_MODELS.items()] + [(1, *m) for m in MC_1D_MODELS.items()]
-    for dim, label, model in models:
+    models = [(2, *m, MC_DT) for m in MC_2D_MODELS.items()]
+    models += [(1, *m, MC_DT) for m in MC_1D_MODELS.items()]
+    models.append((1, "default-dt", {"family": "constant", "drift": [0.3], "beta": [[0.9]]}, None))
+    for dim, label, model, dt in models:
         grid = make_grid(**domains[dim])
         v = np.prod(np.sin(np.pi * grid.nodes() / grid.hi), axis=1)  # lo is 0
         rho = DensityField(grid, v / (v.sum() * grid.cell_volume))
@@ -129,9 +144,11 @@ def write_mc_inputs(work):
             "domain": domains[dim],
             "model": model,
             "time": {"T": 0.2, "n_steps": 16},
-            "mc": {"n_particles": 4000, "dt": 2e-3, "seed": 17},
+            "mc": {"n_particles": 4000, "dt": dt, "seed": 17},
             "output_dir": "out",
         }
+        if dt is None:
+            del cfg["mc"]["dt"]
         (path / "config.json").write_text(json.dumps(cfg, indent=2))
         cases.append((case, ["mc", "config.json", "--rho", "rho.csv"]))
     return cases
@@ -243,6 +260,54 @@ def write_late_failure_inputs(work):
         path.mkdir(parents=True)
         (path / "config.json").write_text(json.dumps(cfg, indent=2))
         cases.append((case, [command, "config.json"]))
+    return cases
+
+
+def write_seed_input_forms(work):
+    """Write three ``seed`` inputs into ``work/inputs/seed-<form>``: a 1-D
+    steady coefficient table (``model.file``), a 1-D profile read from a
+    field file (``gamma.kind: csv``) and the 8 x 8 model whose a12 term
+    makes zeta dip below zero, clamped under ``eps_neg`` = 1e-4; returns
+    (case, argv) pairs."""
+    import numpy as np
+    from decrem import DensityField, make_grid
+    from decrem.grid import _write_table
+
+    line = {"dim": 1, "lo": [0.0], "hi": [1.0], "n_cells": [32]}
+    grid = make_grid(**line)
+    rng = np.random.default_rng(6)
+    base = {
+        "domain": line,
+        "model": {"family": "constant", "drift": [0.3], "beta": [[1.0]]},
+        "time": {"T": 0.2, "n_steps": 64},
+        "gamma": {"kind": "eigenmode"},
+        "output_dir": "out",
+    }
+    forms = {
+        "table": {"model": {"family": "tabulated", "file": "coefficients.csv"}},
+        "gamma-csv": {"gamma": {"kind": "csv", "file": "gamma.csv"}},
+        "clamped": {
+            "domain": {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.0], "n_cells": [8, 8]},
+            "model": {"family": "constant", "drift": [0.0, 0.0],
+                      "beta": [[1.0, 0.0], [0.9, 0.436]]},
+            "time": {"T": 0.5, "n_steps": 64},
+            "gamma": {"kind": "bump", "lo": [0.1, 0.1], "hi": [0.3, 0.3]},
+            "tolerances": {"residual_tol": 1e-3, "eps_neg": 1e-4},
+        },
+    }
+    cases = []
+    for form, changes in forms.items():
+        case = f"seed-{form}"
+        path = work / "inputs" / case
+        path.mkdir(parents=True)
+        if form == "table":
+            drift = rng.uniform(-0.5, 0.5, (grid.n, 1))
+            beta = rng.uniform(0.8, 1.2, (grid.n, 1, 1))
+            _write_table(grid, path / "coefficients.csv", ["f1", "b11"], [drift, beta])
+        elif form == "gamma-csv":
+            DensityField(grid, rng.uniform(0.0, 1.0, grid.n)).to_csv(path / "gamma.csv")
+        (path / "config.json").write_text(json.dumps({**base, **changes}, indent=2))
+        cases.append((case, ["seed", "config.json"]))
     return cases
 
 
